@@ -38,7 +38,6 @@ from .pso import (
     SwarmParams,
     analytic_lower_bound,
     discretize,
-    fitness,
     generate_one_test,
     generate_suite,
     position_update,

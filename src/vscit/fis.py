@@ -262,13 +262,34 @@ def controller_from_config(cfg: dict) -> FisController:
     """Build a controller from a JSON-style dict; omitted pieces keep defaults.
 
     Recognized keys: "w_max", "w_min", "output" (label -> [left, peak, right])
-    and "inputs" (input name -> label -> [left, peak, right]).
+    and "inputs" (input name -> label -> [left, peak, right]). A value of the
+    wrong shape raises ValueError naming its key.
     """
-    def family(spec: dict) -> dict[str, MembershipFunction]:
-        return {label: MembershipFunction(*points) for label, points in spec.items()}
+    def is_number(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
 
-    inputs = {name: family(spec) for name, spec in (cfg.get("inputs") or {}).items()}
-    output = family(cfg["output"]) if cfg.get("output") else None
+    def mapping(where: str, spec) -> dict:
+        if not isinstance(spec, dict):
+            raise ValueError(f"{where} must be a JSON object, got {type(spec).__name__}")
+        return spec
+
+    def family(where: str, spec) -> dict[str, MembershipFunction]:
+        mfs = {}
+        for label, points in mapping(where, spec).items():
+            if not isinstance(points, list) or len(points) != 3 or not all(map(is_number, points)):
+                raise ValueError(f"{where}.{label} must be [left, peak, right], got {points!r}")
+            mfs[label] = MembershipFunction(*points)
+        return mfs
+
+    mapping("membership config top level", cfg)
+    for key in ("w_max", "w_min"):
+        if key in cfg and not is_number(cfg[key]):
+            raise ValueError(f"{key} must be a number, got {cfg[key]!r}")
+    inputs = {
+        name: family(f"inputs.{name}", spec)
+        for name, spec in mapping("inputs", cfg.get("inputs") or {}).items()
+    }
+    output = family("output", cfg["output"]) if cfg.get("output") else None
     return FisController(
         input_mfs=inputs or None,
         output_mfs=output,

@@ -106,11 +106,6 @@ def discretize(position, levels) -> TestCase:
     return tuple(int(x) for x in row)
 
 
-def fitness(position, store: TupleStore) -> int:
-    """Number of uncovered entries the discretized position would newly hit."""
-    return coverage_count(discretize(position, store.model.param_levels), store)
-
-
 def velocity_update(particle: Particle, gbest: np.ndarray, w: float,
                     c1: float, c2: float, rng) -> np.ndarray:
     """Inertia plus cognitive and social pulls, clamped per component.
@@ -146,46 +141,6 @@ def _cpso_weight(iteration: int, max_iterations: int, w_max: float) -> float:
     return w_max - (w_max - W_MIN_DEFAULT) * frac
 
 
-class _StoreSnapshot:
-    """Packed read-only view of the store for batch fitness evaluation.
-
-    Each tuple becomes one integer id (mixed-radix within its combination,
-    offset per combination so ids never collide), letting a whole swarm be
-    scored with array lookups. Valid only while the store is unmodified;
-    the store is frozen for the duration of each test's search.
-    """
-
-    def __init__(self, store: TupleStore):
-        levels = store.model.param_levels
-        by_len: dict[int, list] = {}
-        for key, tuples in store.entries.items():
-            by_len.setdefault(len(key), []).append((key, tuples))
-        self.groups = []
-        for length, items in by_len.items():
-            idx = np.array([key for key, _ in items], dtype=np.int64)
-            strides = np.ones((len(items), length), dtype=np.int64)
-            offsets = np.zeros(len(items), dtype=np.int64)
-            packed: list[int] = []
-            base = 0
-            for m, (key, tuples) in enumerate(items):
-                vs = [levels[i] for i in key]
-                for d in range(length - 2, -1, -1):
-                    strides[m, d] = strides[m, d + 1] * vs[d + 1]
-                offsets[m] = base
-                for tup in tuples:
-                    packed.append(base + int(np.dot(strides[m], tup)))
-                base += int(strides[m, 0]) * vs[0]
-            self.groups.append((idx, strides, offsets, np.array(sorted(packed), dtype=np.int64)))
-
-    def batch_counts(self, cases: np.ndarray) -> np.ndarray:
-        """coverage_count for every row of a (n, k) matrix of cases."""
-        counts = np.zeros(len(cases), dtype=np.int64)
-        for idx, strides, offsets, packed in self.groups:
-            ids = (cases[:, idx] * strides[None, :, :]).sum(axis=2) + offsets[None, :]
-            counts += np.isin(ids, packed).sum(axis=1)
-        return counts
-
-
 def generate_one_test(store: TupleStore, params: SwarmParams,
                       controller: FisController | None, rng, *,
                       test_index: int = 0,
@@ -198,12 +153,12 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     positions and the global best at the best of those. Personal and global
     bests move only on strict fitness improvement, with bookkeeping applied
     in particle-index order after all of an iteration's moves. The loop
-    stops early once the global best covers every remaining entry, after
-    which no iteration can change the outcome. If the final case covers
-    nothing new, it is replaced by one built around a still-uncovered tuple
-    so the outer loop always makes progress.
+    stops early once the global best hits every combination that still has
+    an uncovered tuple, after which no iteration can change the outcome. If
+    the final case covers nothing new, it is replaced by one built around
+    the smallest uncovered tuple so the outer loop always makes progress.
     """
-    if not store.entries:
+    if store.remaining_count == 0:
         raise ValueError("tuple store is empty; nothing left to cover")
     if params.variant == "fpso" and controller is None:
         raise ValueError("the fpso variant needs a FisController")
@@ -211,13 +166,12 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     k = len(levels)
     size = params.swarm_size
     vmax = np.array([v - 1 for v in levels], dtype=float)
-    max_fitness = len(store.entries)
+    max_fitness = store.open_combinations
     max_distance = float(np.linalg.norm(vmax))
-    snapshot = _StoreSnapshot(store)
 
     start = rng.random((size, k)) * vmax
     start_velocity = (rng.random((size, k)) * 2.0 - 1.0) * vmax
-    fits = snapshot.batch_counts(_snap(start, vmax))
+    fits = store.counts(_snap(start, vmax))
     particles = [
         Particle(
             position=start[i].copy(),
@@ -254,7 +208,7 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
         for i, p in enumerate(particles):
             p.velocity = velocity_update(p, gbest_position, float(ws[i]), params.c1, params.c2, rng)
             p.position = position_update(p)
-        fits = snapshot.batch_counts(_snap(np.stack([p.position for p in particles]), vmax))
+        fits = store.counts(_snap(np.stack([p.position for p in particles]), vmax))
         improved = False
         for i, p in enumerate(particles):
             f = int(fits[i])
@@ -291,9 +245,8 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
 
 
 def _repair_case(store: TupleStore, rng) -> TestCase:
-    """Build a case around one still-uncovered tuple, free values random."""
-    key = min(store.entries)
-    tup = min(store.entries[key])
+    """Build a case around the smallest uncovered tuple, free values random."""
+    key, tup = store.first_uncovered()
     values = [int(rng.integers(v)) for v in store.model.param_levels]
     for idx, val in zip(key, tup):
         values[idx] = val

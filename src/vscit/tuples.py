@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
+import math
+from collections.abc import Iterable
 
-from .model import SutModel, TestCase, VscaConfig
+import numpy as np
+
+from .model import SutModel, TestCase, VscaConfig, check_case
 
 ParamCombination = tuple[int, ...]
 
@@ -36,29 +39,69 @@ def generate_param_combinations(k: int, t: int) -> list[ParamCombination]:
 
 
 class TupleStore:
-    """Uncovered value tuples keyed by parameter combination.
+    """Every required (combination, value tuple) pair as one packed id.
 
-    Entries whose tuple sets empty out are dropped from the map, so the
-    per-candidate scan shrinks as coverage progresses.
+    Combinations are laid out in sorted order, lengths mixed, and each one's
+    value tuples in mixed-radix order (first index most significant), so id
+    order is (combination, tuple) order. ``uncovered`` holds one flag per id.
+    Scoring arrays are grouped by combination length and hold only the
+    combinations that still have an uncovered tuple: a combination leaves
+    them with its last tuple, so the per-case work shrinks as coverage
+    progresses.
     """
 
-    def __init__(self, model: SutModel, entries: dict[ParamCombination, set[tuple[int, ...]]]):
+    def __init__(self, model: SutModel, combinations: Iterable[ParamCombination]):
         self.model = model
-        self.entries = {key: set(tuples) for key, tuples in entries.items() if tuples}
-        self.initial_total = sum(len(s) for s in self.entries.values())
+        self._keys = sorted(set(map(tuple, combinations)))
+        sizes = np.array([math.prod(model.param_levels[i] for i in key) for key in self._keys],
+                         dtype=np.int64)
+        self._offsets = np.cumsum(sizes) - sizes
+        self.initial_total = int(sizes.sum())
         self._remaining = self.initial_total
+        self.uncovered = np.ones(self.initial_total, dtype=bool)
+        levels = np.array(model.param_levels, dtype=np.int64)
+        by_len: dict[int, list[int]] = {}
+        for n, key in enumerate(self._keys):
+            by_len.setdefault(len(key), []).append(n)
+        # Per length, one row per live combination: its columns, the strides
+        # and offset that turn a projection into an id, its uncovered count.
+        self._groups = []
+        for members in by_len.values():
+            cols = np.array([self._keys[n] for n in members], dtype=np.int64)
+            strides = np.ones_like(cols)
+            strides[:, :-1] = np.cumprod(levels[cols][:, :0:-1], axis=1)[:, ::-1]
+            self._groups.append((cols, strides, self._offsets[members], sizes[members]))
 
     @property
     def remaining_count(self) -> int:
         return self._remaining
 
-    def dump_debug(self) -> str:
-        """One line per entry: "i,j,...: t1 t2 ..." with tuples hyphen-joined."""
-        lines = []
-        for key in sorted(self.entries):
-            tuples = " ".join("-".join(map(str, tup)) for tup in sorted(self.entries[key]))
-            lines.append(f"{','.join(map(str, key))}: {tuples}")
-        return "\n".join(lines)
+    @property
+    def open_combinations(self) -> int:
+        """Combinations that still have an uncovered tuple."""
+        return sum(len(left) for *_, left in self._groups)
+
+    def counts(self, cases: np.ndarray) -> np.ndarray:
+        """Uncovered tuples hit by each row of an (n, k) integer case matrix."""
+        counts = np.zeros(len(cases), dtype=np.int64)
+        for cols, strides, offsets, _ in self._groups:
+            counts += self.uncovered[_ids(cases, cols, strides, offsets)].sum(axis=1)
+        return counts
+
+    def first_uncovered(self) -> tuple[ParamCombination, tuple[int, ...]]:
+        """The smallest uncovered (combination, value tuple) pair."""
+        if not self._remaining:
+            raise ValueError("every tuple is covered")
+        first = int(np.argmax(self.uncovered))
+        n = int(np.searchsorted(self._offsets, first, side="right")) - 1
+        key = self._keys[n]
+        shape = [self.model.param_levels[i] for i in key]
+        return key, tuple(int(x) for x in np.unravel_index(first - self._offsets[n], shape))
+
+
+def _ids(cases: np.ndarray, cols, strides, offsets) -> np.ndarray:
+    """(n, m) ids of each case's projection onto each of m combinations."""
+    return (cases[:, cols] * strides).sum(axis=2) + offsets
 
 
 def build_tuple_store(model: SutModel, config: VscaConfig) -> TupleStore:
@@ -66,44 +109,40 @@ def build_tuple_store(model: SutModel, config: VscaConfig) -> TupleStore:
 
     The main strength contributes all t-combinations over every parameter;
     each sub-configuration contributes the s-combinations drawn from its own
-    index pool. Combinations demanded by more than one source share a key and
-    union their tuple sets, so nothing is counted twice.
+    index pool. A combination demanded by more than one source is stored
+    once, so nothing is counted twice.
     """
-    entries: dict[ParamCombination, set[tuple[int, ...]]] = {}
     demands = [(tuple(range(model.k)), config.main_strength)]
     demands += [(tuple(sorted(sub.indices)), sub.strength) for sub in config.sub_configs]
+    combinations = []
     for pool, strength in demands:
         for local in generate_param_combinations(len(pool), strength):
-            key = tuple(pool[j] for j in local)
-            values = entries.setdefault(key, set())
-            values.update(itertools.product(*(range(model.param_levels[i]) for i in key)))
-    return TupleStore(model, entries)
+            combinations.append(tuple(pool[j] for j in local))
+    return TupleStore(model, combinations)
 
 
 def coverage_count(case: TestCase, store: TupleStore) -> int:
-    """How many uncovered entries this case's projections hit; read-only."""
-    hits = 0
-    for key, tuples in store.entries.items():
-        if tuple(case[i] for i in key) in tuples:
-            hits += 1
-    return hits
+    """How many uncovered tuples this case's projections hit; read-only."""
+    check_case(store.model, case)
+    return int(store.counts(np.array([case], dtype=np.int64))[0])
 
 
 def remove_covered(case: TestCase, store: TupleStore) -> int:
-    """Delete every tuple the case covers and return how many went away.
+    """Mark every tuple the case covers as covered and return how many were new.
 
-    Emptied entries are dropped from the map entirely.
+    Combinations left with no uncovered tuple drop out of the scoring arrays.
     """
+    check_case(store.model, case)
+    row = np.array([case], dtype=np.int64)
     removed = 0
-    emptied = []
-    for key, tuples in store.entries.items():
-        projection = tuple(case[i] for i in key)
-        if projection in tuples:
-            tuples.discard(projection)
-            removed += 1
-            if not tuples:
-                emptied.append(key)
-    for key in emptied:
-        del store.entries[key]
+    for g, (cols, strides, offsets, left) in enumerate(store._groups):
+        ids = _ids(row, cols, strides, offsets)[0]
+        hit = store.uncovered[ids]
+        store.uncovered[ids[hit]] = False
+        left[hit] -= 1
+        removed += int(np.count_nonzero(hit))
+        if not left.all():
+            keep = left > 0
+            store._groups[g] = (cols[keep], strides[keep], offsets[keep], left[keep])
     store._remaining -= removed
     return removed

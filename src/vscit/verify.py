@@ -10,7 +10,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .model import ParseError, SutModel, TestSuite, VscaConfig, parse_config, parse_model
+from .model import (
+    ParseError,
+    SutModel,
+    TestSuite,
+    VscaConfig,
+    parse_config,
+    parse_model,
+    validate_config,
+)
 
 MissingPair = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -93,7 +101,12 @@ def write_suite(suite: TestSuite, path) -> None:
 
 
 def read_suite(path) -> TestSuite:
-    """Inverse of write_suite; raises ParseError on any malformed content."""
+    """Inverse of write_suite; raises ParseError on any malformed content.
+
+    The configuration is validated against the model, so a file whose
+    configuration demands nothing (or names parameters the model lacks)
+    is refused instead of passing the oracle with an empty universe.
+    """
     model: SutModel | None = None
     config: VscaConfig | None = None
     cases: list[tuple[int, ...]] = []
@@ -116,6 +129,7 @@ def read_suite(path) -> TestSuite:
     if model is None or config is None:
         raise ParseError(f"{path}: missing '# model:' or '# config:' header")
     try:
+        validate_config(model, config)
         return TestSuite(model, config, tuple(cases))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None

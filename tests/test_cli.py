@@ -103,6 +103,17 @@ class TestVerifyCommand:
         assert lines[0] == "combination,values"
         assert len(lines) == 4  # three uncovered value pairs
 
+    @pytest.mark.parametrize("config_text", ["t=5", "t=2; sub=0,1,7:3"])
+    def test_config_the_model_cannot_hold_exits_2(self, tmp_path, capsys, config_text):
+        # t=5 over three parameters demands nothing, so the oracle would report
+        # 100%; index 7 does not exist, so the oracle would index past the case.
+        path = tmp_path / "suite.txt"
+        path.write_text(f"# model: 3^3\n# config: {config_text}\n0,0,0\n")
+        assert run_cli("verify", str(path)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "coverage" not in captured.out
+        assert captured.err.startswith("error:") and "outside" in captured.err
+
 
 class TestBenchmark:
     def read_rows(self, path):
@@ -205,6 +216,20 @@ class TestMfConfig:
         mf.write_text("{not json")
         assert run_cli("generate", "--model", "3^3", "--t", "2", "--mf-config", str(mf),
                        "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
+
+    @pytest.mark.parametrize("payload,bad_key", [
+        ([1, 2, 3], "top level"),
+        ({"output": {"low": [0, 50]}}, "output.low"),
+        ({"inputs": {"ncf": [[0, 0, 50]]}}, "inputs.ncf"),
+        ({"w_max": [0.9]}, "w_max"),
+    ], ids=["top-level-list", "two-point-triangle", "list-valued-family", "list-valued-bound"])
+    def test_mis_shaped_json_exits_2(self, tmp_path, capsys, payload, bad_key):
+        mf = tmp_path / "mf.json"
+        mf.write_text(json.dumps(payload))
+        assert run_cli("generate", "--model", "3^3", "--t", "2", "--mf-config", str(mf),
+                       "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad_key in err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("generate", "--model", "3^3", "--t", "2",

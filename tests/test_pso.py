@@ -11,10 +11,9 @@ from vscit.model import SubConfig, VscaConfig, parse_model
 from vscit.pso import (
     Particle,
     SwarmParams,
-    _StoreSnapshot,
+    _repair_case,
     analytic_lower_bound,
     discretize,
-    fitness,
     generate_one_test,
     generate_suite,
     position_update,
@@ -58,9 +57,14 @@ class TestDiscretize:
         assert discretize([0.0, 1.0, 2.0], (3, 3, 3)) == (0, 1, 2)
 
 
+def fitness(position, store):
+    """A particle's score: uncovered tuples its discretized position hits."""
+    return coverage_count(discretize(position, store.model.param_levels), store)
+
+
 class TestFitness:
     def test_empty_store_scores_zero(self):
-        store = TupleStore(parse_model("3^5"), {})
+        store = TupleStore(parse_model("3^5"), [])
         assert fitness([0.0] * 5, store) == 0
 
     def test_fresh_store_scores_one_per_combination(self):
@@ -132,22 +136,6 @@ class TestSwarmParams:
             SwarmParams(**kwargs)
 
 
-class TestBatchFitnessAgreement:
-    def test_snapshot_counts_match_scalar_counts(self):
-        rng = np.random.default_rng(3)
-        model = parse_model("3^4 2^2 4")
-        cfg = VscaConfig(2, (SubConfig((0, 1, 2), 3),))
-        store = build_tuple_store(model, cfg)
-        remove_covered(tuple(int(rng.integers(v)) for v in model.param_levels), store)
-        snapshot = _StoreSnapshot(store)
-        cases = np.stack(
-            [[rng.integers(v) for v in model.param_levels] for _ in range(50)]
-        ).astype(np.int64)
-        batch = snapshot.batch_counts(cases)
-        singles = [coverage_count(tuple(int(x) for x in row), store) for row in cases]
-        np.testing.assert_array_equal(batch, singles)
-
-
 def small_params(**overrides):
     base = dict(swarm_size=8, max_iterations=20, rng_seed=0)
     base.update(overrides)
@@ -156,7 +144,10 @@ def small_params(**overrides):
 
 class TestGenerateOneTest:
     def test_single_remaining_tuple_gets_covered(self):
-        store = TupleStore(parse_model("3^3"), {(0, 2): {(2, 1)}})
+        store = TupleStore(parse_model("3^3"), [(0, 2)])
+        for a, b in itertools.product(range(3), range(3)):
+            if (a, b) != (2, 1):
+                remove_covered((a, 0, b), store)
         rng = np.random.default_rng(0)
         case = generate_one_test(store, small_params(), FisController(), rng)
         assert case[0] == 2 and case[2] == 1
@@ -166,7 +157,7 @@ class TestGenerateOneTest:
         rng = np.random.default_rng(1)
         controller = FisController()
         for expected_left in (4, 3, 2, 1):
-            assert len(store.entries[(0, 1)]) == expected_left
+            assert store.remaining_count == expected_left
             case = generate_one_test(store, small_params(), controller, rng)
             assert remove_covered(case, store) == 1
         assert store.remaining_count == 0
@@ -178,9 +169,33 @@ class TestGenerateOneTest:
         assert coverage_count(case, store) == 10
 
     def test_empty_store_raises(self):
-        store = TupleStore(parse_model("2^2"), {})
+        store = TupleStore(parse_model("2^2"), [])
         with pytest.raises(ValueError, match="empty"):
             generate_one_test(store, small_params(), FisController(), np.random.default_rng(0))
+
+
+class TestRepairCase:
+    def test_picks_smallest_uncovered_pair_across_key_lengths(self):
+        # Sorted order puts (0, 1) before (0, 1, 2) before (0, 2): the repair
+        # target is the smallest uncovered (key, tuple), whatever the key length.
+        keys = [(0, 2), (0, 1, 2), (0, 1)]
+        store = TupleStore(parse_model("2^3"), keys)
+        uncovered = {
+            (key, values) for key in keys
+            for values in itertools.product((0, 1), repeat=len(key))
+        }
+        rng = np.random.default_rng(5)
+        targets = []
+        # Last index slowest: (0, 1) empties while (0, 2) and (0, 1, 2) still compete.
+        for case in sorted(itertools.product((0, 1), repeat=3), key=lambda c: c[::-1]):
+            key, values = min(uncovered)
+            repaired = _repair_case(store, rng)
+            assert tuple(repaired[i] for i in key) == values
+            targets.append(key)
+            remove_covered(case, store)
+            uncovered -= {(key, tuple(case[i] for i in key)) for key in keys}
+        assert not uncovered and store.remaining_count == 0
+        assert targets == [(0, 1)] * 4 + [(0, 1, 2)] * 4
 
 
 class TestGenerateSuite:

@@ -7,6 +7,7 @@ lexicographic enumeration), and plain nested recounts for store contents.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +21,8 @@ from vscit.tuples import (
 )
 
 
-def brute_force_store_size(model, config):
-    """Count required tuples with a nested enumeration independent of the store."""
+def brute_force_pairs(model, config):
+    """Required (combination, values) pairs, enumerated independently of the store."""
     pairs = set()
     demands = [(tuple(range(model.k)), config.main_strength)]
     demands += [(tuple(sorted(s.indices)), s.strength) for s in config.sub_configs]
@@ -29,7 +30,11 @@ def brute_force_store_size(model, config):
         for combo in itertools.combinations(pool, strength):
             for values in itertools.product(*(range(model.param_levels[i]) for i in combo)):
                 pairs.add((combo, values))
-    return len(pairs)
+    return pairs
+
+
+def brute_force_store_size(model, config):
+    return len(brute_force_pairs(model, config))
 
 
 class TestGenerateParamCombinations:
@@ -67,11 +72,11 @@ class TestBuildTupleStore:
     def test_pairwise_three_level_five_param(self):
         store = build_tuple_store(parse_model("3^5"), VscaConfig(2))
         assert store.initial_total == 90  # 10 column pairs, 9 value pairs each
-        assert len(store.entries) == 10
+        assert store.open_combinations == 10
 
     def test_full_factorial_two_binary_params(self):
         store = build_tuple_store(parse_model("2^2"), VscaConfig(2))
-        assert len(store.entries) == 1
+        assert store.open_combinations == 1
         assert store.initial_total == 4
 
     def test_main_plus_sub_counts_union(self):
@@ -107,7 +112,7 @@ class TestCoverageCountAndRemoval:
         assert coverage_count((0, 0, 0, 0, 0), store) == 10
 
     def test_empty_store_counts_zero(self):
-        store = TupleStore(parse_model("3^5"), {})
+        store = TupleStore(parse_model("3^5"), [])
         assert coverage_count((0, 0, 0, 0, 0), store) == 0
 
     def test_remove_then_recount(self):
@@ -119,16 +124,32 @@ class TestCoverageCountAndRemoval:
         assert remove_covered(case, store) == 0
 
     def test_exhausting_single_entry_drops_it(self):
-        store = TupleStore(parse_model("3^2"), {(0, 1): {(2, 2)}})
+        store = TupleStore(parse_model("3^2"), [(0, 1)])
+        for case in itertools.product(range(3), range(3)):
+            if case != (2, 2):
+                remove_covered(case, store)
+        assert store.open_combinations == 1
         assert remove_covered((2, 2), store) == 1
-        assert store.entries == {}
+        assert store.open_combinations == 0
         assert store.remaining_count == 0
+
+    @pytest.mark.parametrize("case", [(2, 0, 0), (0, -1, 0), (0, 0)])
+    def test_case_outside_the_model_raises(self, case):
+        # A value past its level would otherwise alias another combination's id.
+        store = build_tuple_store(parse_model("2^3"), VscaConfig(2))
+        with pytest.raises(ValueError):
+            coverage_count(case, store)
+        with pytest.raises(ValueError):
+            remove_covered(case, store)
+        assert store.remaining_count == 12
 
     def test_count_is_pure(self):
         store = build_tuple_store(parse_model("2^3"), VscaConfig(2))
-        before = {k: set(v) for k, v in store.entries.items()}
+        remove_covered((0, 0, 0), store)
+        before = store.uncovered.copy()
         coverage_count((1, 0, 1), store)
-        assert store.entries == before
+        np.testing.assert_array_equal(store.uncovered, before)
+        assert (store.remaining_count, store.open_combinations) == (9, 3)
 
     @given(st.data())
     @settings(max_examples=60)
@@ -153,16 +174,40 @@ class TestCoverageCountAndRemoval:
             total += remove_covered(case, store)
         assert total == store.initial_total
         assert store.remaining_count == 0
-        assert store.entries == {}
+        assert store.open_combinations == 0
+        assert not store.uncovered.any()
 
     def test_remaining_count_tracks_set_sizes(self):
         store = build_tuple_store(parse_model("3^4"), VscaConfig(2))
         remove_covered((0, 1, 2, 0), store)
         remove_covered((1, 1, 1, 1), store)
-        assert store.remaining_count == sum(len(s) for s in store.entries.values())
+        assert store.remaining_count == int(store.uncovered.sum()) == 54 - 12
 
 
-class TestDebugDump:
-    def test_format(self):
-        store = TupleStore(parse_model("2^3"), {(0, 2): {(1, 0), (0, 1)}, (1, 2): {(1, 1)}})
-        assert store.dump_debug() == "0,2: 0-1 1-0\n1,2: 1-1"
+class TestBatchCounts:
+    """The packed store against an itertools recount of a partial store."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_itertools_recount(self, data):
+        k = data.draw(st.integers(3, 6))
+        levels = tuple(data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+        model = SutModel(levels)
+        pool = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=3, max_size=k)))
+        sub_strength = data.draw(st.integers(2, len(pool)))
+        config = VscaConfig(1, (SubConfig(tuple(pool), sub_strength),))
+        case_strategy = st.tuples(*(st.integers(0, v - 1) for v in levels))
+        store = build_tuple_store(model, config)
+        uncovered = brute_force_pairs(model, config)
+        for warm in data.draw(st.lists(case_strategy, max_size=6)):
+            removed = {(key, tuple(warm[i] for i in key)) for key, _ in uncovered}
+            assert remove_covered(warm, store) == len(uncovered & removed)
+            uncovered -= removed
+        cases = data.draw(st.lists(case_strategy, min_size=1, max_size=12))
+        expected = [
+            sum((key, tuple(case[i] for i in key)) in uncovered for key in {key for key, _ in uncovered})
+            for case in cases
+        ]
+        np.testing.assert_array_equal(store.counts(np.array(cases, dtype=np.int64)), expected)
+        assert store.remaining_count == len(uncovered)
+        assert store.open_combinations == len({key for key, _ in uncovered})
