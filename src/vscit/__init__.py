@@ -33,7 +33,6 @@ from .model import (
 from .pso import (
     InternalCoverageError,
     IterationRecord,
-    Particle,
     RunResult,
     SwarmParams,
     analytic_lower_bound,

@@ -1,7 +1,7 @@
 """Command-line harness: seeded single runs, benchmark campaigns, verification.
 
-Exit codes: 0 success / full coverage, 1 coverage shortfall, 2 usage or
-parse error, 3 internal consistency failure. The VSCIT_LOG environment
+Exit codes: 0 success / full coverage, 1 coverage shortfall, 2 usage,
+parse or file error, 3 internal consistency failure. The VSCIT_LOG environment
 variable (off, info, trace) controls stderr logging.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .fis import FisController, controller_from_config
-from .model import ParseError, parse_config, parse_model, validate_config
+from .model import ParseError, parse_config, parse_model
 from .pso import InternalCoverageError, RunResult, SwarmParams, generate_suite
 from .verify import (
     read_suite,
@@ -106,8 +106,7 @@ def _fresh_controller(cfg: RunConfig) -> FisController | None:
 def _run_one(cfg: RunConfig, target: Target, seed: int) -> RunResult:
     label, model_spec, config_text = target
     model = parse_model(model_spec)
-    config = validate_config(model, parse_config(config_text))
-    return generate_suite(model, config, _swarm_params(cfg, seed),
+    return generate_suite(model, parse_config(config_text), _swarm_params(cfg, seed),
                           controller=_fresh_controller(cfg))
 
 
@@ -249,7 +248,7 @@ def main(argv=None) -> int:
         if args.command == "benchmark":
             return cmd_benchmark(_run_config(args))
         return cmd_verify(args.suite, args.csv or None)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalCoverageError as exc:

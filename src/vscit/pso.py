@@ -56,21 +56,6 @@ class SwarmParams:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
-@dataclass
-class Particle:
-    """Continuous position/velocity over the case box, plus the personal best.
-
-    Components of position stay in [0, vmax_i]; of velocity in [-vmax_i, vmax_i],
-    where vmax_i = v_i - 1.
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: int
-    vmax: np.ndarray
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     """Per-iteration diagnostics: the measures fed to the controller (as seen
@@ -106,29 +91,32 @@ def discretize(position, levels) -> TestCase:
     return tuple(int(x) for x in row)
 
 
-def velocity_update(particle: Particle, gbest: np.ndarray, w: float,
+def velocity_update(position: np.ndarray, velocity: np.ndarray, pbest: np.ndarray,
+                    gbest: np.ndarray, w: np.ndarray, vmax: np.ndarray,
                     c1: float, c2: float, rng) -> np.ndarray:
-    """Inertia plus cognitive and social pulls, clamped per component.
+    """Inertia plus cognitive and social pulls for every row, clamped per component.
 
-    One uniform scalar per pull per call, not per dimension; the cognitive
-    draw comes first, which pins the stream layout for seeded runs.
+    Rows are particles: position, velocity and pbest are (n, k), w is (n,).
+    One uniform scalar per pull per row, not per dimension, drawn as an
+    (n, 2) block whose column 0 is the cognitive draw; row by row that is
+    the stream of 2n scalar draws, cognitive first, which pins seeded runs.
     """
-    r1 = rng.random()
-    r2 = rng.random()
+    r = rng.random((len(position), 2))
     v = (
-        w * particle.velocity
-        + (c1 * r1) * (particle.pbest_position - particle.position)
-        + (c2 * r2) * (gbest - particle.position)
+        w[:, None] * velocity
+        + (c1 * r[:, :1]) * (pbest - position)
+        + (c2 * r[:, 1:]) * (gbest - position)
     )
-    np.minimum(v, particle.vmax, out=v)
-    np.maximum(v, -particle.vmax, out=v)
+    np.minimum(v, vmax, out=v)
+    np.maximum(v, -vmax, out=v)
     return v
 
 
-def position_update(particle: Particle) -> np.ndarray:
-    """Advance by the current velocity, clamped into the case box."""
-    pos = particle.position + particle.velocity
-    np.minimum(pos, particle.vmax, out=pos)
+def position_update(position: np.ndarray, velocity: np.ndarray,
+                    vmax: np.ndarray) -> np.ndarray:
+    """Advance every row by its velocity, clamped into the case box."""
+    pos = position + velocity
+    np.minimum(pos, vmax, out=pos)
     np.maximum(pos, 0.0, out=pos)
     return pos
 
@@ -150,9 +138,11 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     Particles start uniformly over the box with velocities drawn uniformly
     from the clamp range [-(v_i - 1), v_i - 1] (one block of position draws,
     then one block of velocity draws); personal bests start at the initial
-    positions and the global best at the best of those. Personal and global
-    bests move only on strict fitness improvement, with bookkeeping applied
-    in particle-index order after all of an iteration's moves. The loop
+    positions and the global best at the best of those. The swarm is held
+    as (n, k) arrays and every iteration moves all particles at once. After
+    the moves, a personal best moves wherever the new fitness strictly beats
+    it, and the global best moves to the first argmax of the iteration's
+    fitness only if that strictly beats the incumbent. The loop
     stops early once the global best hits every combination that still has
     an uncovered tuple, after which no iteration can change the outcome. If
     the final case covers nothing new, it is replaced by one built around
@@ -169,21 +159,13 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     max_fitness = store.open_combinations
     max_distance = float(np.linalg.norm(vmax))
 
-    start = rng.random((size, k)) * vmax
-    start_velocity = (rng.random((size, k)) * 2.0 - 1.0) * vmax
-    fits = store.counts(_snap(start, vmax))
-    particles = [
-        Particle(
-            position=start[i].copy(),
-            velocity=start_velocity[i].copy(),
-            pbest_position=start[i].copy(),
-            pbest_fitness=int(fits[i]),
-            vmax=vmax,
-        )
-        for i in range(size)
-    ]
+    position = rng.random((size, k)) * vmax
+    velocity = (rng.random((size, k)) * 2.0 - 1.0) * vmax
+    fits = store.counts(_snap(position, vmax))
+    pbest = position.copy()
+    pbest_fitness = fits.copy()
     gbest_index = int(np.argmax(fits))  # first maximum wins; ties keep the incumbent
-    gbest_position = particles[gbest_index].position.copy()
+    gbest_position = position[gbest_index].copy()
     gbest_fitness = int(fits[gbest_index])
 
     stalled = 0
@@ -193,10 +175,8 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
             break
         ncf = compute_ncf(fits, 0, max_fitness)
         if max_distance > 0:
-            positions = np.stack([p.position for p in particles])
-            pbests = np.stack([p.pbest_position for p in particles])
-            d1 = compute_distance_pct(positions, pbests, max_distance)
-            d2 = compute_distance_pct(positions, gbest_position, max_distance)
+            d1 = compute_distance_pct(position, pbest, max_distance)
+            d2 = compute_distance_pct(position, gbest_position, max_distance)
         else:
             d1 = d2 = zeros  # single-point box: every position coincides
         if params.variant == "fpso":
@@ -205,20 +185,18 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
             ws = np.full(size, _cpso_weight(iteration, params.max_iterations, params.w_max))
             selections = np.full(size, np.nan)
         # All moves this iteration see the same global best; bests update after.
-        for i, p in enumerate(particles):
-            p.velocity = velocity_update(p, gbest_position, float(ws[i]), params.c1, params.c2, rng)
-            p.position = position_update(p)
-        fits = store.counts(_snap(np.stack([p.position for p in particles]), vmax))
-        improved = False
-        for i, p in enumerate(particles):
-            f = int(fits[i])
-            if f > p.pbest_fitness:
-                p.pbest_fitness = f
-                p.pbest_position = p.position.copy()
-            if f > gbest_fitness:
-                gbest_fitness = f
-                gbest_position = p.position.copy()
-                improved = True
+        velocity = velocity_update(position, velocity, pbest, gbest_position, ws,
+                                   vmax, params.c1, params.c2, rng)
+        position = position_update(position, velocity, vmax)
+        fits = store.counts(_snap(position, vmax))
+        better = fits > pbest_fitness
+        pbest[better] = position[better]
+        pbest_fitness[better] = fits[better]
+        best = int(np.argmax(fits))
+        improved = bool(fits[best] > gbest_fitness)
+        if improved:
+            gbest_fitness = int(fits[best])
+            gbest_position = position[best].copy()
         stalled = 0 if improved else stalled + 1
         nor_nubf = compute_nor_nubf(stalled, params.max_iterations)
         sel = float(selections[-1])

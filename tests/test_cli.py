@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -64,6 +65,22 @@ class TestGenerate:
         assert run_cli("generate", "--model", "3^3", "--t", "5",
                        "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
 
+    def test_output_directory_missing_exits_2(self, tmp_path, capsys):
+        # Exit 1 means a coverage shortfall, so a file error must not end there.
+        code = run_cli("generate", "--model", "3^4", "--t", "2",
+                       "--out", str(tmp_path / "nodir" / "x.txt"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_redundant_sub_warns_once(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("generate", "--model", "3^4", "--t", "2", "--sub", "0,1:2",
+                           "--out", str(tmp_path / "s.txt"))
+        assert code == EXIT_OK
+        redundant = [w for w in caught if "redundant" in str(w.message)]
+        assert len(redundant) == 1
+
 
 class TestVerifyCommand:
     def generate_suite_file(self, tmp_path, *extra):
@@ -93,6 +110,11 @@ class TestVerifyCommand:
         path = tmp_path / "bad.txt"
         path.write_text("not a suite\n")
         assert run_cli("verify", str(path)) == EXIT_USAGE
+
+    def test_missing_suite_file_exits_2(self, tmp_path, capsys):
+        assert run_cli("verify", str(tmp_path / "missing.txt")) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "coverage" not in captured.out
 
     def test_csv_report(self, tmp_path):
         path = tmp_path / "partial.txt"
@@ -171,6 +193,11 @@ class TestBenchmark:
     def test_unknown_preset_exits_2(self, tmp_path):
         assert run_cli("benchmark", "--preset", "nope",
                        "--out", str(tmp_path / "b.csv")) == EXIT_USAGE
+
+    def test_preset_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("benchmark", "--preset", str(tmp_path), "--runs", "1",
+                       "--out", str(tmp_path / "b.csv")) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_cpso_variant(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -1,10 +1,13 @@
-"""Suites pinned across commits: sha256 of the written suite file for fixed seeds.
+"""Runs pinned across commits: sha256 of the written suite file and of the
+iteration log for fixed seeds.
 
 The determinism tests elsewhere compare two runs of the same code. These
 digests were recorded once and catch any change to a suite's bytes, so a
 refactor that alters the search, the store's scoring order or the repair
-target fails here. A change that alters suites on purpose re-records them
-and says so.
+target fails here. The log digest is over ``repr(result.iterations_log)``,
+which holds d1, d2 and w at full precision, so a reordered float operation
+fails here even when the suite does not change. A change that alters suites
+or logs on purpose re-records them and says so.
 """
 
 import hashlib
@@ -18,18 +21,22 @@ from vscit.verify import write_suite
 
 GOLDEN = [
     ("3^5", "t=2", dict(variant="fpso", rng_seed=5),
-     "07f5294b46c83a7012ed126778c75573080cd5636b7350393ba633ba29a0e33b"),
+     "07f5294b46c83a7012ed126778c75573080cd5636b7350393ba633ba29a0e33b",
+     "5d584f951b2fcd4c4e131e0e6f633669f797cadd481af53f14056f19da6298dd"),
     ("2^5", "t=3", dict(variant="cpso", rng_seed=5),
-     "afabbbe3f4ac0a03315d8f2a3c2915ecb996e738b3bcea46317fedaa1a5ec4f7"),
+     "afabbbe3f4ac0a03315d8f2a3c2915ecb996e738b3bcea46317fedaa1a5ec4f7",
+     "5397e49677b99652aa72ca90595e2f9fb1eb5925e91deb978d7ddb5b3740b3a2"),
     # A small swarm leaves tests that cover nothing new, so repair fires.
     ("3^3 2^3", "t=2; sub=0,1,2:3", dict(swarm_size=8, max_iterations=20, rng_seed=9),
-     "eb9227e8914f3a46ae60ab105c993d0c45981ea94aec82a6a12b153afa0b59c0"),
+     "eb9227e8914f3a46ae60ab105c993d0c45981ea94aec82a6a12b153afa0b59c0",
+     "389fc02f910b3b4e5a3fee8fb35e6a66822bd711d7b1545f46884f4d496484fa"),
 ]
 
 
-@pytest.mark.parametrize("model_spec,config_text,params,digest", GOLDEN,
+@pytest.mark.parametrize("model_spec,config_text,params,digest,log_digest", GOLDEN,
                          ids=["fpso", "cpso", "variable-strength-repair"])
-def test_suite_bytes_are_pinned(model_spec, config_text, params, digest, tmp_path, monkeypatch):
+def test_suite_bytes_are_pinned(model_spec, config_text, params, digest, log_digest,
+                                tmp_path, monkeypatch):
     repairs = []
     repair = pso._repair_case
     monkeypatch.setattr(pso, "_repair_case", lambda *a: repairs.append(1) or repair(*a))
@@ -38,5 +45,6 @@ def test_suite_bytes_are_pinned(model_spec, config_text, params, digest, tmp_pat
     out = tmp_path / "suite.txt"
     write_suite(result.suite, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(repr(result.iterations_log).encode()).hexdigest() == log_digest
     if "sub=" in config_text:
         assert repairs, "the variable-strength run must exercise repair"

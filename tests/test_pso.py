@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import vscit
+import vscit.pso as pso
 from vscit.fis import FisController
 from vscit.model import SubConfig, VscaConfig, parse_model
 from vscit.pso import (
-    Particle,
     SwarmParams,
     _repair_case,
     analytic_lower_bound,
@@ -24,23 +24,30 @@ from vscit.verify import verify_suite
 
 
 class StubRng:
-    """Feeds velocity_update a queue of fixed uniform draws."""
+    """Feeds velocity_update a queue of fixed uniform draws, in the shape asked for."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self):
-        return self.values.pop(0)
+    def random(self, shape):
+        count = int(np.prod(shape))
+        drawn, self.values = self.values[:count], self.values[count:]
+        return np.array(drawn, dtype=float).reshape(shape)
 
 
-def make_particle(position, velocity, pbest, levels):
-    return Particle(
-        position=np.asarray(position, dtype=float),
-        velocity=np.asarray(velocity, dtype=float),
-        pbest_position=np.asarray(pbest, dtype=float),
-        pbest_fitness=0,
-        vmax=np.asarray(levels, dtype=float) - 1.0,
-    )
+def rows(*values):
+    return np.atleast_2d(np.asarray(values, dtype=float))
+
+
+def vmax(levels):
+    return np.asarray(levels, dtype=float) - 1.0
+
+
+def move(position, velocity, pbest, gbest, w, levels, draws):
+    """velocity_update on a one-row swarm with c1 = c2 = 2."""
+    return velocity_update(rows(position), rows(velocity), rows(pbest),
+                           np.asarray(gbest, dtype=float), np.array([w]), vmax(levels),
+                           2.0, 2.0, StubRng(draws))
 
 
 class TestDiscretize:
@@ -79,45 +86,57 @@ class TestFitness:
 
 class TestVelocityUpdate:
     def test_all_terms_vanish(self):
-        p = make_particle([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [3, 3])
-        v = velocity_update(p, np.array([1.0, 1.0]), 0.5, 2.0, 2.0, StubRng([0.3, 0.7]))
-        np.testing.assert_array_equal(v, [0.0, 0.0])
+        v = move([1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 0.5, [3, 3], [0.3, 0.7])
+        np.testing.assert_array_equal(v, [[0.0, 0.0]])
 
     def test_pure_inertia(self):
-        p = make_particle([1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [3, 3])
-        v = velocity_update(p, np.array([1.0, 1.0]), 0.9, 2.0, 2.0, StubRng([0.3, 0.7]))
-        np.testing.assert_allclose(v, [0.9, -0.9])
+        v = move([1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0], 0.9, [3, 3], [0.3, 0.7])
+        np.testing.assert_allclose(v, [[0.9, -0.9]])
 
     def test_hand_computed_instance(self):
         # w*v + c1*r1*(pbest-x) + c2*r2*(g-x) with w=0.5, r1=0.25, r2=0.5:
         # 0.5*[0.5,-0.5] + 0.5*[1,-2] + 1.0*[-1,1] = [-0.25, -0.25]
-        p = make_particle([1.0, 2.0], [0.5, -0.5], [2.0, 0.0], [3, 4])
-        v = velocity_update(p, np.array([0.0, 3.0]), 0.5, 2.0, 2.0, StubRng([0.25, 0.5]))
-        np.testing.assert_allclose(v, [-0.25, -0.25])
+        v = move([1.0, 2.0], [0.5, -0.5], [2.0, 0.0], [0.0, 3.0], 0.5, [3, 4], [0.25, 0.5])
+        np.testing.assert_allclose(v, [[-0.25, -0.25]])
 
     def test_clamped_to_level_range(self):
-        p = make_particle([0.0, 0.0], [5.0, -9.0], [0.0, 0.0], [3, 4])
-        v = velocity_update(p, np.array([0.0, 0.0]), 0.9, 2.0, 2.0, StubRng([0.1, 0.1]))
-        np.testing.assert_allclose(v, [2.0, -3.0])
+        v = move([0.0, 0.0], [5.0, -9.0], [0.0, 0.0], [0.0, 0.0], 0.9, [3, 4], [0.1, 0.1])
+        np.testing.assert_allclose(v, [[2.0, -3.0]])
 
     def test_draw_order_cognitive_then_social(self):
-        p = make_particle([0.0], [0.0], [1.0], [3])
-        v = velocity_update(p, np.array([0.0]), 0.5, 2.0, 2.0, StubRng([1.0, 0.0]))
-        np.testing.assert_allclose(v, [2.0])  # cognitive gets the 1.0 draw
+        v = move([0.0], [0.0], [1.0], [0.0], 0.5, [3], [1.0, 0.0])
+        np.testing.assert_allclose(v, [[2.0]])  # cognitive gets the 1.0 draw
+
+    def test_rows_match_one_row_calls(self):
+        # Row i reads draws 2i (cognitive) and 2i + 1 (social) and its own w,
+        # exactly as a one-row call fed those two draws.
+        position = [[1.0, 2.0], [0.5, 0.0]]
+        velocity = [[0.5, -0.5], [-1.5, 2.5]]
+        pbest = [[2.0, 0.0], [1.0, 3.0]]
+        gbest = [0.0, 3.0]
+        ws = [0.5, 0.8]
+        draws = [0.25, 0.5, 0.9, 0.125]
+        both = velocity_update(np.array(position), np.array(velocity), np.array(pbest),
+                               np.array(gbest), np.array(ws), vmax([3, 4]),
+                               2.0, 2.0, StubRng(draws))
+        for i in range(2):
+            one = move(position[i], velocity[i], pbest[i], gbest, ws[i], [3, 4],
+                       draws[2 * i:2 * i + 2])
+            np.testing.assert_array_equal(both[i:i + 1], one)
 
 
 class TestPositionUpdate:
     def test_zero_velocity_keeps_position(self):
-        p = make_particle([1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [3, 3])
-        np.testing.assert_array_equal(position_update(p), [1.0, 2.0])
+        pos = position_update(rows(1.0, 2.0), rows(0.0, 0.0), vmax([3, 3]))
+        np.testing.assert_array_equal(pos, [[1.0, 2.0]])
 
     def test_moves_by_velocity(self):
-        p = make_particle([1.0, 1.0], [0.5, 0.5], [1.0, 1.0], [3, 3])
-        np.testing.assert_allclose(position_update(p), [1.5, 1.5])
+        pos = position_update(rows(1.0, 1.0), rows(0.5, 0.5), vmax([3, 3]))
+        np.testing.assert_allclose(pos, [[1.5, 1.5]])
 
     def test_clamps_at_bounds(self):
-        p = make_particle([2.0, 0.0], [1.0, -1.0], [2.0, 0.0], [3, 3])
-        np.testing.assert_array_equal(position_update(p), [2.0, 0.0])
+        pos = position_update(rows(2.0, 0.0), rows(1.0, -1.0), vmax([3, 3]))
+        np.testing.assert_array_equal(pos, [[2.0, 0.0]])
 
 
 class TestSwarmParams:
@@ -172,6 +191,51 @@ class TestGenerateOneTest:
         store = TupleStore(parse_model("2^2"), [])
         with pytest.raises(ValueError, match="empty"):
             generate_one_test(store, small_params(), FisController(), np.random.default_rng(0))
+
+
+class ScriptedStore:
+    """A store whose counts return scripted fitness rows, then ones."""
+
+    def __init__(self, model, fitness_rows, open_combinations):
+        self.model = model
+        self.rows = [np.array(r, dtype=np.int64) for r in fitness_rows]
+        self.remaining_count = 1
+        self.open_combinations = open_combinations
+
+    def counts(self, cases):
+        return self.rows.pop(0) if self.rows else np.ones(len(cases), dtype=np.int64)
+
+
+class TestBests:
+    def test_personal_and_global_best_rules(self, monkeypatch):
+        # Start [1, 3, 3]: the tie puts the global best on particle 1, the first.
+        # Iteration 1 [2, 1, 3]: only particle 0's personal best moves; 3 equals
+        # the incumbent, so the global best stays. Iteration 2 [4, 4, 0]: personal
+        # bests 0 and 1 move; the tie moves the global best to particle 0.
+        store = ScriptedStore(parse_model("5^3"),
+                              [[1, 3, 3], [2, 1, 3], [4, 4, 0], [0, 0, 0]], 10)
+        seen = []
+        update = pso.velocity_update
+
+        def record(position, velocity, pbest, gbest, *rest):
+            seen.append((position.copy(), pbest.copy(), gbest.copy()))
+            return update(position, velocity, pbest, gbest, *rest)
+
+        monkeypatch.setattr(pso, "velocity_update", record)
+        log = []
+        case = generate_one_test(store, small_params(swarm_size=3, max_iterations=3,
+                                                     variant="cpso"),
+                                 None, np.random.default_rng(0), log=log)
+        (p0, pbest0, g0), (p1, pbest1, g1), (p2, pbest2, g2) = seen
+        assert not (p0 == p1).all(axis=1).any() and not (p1 == p2).all(axis=1).any()
+        np.testing.assert_array_equal(pbest0, p0)
+        np.testing.assert_array_equal(g0, p0[1])
+        np.testing.assert_array_equal(pbest1, [p1[0], p0[1], p0[2]])
+        np.testing.assert_array_equal(g1, p0[1])
+        np.testing.assert_array_equal(pbest2, [p2[0], p2[1], p0[2]])
+        np.testing.assert_array_equal(g2, p2[0])
+        assert [r.gbest_fitness for r in log] == [3, 4, 4]
+        assert case == discretize(p2[0], (5, 5, 5))
 
 
 class TestRepairCase:
