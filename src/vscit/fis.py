@@ -77,10 +77,10 @@ def _default_family() -> dict[str, MembershipFunction]:
     }
 
 
-def selection_to_w(selection: float, w_max: float = W_MAX_DEFAULT,
-                   w_min: float = W_MIN_DEFAULT) -> float:
-    """Map a defuzzified 0..100 selection onto the bounded inertia range."""
-    return min(max(selection / 100.0 * w_max, w_min), w_max)
+def selection_to_w(selection, w_max: float = W_MAX_DEFAULT, w_min: float = W_MIN_DEFAULT):
+    """Map a defuzzified 0..100 selection (scalar or array) onto the bounded inertia range."""
+    w = np.minimum(np.maximum(np.asarray(selection, dtype=float) / 100.0 * w_max, w_min), w_max)
+    return float(w) if w.ndim == 0 else w
 
 
 class FisController:
@@ -191,16 +191,13 @@ class FisController:
         weighted = scratch.sum(axis=1)
         selection = np.where(fired, weighted / np.where(area > 0.0, area, 1.0), np.nan)
 
-        w = [0.0] * n
-        last = self.last_w
-        fired_list = fired.tolist()
-        selection_list = selection.tolist()
-        for i in range(n):
-            if fired_list[i]:
-                last = selection_to_w(selection_list[i], self.w_max, self.w_min)
-            w[i] = last
-        self.last_w = float(last)
-        w = np.asarray(w)
+        # Each unfired index takes the weight of the latest fired index
+        # before it; slot 0 of held is the weight from before this batch.
+        held = np.concatenate(([self.last_w], selection_to_w(selection, self.w_max, self.w_min)))
+        latest = np.maximum.accumulate(np.where(fired, np.arange(1, n + 1), 0))
+        w = held[latest]
+        if n:
+            self.last_w = float(w[-1])
         if return_selection:
             return w, selection
         return w

@@ -169,16 +169,14 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     gbest_fitness = int(fits[gbest_index])
 
     stalled = 0
-    zeros = np.zeros(size)
     for iteration in range(1, params.max_iterations + 1):
+        # A one-point box (max_distance == 0) never gets past this check: its
+        # only case hits every open combination.
         if gbest_fitness >= max_fitness:
             break
         ncf = compute_ncf(fits, 0, max_fitness)
-        if max_distance > 0:
-            d1 = compute_distance_pct(position, pbest, max_distance)
-            d2 = compute_distance_pct(position, gbest_position, max_distance)
-        else:
-            d1 = d2 = zeros  # single-point box: every position coincides
+        d1 = compute_distance_pct(position, pbest, max_distance)
+        d2 = compute_distance_pct(position, gbest_position, max_distance)
         if params.variant == "fpso":
             ws, selections = controller.infer_w_batch(ncf, d1, d2, return_selection=True)
         else:

@@ -1,14 +1,17 @@
 """Independent coverage oracle, suite statistics, and the suite file format.
 
-The oracle recomputes the full required-tuple universe from scratch and
-shares no enumeration code with the tuple store, so the two act as checks
-on each other.
+The oracle recounts coverage from scratch, one combination at a time, and
+shares no enumeration or indexing code with the tuple store, so the two act
+as checks on each other.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import (
     ParseError,
@@ -40,44 +43,41 @@ class CoverageReport:
         return not self.missing
 
 
-def _required_universe(model: SutModel, config: VscaConfig) -> set[MissingPair]:
-    """Every (combination, value tuple) pair the configuration demands."""
-    universe: set[MissingPair] = set()
-    demands = [(tuple(range(model.k)), config.main_strength)]
-    demands += [(tuple(sorted(sub.indices)), sub.strength) for sub in config.sub_configs]
-    for pool, strength in demands:
-        for combo in itertools.combinations(pool, strength):
-            levels = [model.param_levels[i] for i in combo]
-            # Mixed-radix odometer over this combination's level counts.
-            counter = [0] * len(combo)
-            while True:
-                universe.add((combo, tuple(counter)))
-                pos = len(counter) - 1
-                while pos >= 0:
-                    counter[pos] += 1
-                    if counter[pos] < levels[pos]:
-                        break
-                    counter[pos] = 0
-                    pos -= 1
-                if pos < 0:
-                    break
-    return universe
+def _demanded_combinations(model: SutModel, config: VscaConfig) -> list[tuple[int, ...]]:
+    """Every parameter combination the configuration demands, each once, sorted."""
+    demands = [(range(model.k), config.main_strength)]
+    demands += [(sorted(sub.indices), sub.strength) for sub in config.sub_configs]
+    return sorted({
+        combo for pool, strength in demands
+        for combo in itertools.combinations(pool, strength)
+    })
 
 
 def verify_suite(suite: TestSuite) -> CoverageReport:
-    """Mark every required pair hit by any case's projection; report the rest."""
-    universe = _required_universe(suite.model, suite.config)
-    combos = sorted({combo for combo, _ in universe})
-    hit: set[MissingPair] = set()
-    for case in suite.cases:
-        for combo in combos:
-            hit.add((combo, tuple(case[i] for i in combo)))
-    missing = tuple(sorted(universe - hit))
-    return CoverageReport(
-        required=len(universe),
-        covered=len(universe) - len(missing),
-        missing=missing,
-    )
+    """Mark every value tuple each combination's projection of the suite hits.
+
+    Each demanded combination gets one boolean hit array over the product
+    of its parameters' level counts, indexed by the row-major flat index of
+    the value tuple; its size is the combination's required count and its
+    set flags are the covered ones. Combinations are visited in sorted
+    order and flat index order is lexicographic tuple order, so the missing
+    pairs come out sorted by (combination, value tuple).
+    """
+    levels = suite.model.param_levels
+    cases = np.array(suite.cases, dtype=np.int64).reshape(len(suite.cases), suite.model.k)
+    required = covered = 0
+    missing: list[MissingPair] = []
+    for combo in _demanded_combinations(suite.model, suite.config):
+        dims = tuple(levels[i] for i in combo)
+        hit = np.zeros(math.prod(dims), dtype=bool)
+        hit[np.ravel_multi_index(tuple(cases[:, combo].T), dims)] = True
+        required += hit.size
+        n_hit = int(np.count_nonzero(hit))
+        covered += n_hit
+        if n_hit < hit.size:
+            values = np.unravel_index(np.flatnonzero(~hit), dims)
+            missing += [(combo, tup) for tup in zip(*(col.tolist() for col in values))]
+    return CoverageReport(required=required, covered=covered, missing=tuple(missing))
 
 
 def suite_stats(results) -> tuple[int, float, list[int]]:

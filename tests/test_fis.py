@@ -6,6 +6,8 @@ is the mean of its vertices' x coordinates; the sampled centroid must land
 within discretization distance of it.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +210,24 @@ class TestInferW:
         batch = batch_controller.infer_w_batch(triples[:, 0], triples[:, 1], triples[:, 2])
         np.testing.assert_array_equal(batch, scalar)
         assert batch_controller.last_w == scalar_controller.last_w
+
+    @given(st.lists(st.one_of(st.tuples(pct, pct, pct), st.just((50.0, 50.0, 50.0))),
+                    max_size=30),
+           st.floats(min_value=0.2, max_value=0.8))
+    @settings(max_examples=100)
+    def test_batch_weights_match_scalar_mapping_loop(self, triples, last_w):
+        # (50, 50, 50) fires no rule, so batches mix fired and held weights.
+        controller = FisController(w_max=0.8, w_min=0.2)
+        controller.last_w = last_w
+        cols = np.array(triples, dtype=float).reshape(len(triples), 3).T
+        w, selection = controller.infer_w_batch(*cols, return_selection=True)
+        expected = []
+        for sel in selection.tolist():
+            if not math.isnan(sel):
+                last_w = min(max(sel / 100.0 * 0.8, 0.2), 0.8)
+            expected.append(last_w)
+        assert w.tolist() == expected
+        assert controller.last_w == last_w
 
     @given(pct, pct, pct)
     @settings(max_examples=200)

@@ -1,5 +1,5 @@
 """Runs pinned across commits: sha256 of the written suite file and of the
-iteration log for fixed seeds.
+iteration log for fixed seeds, and of the coverage report of fixed suites.
 
 The determinism tests elsewhere compare two runs of the same code. These
 digests were recorded once and catch any change to a suite's bytes, so a
@@ -11,13 +11,15 @@ or logs on purpose re-records them and says so.
 """
 
 import hashlib
+import random
 
 import pytest
 
+import vscit
 import vscit.pso as pso
 from vscit.model import parse_config, parse_model
 from vscit.pso import SwarmParams, generate_suite
-from vscit.verify import write_suite
+from vscit.verify import render_report_csv, render_report_text, verify_suite, write_suite
 
 GOLDEN = [
     ("3^5", "t=2", dict(variant="fpso", rng_seed=5),
@@ -48,3 +50,26 @@ def test_suite_bytes_are_pinned(model_spec, config_text, params, digest, log_dig
     assert hashlib.sha256(repr(result.iterations_log).encode()).hexdigest() == log_digest
     if "sub=" in config_text:
         assert repairs, "the variable-strength run must exercise repair"
+
+
+REPORTS = [
+    ("4^6", "t=3", 40,
+     "537ba1ba5d02801d3fccbba813dc7b23c4d64c2f4c038580bba179a9ad5304f2",
+     "8efbfdc4e52ef61ffcb8a7cfbea5c2151ae842a381a2d98742783964cb8b1966"),
+    # Missing pairs from combinations of three lengths, interleaved in sort order.
+    ("3^3 4^3", "t=2; sub=0,1,2,3:3; sub=2,3,4,5:4", 30,
+     "a1841fabe24f99264999bafbf23f4b0d323163334458b5ff4e2d15b1afbb03eb",
+     "84a2816ec2cf19bd5a4b6be47f2f2c569429b352dc9d311fce27299995b55680"),
+]
+
+
+@pytest.mark.parametrize("model_spec,config_text,n_cases,text_digest,csv_digest", REPORTS,
+                         ids=["uniform", "variable-strength"])
+def test_report_bytes_are_pinned(model_spec, config_text, n_cases, text_digest, csv_digest):
+    model = parse_model(model_spec)
+    rnd = random.Random(4)
+    cases = [tuple(rnd.randrange(v) for v in model.param_levels) for _ in range(n_cases)]
+    report = verify_suite(vscit.TestSuite(model, parse_config(config_text), tuple(cases)))
+    assert not report.complete
+    assert hashlib.sha256(render_report_text(report).encode()).hexdigest() == text_digest
+    assert hashlib.sha256(render_report_csv(report).encode()).hexdigest() == csv_digest

@@ -10,6 +10,7 @@ import vscit.pso as pso
 from vscit.fis import FisController
 from vscit.model import SubConfig, VscaConfig, parse_model
 from vscit.pso import (
+    VARIANTS,
     SwarmParams,
     _repair_case,
     analytic_lower_bound,
@@ -291,8 +292,13 @@ class TestGenerateSuite:
         assert 4 <= len(result.suite) <= 8
 
     def test_one_level_parameters_need_one_case(self):
-        result = generate_suite(parse_model("1^3"), VscaConfig(2), small_params())
-        assert result.suite.cases == ((0, 0, 0),)
+        # The one-point box has no diagonal to scale distances by; the search
+        # must stop before its first iteration, where it would need one.
+        for variant in VARIANTS:
+            result = generate_suite(parse_model("1^3"), VscaConfig(2),
+                                    small_params(variant=variant))
+            assert result.suite.cases == ((0, 0, 0),)
+            assert result.iterations_log == ()
 
     def test_reproducible_for_fixed_seed(self):
         model = parse_model("3^5")

@@ -1,9 +1,17 @@
-"""Coverage oracle, suite statistics, and suite file round-trips."""
+"""Coverage oracle, suite statistics, and suite file round-trips.
 
+The oracle is checked against a brute-force reference kept here: a Python
+set of every required (combination, value tuple) pair, from which the pairs
+any case's projection hits are removed.
+"""
+
+import ast
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vscit
 from vscit.model import ParseError, SubConfig, SutModel, VscaConfig, parse_model
@@ -22,6 +30,51 @@ from vscit.verify import (
 
 def make_suite(spec, config, cases):
     return vscit.TestSuite(parse_model(spec), config, tuple(cases))
+
+
+def brute_force_report(suite):
+    """Set-based reference: enumerate every demanded pair with an odometer."""
+    model, config = suite.model, suite.config
+    universe = set()
+    demands = [(tuple(range(model.k)), config.main_strength)]
+    demands += [(tuple(sorted(sub.indices)), sub.strength) for sub in config.sub_configs]
+    for pool, strength in demands:
+        for combo in itertools.combinations(pool, strength):
+            levels = [model.param_levels[i] for i in combo]
+            counter = [0] * len(combo)
+            while True:
+                universe.add((combo, tuple(counter)))
+                pos = len(counter) - 1
+                while pos >= 0:
+                    counter[pos] += 1
+                    if counter[pos] < levels[pos]:
+                        break
+                    counter[pos] = 0
+                    pos -= 1
+                if pos < 0:
+                    break
+    combos = {combo for combo, _ in universe}
+    hit = {(combo, tuple(case[i] for i in combo)) for case in suite.cases for combo in combos}
+    missing = tuple(sorted(universe - hit))
+    return CoverageReport(len(universe), len(universe) - len(missing), missing)
+
+
+@st.composite
+def random_suites(draw):
+    """Models of up to 6 parameters with 1-4 levels, variable-strength
+    configurations whose sub-configurations may overlap the main strength or
+    each other, and suites of 0-12 cases."""
+    levels = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    k = len(levels)
+    subs = draw(st.lists(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True).flatmap(
+            lambda idx: st.tuples(st.just(tuple(idx)), st.integers(1, len(idx)))),
+        max_size=3,
+    ))
+    config = VscaConfig(draw(st.integers(1, k)), tuple(SubConfig(i, t) for i, t in subs))
+    case = st.tuples(*(st.integers(0, v - 1) for v in levels))
+    cases = draw(st.lists(case, max_size=12))
+    return vscit.TestSuite(SutModel(tuple(levels)), config, tuple(cases))
 
 
 @dataclass
@@ -80,6 +133,60 @@ class TestVerifySuite:
             model = parse_model(spec)
             report = verify_suite(vscit.TestSuite(model, config, ()))
             assert report.required == build_tuple_store(model, config).initial_total
+
+    @given(random_suites())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_reference(self, suite):
+        report = verify_suite(suite)
+        expected = brute_force_report(suite)
+        assert report.required == expected.required
+        assert report.covered == expected.covered
+        assert len(report.missing) == len(expected.missing)
+        for got, want in zip(report.missing, expected.missing):
+            assert got == want
+
+    def test_missing_is_sorted_across_combination_lengths(self):
+        config = VscaConfig(2, (SubConfig((2, 1, 0), 3),))
+        report = verify_suite(make_suite("2^3", config, [(0, 0, 0)]))
+        combos = [combo for combo, _ in report.missing]
+        assert combos == [(0, 1)] * 3 + [(0, 1, 2)] * 7 + [(0, 2)] * 3 + [(1, 2)] * 3
+
+
+def generator_imports(source):
+    """Modules of the generator (vscit.tuples, vscit.pso) that source imports;
+    relative imports are read as relative to the vscit package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"vscit.{base}" if base else "vscit"
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [name for name in names
+                  if name.split(".")[:2] in (["vscit", "tuples"], ["vscit", "pso"])]
+    return found
+
+
+class TestOracleIndependence:
+    # The oracle checks the tuple store and the search; sharing their code
+    # would let one bug pass both.
+    def test_verify_imports_nothing_from_the_generator(self):
+        assert generator_imports(Path(vscit.verify.__file__).read_text()) == []
+
+    @pytest.mark.parametrize("source", [
+        "from .tuples import TupleStore",
+        "from . import pso",
+        "from .pso import generate_suite as g",
+        "import vscit.tuples",
+        "from vscit import pso",
+        "from vscit.tuples import build_tuple_store",
+    ])
+    def test_guard_flags_every_import_form(self, source):
+        assert generator_imports(source)
 
 
 class TestLowerBoundMutation:
