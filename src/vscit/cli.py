@@ -221,6 +221,9 @@ def _run_config(args) -> RunConfig:
                 mf_config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot load --mf-config {args.mf_config!r}: {exc}") from None
+        # Checked here, whatever the variant, so a malformed file never passes;
+        # each fpso run still builds its own controller from the dict.
+        controller_from_config(mf_config)
     return RunConfig(
         targets=_targets_from_args(args),
         variant=args.variant,

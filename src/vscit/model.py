@@ -169,13 +169,9 @@ def parse_config(text: str) -> VscaConfig:
     return VscaConfig(main, tuple(subs))
 
 
-def validate_config(model: SutModel, config: VscaConfig) -> VscaConfig:
-    """Check a configuration against a model; returns it unchanged when legal.
-
-    A sub-configuration whose strength does not exceed the main strength is
-    legal but adds nothing the main strength does not already imply, so it
-    warns instead of failing.
-    """
+def check_config(model: SutModel, config: VscaConfig) -> None:
+    """Raise ConfigError unless the model can hold every combination the
+    configuration demands: strengths in range, indices distinct and in range."""
     k = model.k
     t = config.main_strength
     if not 1 <= t <= k:
@@ -190,6 +186,18 @@ def validate_config(model: SutModel, config: VscaConfig) -> VscaConfig:
             raise ConfigError(
                 f"sub-config strength {sub.strength} outside 1..{len(sub.indices)}"
             )
+
+
+def validate_config(model: SutModel, config: VscaConfig) -> VscaConfig:
+    """Check a configuration against a model; returns it unchanged when legal.
+
+    A sub-configuration whose strength does not exceed the main strength is
+    legal but adds nothing the main strength does not already imply, so it
+    warns instead of failing.
+    """
+    check_config(model, config)
+    t = config.main_strength
+    for sub in config.sub_configs:
         if sub.strength <= t:
             warnings.warn(
                 f"sub-config {sub.indices} at strength {sub.strength} is redundant: "

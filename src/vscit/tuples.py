@@ -44,9 +44,11 @@ class TupleStore:
     Combinations are laid out in sorted order, lengths mixed, and each one's
     value tuples in mixed-radix order (first index most significant), so id
     order is (combination, tuple) order. ``uncovered`` holds one flag per id.
-    Scoring arrays are grouped by combination length and hold only the
-    combinations that still have an uncovered tuple: a combination leaves
-    them with its last tuple, so the per-case work shrinks as coverage
+    Scoring uses a (k, m) stride matrix with one column per combination that
+    still has an uncovered tuple: each parameter it holds gets its stride,
+    every other parameter 0, so a case times the matrix, plus the offsets,
+    is the case's id in each combination. A combination's column leaves the
+    matrix with its last tuple, so the per-case work shrinks as coverage
     progresses.
     """
 
@@ -55,22 +57,19 @@ class TupleStore:
         self._keys = sorted(set(map(tuple, combinations)))
         sizes = np.array([math.prod(model.param_levels[i] for i in key) for key in self._keys],
                          dtype=np.int64)
-        self._offsets = np.cumsum(sizes) - sizes
+        self._starts = np.cumsum(sizes) - sizes
         self.initial_total = int(sizes.sum())
         self._remaining = self.initial_total
         self.uncovered = np.ones(self.initial_total, dtype=bool)
-        levels = np.array(model.param_levels, dtype=np.int64)
-        by_len: dict[int, list[int]] = {}
-        for n, key in enumerate(self._keys):
-            by_len.setdefault(len(key), []).append(n)
-        # Per length, one row per live combination: its columns, the strides
-        # and offset that turn a projection into an id, its uncovered count.
-        self._groups = []
-        for members in by_len.values():
-            cols = np.array([self._keys[n] for n in members], dtype=np.int64)
-            strides = np.ones_like(cols)
-            strides[:, :-1] = np.cumprod(levels[cols][:, :0:-1], axis=1)[:, ::-1]
-            self._groups.append((cols, strides, self._offsets[members], sizes[members]))
+        # Per open combination: its stride column, id offset and uncovered count.
+        self._strides = np.zeros((model.k, len(self._keys)))
+        for j, key in enumerate(self._keys):
+            stride = 1
+            for i in reversed(key):
+                self._strides[i, j] = stride
+                stride *= model.param_levels[i]
+        self._offsets = self._starts
+        self._left = sizes
 
     @property
     def remaining_count(self) -> int:
@@ -79,29 +78,28 @@ class TupleStore:
     @property
     def open_combinations(self) -> int:
         """Combinations that still have an uncovered tuple."""
-        return sum(len(left) for *_, left in self._groups)
+        return len(self._left)
+
+    def _ids(self, cases: np.ndarray) -> np.ndarray:
+        """(n, m) ids of each case's projection onto each open combination."""
+        # Exact: every product and partial sum is an integer below initial_total << 2**53.
+        ids = (np.asarray(cases, dtype=np.float64) @ self._strides).astype(np.int64)
+        ids += self._offsets
+        return ids
 
     def counts(self, cases: np.ndarray) -> np.ndarray:
         """Uncovered tuples hit by each row of an (n, k) integer case matrix."""
-        counts = np.zeros(len(cases), dtype=np.int64)
-        for cols, strides, offsets, _ in self._groups:
-            counts += self.uncovered[_ids(cases, cols, strides, offsets)].sum(axis=1)
-        return counts
+        return np.count_nonzero(self.uncovered[self._ids(cases)], axis=1)
 
     def first_uncovered(self) -> tuple[ParamCombination, tuple[int, ...]]:
         """The smallest uncovered (combination, value tuple) pair."""
         if not self._remaining:
             raise ValueError("every tuple is covered")
         first = int(np.argmax(self.uncovered))
-        n = int(np.searchsorted(self._offsets, first, side="right")) - 1
+        n = int(np.searchsorted(self._starts, first, side="right")) - 1
         key = self._keys[n]
         shape = [self.model.param_levels[i] for i in key]
-        return key, tuple(int(x) for x in np.unravel_index(first - self._offsets[n], shape))
-
-
-def _ids(cases: np.ndarray, cols, strides, offsets) -> np.ndarray:
-    """(n, m) ids of each case's projection onto each of m combinations."""
-    return (cases[:, cols] * strides).sum(axis=2) + offsets
+        return key, tuple(int(x) for x in np.unravel_index(first - self._starts[n], shape))
 
 
 def build_tuple_store(model: SutModel, config: VscaConfig) -> TupleStore:
@@ -130,19 +128,18 @@ def coverage_count(case: TestCase, store: TupleStore) -> int:
 def remove_covered(case: TestCase, store: TupleStore) -> int:
     """Mark every tuple the case covers as covered and return how many were new.
 
-    Combinations left with no uncovered tuple drop out of the scoring arrays.
+    Combinations left with no uncovered tuple drop out of the stride matrix.
     """
     check_case(store.model, case)
-    row = np.array([case], dtype=np.int64)
-    removed = 0
-    for g, (cols, strides, offsets, left) in enumerate(store._groups):
-        ids = _ids(row, cols, strides, offsets)[0]
-        hit = store.uncovered[ids]
-        store.uncovered[ids[hit]] = False
-        left[hit] -= 1
-        removed += int(np.count_nonzero(hit))
-        if not left.all():
-            keep = left > 0
-            store._groups[g] = (cols[keep], strides[keep], offsets[keep], left[keep])
+    ids = store._ids([case])[0]
+    hit = store.uncovered[ids]
+    store.uncovered[ids[hit]] = False
+    store._left -= hit
+    removed = int(np.count_nonzero(hit))
+    if not store._left.all():
+        keep = store._left > 0
+        store._strides = store._strides[:, keep]
+        store._offsets = store._offsets[keep]
+        store._left = store._left[keep]
     store._remaining -= removed
     return removed

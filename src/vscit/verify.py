@@ -18,6 +18,7 @@ from .model import (
     SutModel,
     TestSuite,
     VscaConfig,
+    check_config,
     parse_config,
     parse_model,
     validate_config,
@@ -61,8 +62,11 @@ def verify_suite(suite: TestSuite) -> CoverageReport:
     the value tuple; its size is the combination's required count and its
     set flags are the covered ones. Combinations are visited in sorted
     order and flat index order is lexicographic tuple order, so the missing
-    pairs come out sorted by (combination, value tuple).
+    pairs come out sorted by (combination, value tuple). A configuration
+    the model cannot hold raises ConfigError: strength 0 would demand the
+    empty combination, which every suite, even an empty one, would cover.
     """
+    check_config(suite.model, suite.config)
     levels = suite.model.param_levels
     cases = np.array(suite.cases, dtype=np.int64).reshape(len(suite.cases), suite.model.k)
     required = covered = 0

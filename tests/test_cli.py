@@ -263,6 +263,19 @@ class TestMfConfig:
                        "--mf-config", str(tmp_path / "absent.json"),
                        "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["generate", "benchmark"])
+    def test_mis_shaped_json_exits_2_under_cpso(self, tmp_path, capsys, command):
+        # cpso never builds a controller, so the file must be checked up front.
+        mf = tmp_path / "mf.json"
+        mf.write_text("[]")
+        out = tmp_path / "out.txt"
+        code = run_cli(command, "--model", "3^4", "--t", "2", "--variant", "cpso",
+                       "--mf-config", str(mf), "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "top level" in err
+        assert not out.exists()
+
 
 class TestLogging:
     def test_trace_env_smoke(self, tmp_path, monkeypatch):

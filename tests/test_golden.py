@@ -32,11 +32,16 @@ GOLDEN = [
     ("3^3 2^3", "t=2; sub=0,1,2:3", dict(swarm_size=8, max_iterations=20, rng_seed=9),
      "eb9227e8914f3a46ae60ab105c993d0c45981ea94aec82a6a12b153afa0b59c0",
      "389fc02f910b3b4e5a3fee8fb35e6a66822bd711d7b1545f46884f4d496484fa"),
+    # Combinations of lengths 2, 3 and 4 in one store, interleaved in sort order.
+    ("3^3 4^3", "t=2; sub=0,1,2:3; sub=2,3,4,5:4",
+     dict(variant="cpso", swarm_size=10, max_iterations=20, rng_seed=3),
+     "6d821b2143411ae78f834d127d480333455b3855027495051c4fe1583fbd5c1f",
+     "5faf2f963e63c9afeac6851870c202641f056124dc2fdcc4f70de6887a8b69fe"),
 ]
 
 
 @pytest.mark.parametrize("model_spec,config_text,params,digest,log_digest", GOLDEN,
-                         ids=["fpso", "cpso", "variable-strength-repair"])
+                         ids=["fpso", "cpso", "variable-strength-repair", "three-lengths"])
 def test_suite_bytes_are_pinned(model_spec, config_text, params, digest, log_digest,
                                 tmp_path, monkeypatch):
     repairs = []

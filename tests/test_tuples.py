@@ -133,6 +133,17 @@ class TestCoverageCountAndRemoval:
         assert store.open_combinations == 0
         assert store.remaining_count == 0
 
+    def test_ids_past_float32_precision_are_exact(self):
+        # 25M ids; the last, 24,999,999, lies past 2**24, where float32 would round.
+        store = build_tuple_store(SutModel((5000, 5000)), VscaConfig(2))
+        case = (4999, 4999)
+        assert coverage_count(case, store) == 1
+        assert remove_covered(case, store) == 1
+        assert coverage_count(case, store) == 0
+        assert coverage_count((4999, 4998), store) == 1
+        assert not store.uncovered[-1] and store.uncovered[:-1].all()
+        assert store.first_uncovered() == ((0, 1), (0, 0))
+
     @pytest.mark.parametrize("case", [(2, 0, 0), (0, -1, 0), (0, 0)])
     def test_case_outside_the_model_raises(self, case):
         # A value past its level would otherwise alias another combination's id.

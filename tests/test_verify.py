@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vscit
-from vscit.model import ParseError, SubConfig, SutModel, VscaConfig, parse_model
+from vscit.model import ConfigError, ParseError, SubConfig, SutModel, VscaConfig, parse_model
 from vscit.pso import SwarmParams, generate_suite
 from vscit.tuples import build_tuple_store
 from vscit.verify import (
@@ -98,6 +98,16 @@ class TestVerifySuite:
         assert report.covered == 0
         assert report.required == 27
         assert not report.complete
+
+    @pytest.mark.parametrize("config", [
+        VscaConfig(0),
+        VscaConfig(1, (SubConfig((0, 1), 0),)),
+        VscaConfig(1, (SubConfig((0, 2), 2),)),
+    ], ids=["main-strength-0", "sub-strength-0", "index-out-of-range"])
+    def test_config_the_model_cannot_hold_is_refused(self, config):
+        # Strength 0 demands the empty combination, which an empty suite "covers".
+        with pytest.raises(ConfigError):
+            verify_suite(make_suite("2^2", config, []))
 
     def test_exhaustive_suite_covers_any_config(self):
         model = parse_model("2^2 3")
