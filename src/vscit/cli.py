@@ -13,12 +13,12 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from importlib import resources
 
-from .fis import FisController, controller_from_config
+from .fis import controller_from_config
 from .model import ParseError, parse_config, parse_model
-from .pso import InternalCoverageError, RunResult, SwarmParams, generate_suite
+from .pso import VARIANTS, InternalCoverageError, RunResult, SwarmParams, generate_suite
 from .verify import (
     read_suite,
     render_report_csv,
@@ -36,26 +36,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 Target = tuple[str, str, str]  # (label, model spec, config text)
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; the seed for run r is base_seed + r."""
-
-    targets: list[Target]
-    variant: str = "fpso"
-    swarm_size: int = 80
-    iterations: int = 100
-    runs: int = 1
-    base_seed: int = 0
-    out_path: str = ""
-    mf_config: dict | None = None
-
-    def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if not self.targets:
-            raise ValueError("nothing to run: no model/config given")
 
 
 def load_preset(name_or_path: str) -> list[Target]:
@@ -87,65 +67,52 @@ def load_preset(name_or_path: str) -> list[Target]:
     return targets
 
 
-def _swarm_params(cfg: RunConfig, seed: int) -> SwarmParams:
-    return SwarmParams(
-        swarm_size=cfg.swarm_size,
-        max_iterations=cfg.iterations,
-        variant=cfg.variant,
-        rng_seed=seed,
-    )
-
-
-def _fresh_controller(cfg: RunConfig) -> FisController | None:
-    # Controller state (last emitted weight) must not leak between runs.
-    if cfg.variant != "fpso" or cfg.mf_config is None:
-        return None
-    return controller_from_config(cfg.mf_config)
-
-
-def _run_one(cfg: RunConfig, target: Target, seed: int) -> RunResult:
-    label, model_spec, config_text = target
-    model = parse_model(model_spec)
-    return generate_suite(model, parse_config(config_text), _swarm_params(cfg, seed),
-                          controller=_fresh_controller(cfg))
+def _run_one(target: Target, params: SwarmParams, mf_config: dict | None) -> RunResult:
+    _, model_spec, config_text = target
+    # A controller per fpso run, so its last emitted weight cannot leak into the next.
+    controller = None
+    if mf_config and params.variant == "fpso":
+        controller = controller_from_config(mf_config)
+    return generate_suite(parse_model(model_spec), parse_config(config_text), params,
+                          controller=controller)
 
 
 def _write_run_log(result: RunResult, path: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("# test iteration fitness ncf d1 d2 nornubf w_selection w\n")
         for rec in result.iterations_log:
-            nubf = "undef" if rec.nor_nubf is None else f"{rec.nor_nubf:.2f}"
-            wsel = "undef" if rec.w_selection is None else f"{rec.w_selection:.2f}"
-            fh.write(
-                f"test={rec.test_index} iter={rec.iteration} fitness={rec.gbest_fitness} "
-                f"ncf={rec.ncf:.2f} d1={rec.d1:.2f} d2={rec.d2:.2f} "
-                f"nornubf={nubf} w_selection={wsel} w={rec.w:.3f}\n"
-            )
+            fh.write(f"{rec}\n")
 
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(target: Target, params: SwarmParams, mf_config: dict | None,
+                 out: str) -> int:
     """Single run: write the suite and its iteration log, print a summary line."""
-    result = _run_one(cfg, cfg.targets[0], cfg.base_seed)
-    out = cfg.out_path or "suite.txt"
+    result = _run_one(target, params, mf_config)
     write_suite(result.suite, out)
     _write_run_log(result, out + ".log")
-    print(f"size={len(result.suite)} seed={result.seed} variant={cfg.variant}")
+    print(f"size={len(result.suite)} seed={result.seed} variant={params.variant}")
     return EXIT_OK
 
 
-def cmd_benchmark(cfg: RunConfig) -> int:
-    """Seeded campaign over one or more configs; per-run sizes plus best/mean rows."""
-    out = cfg.out_path or "benchmark.csv"
+def cmd_benchmark(targets: list[Target], params: SwarmParams, mf_config: dict | None,
+                  runs: int, out: str) -> int:
+    """Seeded campaign over one or more configs; per-run sizes plus best/mean rows.
+
+    Run r of each config uses params with the seed raised by r.
+    """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     rows: list[list[str]] = []
-    for target in cfg.targets:
+    for target in targets:
         label = target[0]
-        results = [_run_one(cfg, target, cfg.base_seed + r) for r in range(cfg.runs)]
+        results = [_run_one(target, replace(params, rng_seed=params.rng_seed + r), mf_config)
+                   for r in range(runs)]
         best, mean, sizes = suite_stats(results)
         for r, size in enumerate(sizes):
-            rows.append([label, cfg.variant, str(cfg.base_seed + r), str(size)])
-        rows.append([label, cfg.variant, "best", str(best)])
-        rows.append([label, cfg.variant, "mean", f"{mean:.2f}"])
-        print(f"{label} variant={cfg.variant} runs={cfg.runs} best={best} mean={mean:.2f}")
+            rows.append([label, params.variant, str(params.rng_seed + r), str(size)])
+        rows.append([label, params.variant, "best", str(best)])
+        rows.append([label, params.variant, "mean", f"{mean:.2f}"])
+        print(f"{label} variant={params.variant} runs={runs} best={best} mean={mean:.2f}")
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["config_label", "variant", "seed", "size"])
@@ -165,14 +132,15 @@ def cmd_verify(suite_path: str, csv_path: str | None = None) -> int:
 
 
 def _add_run_options(parser: argparse.ArgumentParser, benchmark: bool) -> None:
+    defaults = SwarmParams()
     parser.add_argument("--model", help="model spec, e.g. '3^15' or '4^3 5^3 6^2'")
     parser.add_argument("--t", type=int, help="main interaction strength")
     parser.add_argument("--sub", action="append", default=[], metavar="I,J,..:S",
                         help="sub-configuration 'indices:strength'; repeatable")
-    parser.add_argument("--variant", choices=("fpso", "cpso"), default="fpso")
-    parser.add_argument("--swarm-size", type=int, default=80)
-    parser.add_argument("--iterations", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
+    parser.add_argument("--swarm-size", type=int, default=defaults.swarm_size)
+    parser.add_argument("--iterations", type=int, default=defaults.max_iterations)
+    parser.add_argument("--seed", type=int, default=defaults.rng_seed,
                         help="base RNG seed (run r uses seed + r)")
     parser.add_argument("--out", default="", help="output path (suite or CSV)")
     parser.add_argument("--mf-config", default="",
@@ -213,27 +181,18 @@ def _targets_from_args(args) -> list[Target]:
     return [(f"{args.model} {config_text}", args.model, config_text)]
 
 
-def _run_config(args) -> RunConfig:
-    mf_config = None
-    if args.mf_config:
-        try:
-            with open(args.mf_config) as fh:
-                mf_config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot load --mf-config {args.mf_config!r}: {exc}") from None
-        # Checked here, whatever the variant, so a malformed file never passes;
-        # each fpso run still builds its own controller from the dict.
-        controller_from_config(mf_config)
-    return RunConfig(
-        targets=_targets_from_args(args),
-        variant=args.variant,
-        swarm_size=args.swarm_size,
-        iterations=args.iterations,
-        runs=getattr(args, "runs", 1),
-        base_seed=args.seed,
-        out_path=args.out,
-        mf_config=mf_config,
-    )
+def _load_mf_config(path: str) -> dict | None:
+    if not path:
+        return None
+    try:
+        with open(path) as fh:
+            mf_config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot load --mf-config {path!r}: {exc}") from None
+    # Checked here, whatever the variant, so a malformed file never passes;
+    # each fpso run still builds its own controller from the dict.
+    controller_from_config(mf_config)
+    return mf_config
 
 
 def _configure_logging() -> None:
@@ -246,11 +205,15 @@ def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "verify":
+            return cmd_verify(args.suite, args.csv or None)
+        mf_config = _load_mf_config(args.mf_config)
+        targets = _targets_from_args(args)
+        params = SwarmParams(swarm_size=args.swarm_size, max_iterations=args.iterations,
+                             variant=args.variant, rng_seed=args.seed)
         if args.command == "generate":
-            return cmd_generate(_run_config(args))
-        if args.command == "benchmark":
-            return cmd_benchmark(_run_config(args))
-        return cmd_verify(args.suite, args.csv or None)
+            return cmd_generate(targets[0], params, mf_config, args.out or "suite.txt")
+        return cmd_benchmark(targets, params, mf_config, args.runs, args.out or "benchmark.csv")
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ the bounded inertia range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ def selection_to_w(selection, w_max: float = W_MAX_DEFAULT, w_min: float = W_MIN
 
 
 class FisController:
-    """Membership families, rule base, and centroid defuzzifier for the inertia weight.
+    """Membership families, DEFAULT_RULES, and centroid defuzzifier for the inertia weight.
 
     Stateful: the controller remembers the last weight it emitted, and input
     triples that fire no rule hold that value. It starts at w_max so early
@@ -94,7 +95,6 @@ class FisController:
 
     def __init__(self, input_mfs: dict[str, dict[str, MembershipFunction]] | None = None,
                  output_mfs: dict[str, MembershipFunction] | None = None,
-                 rules: tuple[FuzzyRule, ...] = DEFAULT_RULES,
                  w_max: float = W_MAX_DEFAULT, w_min: float = W_MIN_DEFAULT):
         input_mfs = input_mfs or {}
         unknown = set(input_mfs) - set(INPUT_NAMES)
@@ -104,9 +104,11 @@ class FisController:
             name: dict(input_mfs.get(name) or _default_family()) for name in INPUT_NAMES
         }
         self.output_mfs = dict(output_mfs) if output_mfs else _default_family()
-        self.rules = tuple(rules)
         self.w_max = float(w_max)
         self.w_min = float(w_min)
+        for name, bound in (("w_max", self.w_max), ("w_min", self.w_min)):
+            if not math.isfinite(bound):
+                raise ValueError(f"{name} must be finite, got {bound}")
         if not 0 < self.w_min <= self.w_max:
             raise ValueError(f"need 0 < w_min <= w_max, got {self.w_min}, {self.w_max}")
         self.last_w = self.w_max
@@ -117,7 +119,8 @@ class FisController:
         self._check_rules()
 
     def _check_rules(self):
-        for rule in self.rules:
+        # Replaced membership families may lack a label the rules read.
+        for rule in DEFAULT_RULES:
             for name, label in rule.antecedent:
                 plain = label[4:] if label.startswith("not-") else label
                 if name not in self.input_mfs or plain not in self.input_mfs[name]:
@@ -137,13 +140,14 @@ class FisController:
 
     def infer_w(self, ncf: float, d1: float, d2: float) -> float:
         """Crisp inertia weight for one measurement triple; updates last_w."""
-        return float(self.infer_w_batch(
+        w, _ = self.infer_w_batch(
             np.asarray([ncf], dtype=float),
             np.asarray([d1], dtype=float),
             np.asarray([d2], dtype=float),
-        )[0])
+        )
+        return float(w[0])
 
-    def infer_w_batch(self, ncf, d1, d2, return_selection: bool = False):
+    def infer_w_batch(self, ncf, d1, d2):
         """Vectorized inference, equivalent to scalar calls in index order.
 
         Fuzzifies each triple, takes the min-conjunction firing strength of
@@ -151,6 +155,8 @@ class FisController:
         strength arguing for it, aggregates by max, and defuzzifies by the
         centroid of the aggregate. Triples that fire nothing inherit the
         weight emitted for the previous index (or the stored last_w).
+        Returns the weights and the defuzzified selections, NaN where no
+        rule fired.
         """
         inputs = {
             "ncf": np.asarray(ncf, dtype=float),
@@ -166,12 +172,10 @@ class FisController:
 
         cache: dict = {}
         label_strength: dict[str, np.ndarray] = {}
-        total = np.zeros(n)
-        for rule in self.rules:
+        for rule in DEFAULT_RULES:
             strength = np.ones(n)
             for name, label in rule.antecedent:
                 strength = np.minimum(strength, self._term_degree(name, label, inputs[name], cache))
-            total += strength
             if rule.consequent in label_strength:
                 np.maximum(label_strength[rule.consequent], strength,
                            out=label_strength[rule.consequent])
@@ -186,10 +190,10 @@ class FisController:
             np.minimum(self._out_values[label][None, :], strength[:, None], out=scratch)
             np.maximum(aggregate, scratch, out=aggregate)
         area = aggregate.sum(axis=1)
-        fired = (total > 0.0) & (area > 0.0)
+        fired = area > 0.0
         np.multiply(aggregate, self._xs[None, :], out=scratch)
         weighted = scratch.sum(axis=1)
-        selection = np.where(fired, weighted / np.where(area > 0.0, area, 1.0), np.nan)
+        selection = np.where(fired, weighted / np.where(fired, area, 1.0), np.nan)
 
         # Each unfired index takes the weight of the latest fired index
         # before it; slot 0 of held is the weight from before this batch.
@@ -198,9 +202,7 @@ class FisController:
         w = held[latest]
         if n:
             self.last_w = float(w[-1])
-        if return_selection:
-            return w, selection
-        return w
+        return w, selection
 
 
 def compute_ncf(current_fitness, min_fitness: float, max_fitness: float):

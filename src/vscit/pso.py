@@ -35,15 +35,16 @@ class InternalCoverageError(RuntimeError):
     """A finished suite failed the independent coverage check; always a bug."""
 
 
+# Cognitive and social acceleration coefficients; only the inertia weight adapts.
+C1 = C2 = 2.0
+
+
 @dataclass(frozen=True)
 class SwarmParams:
-    """Knobs for one generation run."""
+    """Settings of one generation run; the CLI takes its defaults from here."""
 
     swarm_size: int = 80
     max_iterations: int = 100
-    c1: float = 2.0
-    c2: float = 2.0
-    w_max: float = W_MAX_DEFAULT
     variant: str = "fpso"
     rng_seed: int = 0
 
@@ -54,6 +55,8 @@ class SwarmParams:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,16 @@ class IterationRecord:
     nor_nubf: float | None
     w_selection: float | None
     w: float
+
+    def __str__(self) -> str:
+        """The trace line: one per iteration in the run log and in DEBUG logging."""
+        nubf = "undef" if self.nor_nubf is None else f"{self.nor_nubf:.2f}"
+        wsel = "undef" if self.w_selection is None else f"{self.w_selection:.2f}"
+        return (
+            f"test={self.test_index} iter={self.iteration} fitness={self.gbest_fitness} "
+            f"ncf={self.ncf:.2f} d1={self.d1:.2f} d2={self.d2:.2f} "
+            f"nornubf={nubf} w_selection={wsel} w={self.w:.3f}"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,12 +134,12 @@ def position_update(position: np.ndarray, velocity: np.ndarray,
     return pos
 
 
-def _cpso_weight(iteration: int, max_iterations: int, w_max: float) -> float:
-    """Linear slide from w_max down to the floor across the iteration budget."""
+def _cpso_weight(iteration: int, max_iterations: int) -> float:
+    """Linear slide from W_MAX_DEFAULT down to W_MIN_DEFAULT across the budget."""
     if max_iterations <= 1:
-        return w_max
+        return W_MAX_DEFAULT
     frac = (iteration - 1) / (max_iterations - 1)
-    return w_max - (w_max - W_MIN_DEFAULT) * frac
+    return W_MAX_DEFAULT - (W_MAX_DEFAULT - W_MIN_DEFAULT) * frac
 
 
 def generate_one_test(store: TupleStore, params: SwarmParams,
@@ -178,13 +191,13 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
         d1 = compute_distance_pct(position, pbest, max_distance)
         d2 = compute_distance_pct(position, gbest_position, max_distance)
         if params.variant == "fpso":
-            ws, selections = controller.infer_w_batch(ncf, d1, d2, return_selection=True)
+            ws, selections = controller.infer_w_batch(ncf, d1, d2)
         else:
-            ws = np.full(size, _cpso_weight(iteration, params.max_iterations, params.w_max))
+            ws = np.full(size, _cpso_weight(iteration, params.max_iterations))
             selections = np.full(size, np.nan)
         # All moves this iteration see the same global best; bests update after.
         velocity = velocity_update(position, velocity, pbest, gbest_position, ws,
-                                   vmax, params.c1, params.c2, rng)
+                                   vmax, C1, C2, rng)
         position = position_update(position, velocity, vmax)
         fits = store.counts(_snap(position, vmax))
         better = fits > pbest_fitness
@@ -199,20 +212,14 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
         nor_nubf = compute_nor_nubf(stalled, params.max_iterations)
         sel = float(selections[-1])
         w_selection = None if math.isnan(sel) else sel
+        record = IterationRecord(
+            test_index, iteration, gbest_fitness,
+            float(ncf[-1]), float(d1[-1]), float(d2[-1]),
+            nor_nubf, w_selection, float(ws[-1]),
+        )
         if log is not None:
-            log.append(IterationRecord(
-                test_index, iteration, gbest_fitness,
-                float(ncf[-1]), float(d1[-1]), float(d2[-1]),
-                nor_nubf, w_selection, float(ws[-1]),
-            ))
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "test=%d iter=%d fitness=%d ncf=%.2f d1=%.2f d2=%.2f nornubf=%s w_selection=%s w=%.3f",
-                test_index, iteration, gbest_fitness, ncf[-1], d1[-1], d2[-1],
-                "undef" if nor_nubf is None else f"{nor_nubf:.2f}",
-                "undef" if w_selection is None else f"{w_selection:.2f}",
-                ws[-1],
-            )
+            log.append(record)
+        logger.debug("%s", record)
 
     case = discretize(gbest_position, levels)
     if coverage_count(case, store) == 0:
@@ -241,7 +248,7 @@ def generate_suite(model: SutModel, config: VscaConfig, params: SwarmParams,
     config = validate_config(model, config)
     rng = np.random.default_rng(params.rng_seed)
     if params.variant == "fpso" and controller is None:
-        controller = FisController(w_max=params.w_max)
+        controller = FisController()
     store = build_tuple_store(model, config)
     log: list[IterationRecord] = []
     cases: list[TestCase] = []

@@ -207,6 +207,22 @@ class TestBenchmark:
         assert all(r[1] == "cpso" for r in self.read_rows(out)[1:])
 
 
+class TestRunOptionRefusals:
+    @pytest.mark.parametrize("command,flag,value,name", [
+        ("benchmark", "--runs", "0", "runs"),
+        ("generate", "--swarm-size", "1", "swarm_size"),
+        ("generate", "--iterations", "0", "max_iterations"),
+        ("generate", "--seed", "-1", "rng_seed"),
+    ], ids=["runs", "swarm-size", "iterations", "seed"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, command, flag, value, name):
+        out = tmp_path / "out.txt"
+        code = run_cli(command, "--model", "3^4", "--t", "2", flag, value, "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{name} must be" in err and f"got {value}" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestShippedPresets:
     @pytest.mark.parametrize("name,rows", [("table1", 12), ("table2", 7), ("table3", 7)])
     def test_rows_parse_and_validate(self, name, rows):
@@ -263,6 +279,22 @@ class TestMfConfig:
                        "--mf-config", str(tmp_path / "absent.json"),
                        "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
 
+    @pytest.mark.parametrize("variant,payload", [
+        ("fpso", '{"w_max": Infinity}'),
+        ("fpso", '{"w_min": Infinity, "w_max": Infinity}'),
+        ("cpso", '{"w_min": Infinity, "w_max": Infinity}'),
+    ], ids=["fpso-w_max", "fpso-both", "cpso-both"])
+    def test_non_finite_w_bound_exits_2(self, tmp_path, capsys, variant, payload):
+        mf = tmp_path / "mf.json"
+        mf.write_text(payload)
+        out = tmp_path / "s.txt"
+        code = run_cli("generate", "--model", "3^4", "--t", "2", "--variant", variant,
+                       "--mf-config", str(mf), "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "w_max must be finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "benchmark"])
     def test_mis_shaped_json_exits_2_under_cpso(self, tmp_path, capsys, command):
         # cpso never builds a controller, so the file must be checked up front.
@@ -304,14 +336,20 @@ class TestInternalFailurePath:
 
 class TestInstalledEntryPoints:
     def test_module_invocation(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import vscit
+
+        # The child imports the vscit this process imported, installed or not.
+        src = os.path.dirname(os.path.dirname(vscit.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "suite.txt"
         proc = subprocess.run(
             [sys.executable, "-m", "vscit", "generate", "--model", "2^2", "--t", "2",
              "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == EXIT_OK
         assert "size=4" in proc.stdout

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from vscit.fis import (
     DEFAULT_RULES,
     FisController,
-    FuzzyRule,
     MembershipFunction,
     W_MAX_DEFAULT,
     W_MIN_DEFAULT,
@@ -207,7 +206,7 @@ class TestInferW:
         scalar_controller = FisController()
         scalar = [scalar_controller.infer_w(*t) for t in triples]
         batch_controller = FisController()
-        batch = batch_controller.infer_w_batch(triples[:, 0], triples[:, 1], triples[:, 2])
+        batch, _ = batch_controller.infer_w_batch(triples[:, 0], triples[:, 1], triples[:, 2])
         np.testing.assert_array_equal(batch, scalar)
         assert batch_controller.last_w == scalar_controller.last_w
 
@@ -220,7 +219,7 @@ class TestInferW:
         controller = FisController(w_max=0.8, w_min=0.2)
         controller.last_w = last_w
         cols = np.array(triples, dtype=float).reshape(len(triples), 3).T
-        w, selection = controller.infer_w_batch(*cols, return_selection=True)
+        w, selection = controller.infer_w_batch(*cols)
         expected = []
         for sel in selection.tolist():
             if not math.isnan(sel):
@@ -270,13 +269,25 @@ class TestControllerConfig:
             FisController(input_mfs={"speed": {}})
 
     def test_rule_referencing_missing_label_raises(self):
-        rules = DEFAULT_RULES + (FuzzyRule((("ncf", "huge"),), "high"),)
-        with pytest.raises(ValueError, match="membership function"):
-            FisController(rules=rules)
+        # A replaced family must name every label the rules read; rule 3 reads ncf medium.
+        ncf = {"low": MembershipFunction(0, 0, 50), "high": MembershipFunction(50, 100, 100)}
+        with pytest.raises(ValueError, match=r"\(ncf, medium\) has no membership function"):
+            FisController(input_mfs={"ncf": ncf})
 
     def test_bad_w_bounds_raise(self):
         with pytest.raises(ValueError):
             FisController(w_max=0.1, w_min=0.5)
+
+    @pytest.mark.parametrize("bounds,name", [
+        ({"w_max": math.inf}, "w_max"),
+        ({"w_min": math.inf}, "w_min"),
+        ({"w_min": math.inf, "w_max": math.inf}, "w_max"),
+        ({"w_max": math.nan}, "w_max"),
+    ], ids=["w_max", "w_min", "both", "nan"])
+    def test_non_finite_w_bounds_raise(self, bounds, name):
+        # JSON's Infinity and NaN parse to floats, so --mf-config can pass them.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            controller_from_config(bounds)
 
 
 class TestDefaultRules:

@@ -1,5 +1,6 @@
 """Runs pinned across commits: sha256 of the written suite file and of the
-iteration log for fixed seeds, and of the coverage report of fixed suites.
+iteration log for fixed seeds, of one ``vscit generate`` trace file, and of
+the coverage report of fixed suites.
 
 The determinism tests elsewhere compare two runs of the same code. These
 digests were recorded once and catch any change to a suite's bytes, so a
@@ -11,12 +12,14 @@ or logs on purpose re-records them and says so.
 """
 
 import hashlib
+import logging
 import random
 
 import pytest
 
 import vscit
 import vscit.pso as pso
+from vscit.cli import EXIT_OK, main
 from vscit.model import parse_config, parse_model
 from vscit.pso import SwarmParams, generate_suite
 from vscit.verify import render_report_csv, render_report_text, verify_suite, write_suite
@@ -55,6 +58,29 @@ def test_suite_bytes_are_pinned(model_spec, config_text, params, digest, log_dig
     assert hashlib.sha256(repr(result.iterations_log).encode()).hexdigest() == log_digest
     if "sub=" in config_text:
         assert repairs, "the variable-strength run must exercise repair"
+
+
+# Its log holds undefined nornubf and w_selection fields as well as numbers.
+TRACED_RUN = ["generate", "--model", "3^4", "--t", "2", "--seed", "3"]
+TRACE_DIGEST = "d0af07ea2c4f6676aabc848c3afc99a8dd7f45fa8e8ff781a0ae719f8c8db8f0"
+
+
+def test_trace_file_bytes_are_pinned(tmp_path):
+    out = tmp_path / "suite.txt"
+    assert main([*TRACED_RUN, "--out", str(out)]) == EXIT_OK
+    log = (tmp_path / "suite.txt.log").read_bytes()
+    assert b"w_selection=undef" in log and b"nornubf=undef" in log
+    assert hashlib.sha256(log).hexdigest() == TRACE_DIGEST
+
+
+def test_debug_messages_are_the_trace_file_lines(tmp_path, caplog):
+    out = tmp_path / "suite.txt"
+    with caplog.at_level(logging.DEBUG, logger="vscit"):
+        assert main([*TRACED_RUN, "--out", str(out)]) == EXIT_OK
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    lines = (tmp_path / "suite.txt.log").read_text().splitlines()
+    assert lines[0].startswith("# ")
+    assert messages == lines[1:]
 
 
 REPORTS = [

@@ -1,5 +1,6 @@
 """Swarm engine: discretization, updates, single-test search, suite assembly."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -144,12 +145,17 @@ class TestSwarmParams:
     def test_defaults(self):
         params = SwarmParams()
         assert (params.swarm_size, params.max_iterations) == (80, 100)
-        assert params.c1 == params.c2 == 2.0
-        assert params.w_max == 0.9
         assert params.variant == "fpso"
+        assert params.rng_seed == 0
+        assert pso.C1 == pso.C2 == 2.0
+
+    def test_holds_only_the_run_settings(self):
+        assert [f.name for f in dataclasses.fields(SwarmParams)] == [
+            "swarm_size", "max_iterations", "variant", "rng_seed"]
 
     @pytest.mark.parametrize(
-        "kwargs", [{"swarm_size": 1}, {"max_iterations": 0}, {"variant": "dpso"}]
+        "kwargs",
+        [{"swarm_size": 1}, {"max_iterations": 0}, {"variant": "dpso"}, {"rng_seed": -1}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
