@@ -17,7 +17,7 @@ from dataclasses import replace
 from importlib import resources
 
 from .fis import controller_from_config
-from .model import ParseError, parse_config, parse_model
+from .model import ParseError, SutModel, VscaConfig, check_config, parse_config, parse_model
 from .pso import VARIANTS, InternalCoverageError, RunResult, SwarmParams, generate_suite
 from .verify import (
     read_suite,
@@ -36,6 +36,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 Target = tuple[str, str, str]  # (label, model spec, config text)
+ParsedTarget = tuple[str, SutModel, VscaConfig]  # (label, model, checked config)
 
 
 def load_preset(name_or_path: str) -> list[Target]:
@@ -67,14 +68,24 @@ def load_preset(name_or_path: str) -> list[Target]:
     return targets
 
 
-def _run_one(target: Target, params: SwarmParams, mf_config: dict | None) -> RunResult:
-    _, model_spec, config_text = target
+def _parse_targets(targets: list[Target]) -> list[ParsedTarget]:
+    """Parse and check every target up front, so a bad row fails before any search."""
+    parsed = []
+    for label, model_spec, config_text in targets:
+        model = parse_model(model_spec)
+        config = parse_config(config_text)
+        check_config(model, config)
+        parsed.append((label, model, config))
+    return parsed
+
+
+def _run_one(target: ParsedTarget, params: SwarmParams, mf_config: dict | None) -> RunResult:
+    _, model, config = target
     # A controller per fpso run, so its last emitted weight cannot leak into the next.
     controller = None
     if mf_config and params.variant == "fpso":
         controller = controller_from_config(mf_config)
-    return generate_suite(parse_model(model_spec), parse_config(config_text), params,
-                          controller=controller)
+    return generate_suite(model, config, params, controller=controller)
 
 
 def _write_run_log(result: RunResult, path: str) -> None:
@@ -84,7 +95,7 @@ def _write_run_log(result: RunResult, path: str) -> None:
             fh.write(f"{rec}\n")
 
 
-def cmd_generate(target: Target, params: SwarmParams, mf_config: dict | None,
+def cmd_generate(target: ParsedTarget, params: SwarmParams, mf_config: dict | None,
                  out: str) -> int:
     """Single run: write the suite and its iteration log, print a summary line."""
     result = _run_one(target, params, mf_config)
@@ -94,7 +105,7 @@ def cmd_generate(target: Target, params: SwarmParams, mf_config: dict | None,
     return EXIT_OK
 
 
-def cmd_benchmark(targets: list[Target], params: SwarmParams, mf_config: dict | None,
+def cmd_benchmark(targets: list[ParsedTarget], params: SwarmParams, mf_config: dict | None,
                   runs: int, out: str) -> int:
     """Seeded campaign over one or more configs; per-run sizes plus best/mean rows.
 
@@ -208,7 +219,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.suite, args.csv or None)
         mf_config = _load_mf_config(args.mf_config)
-        targets = _targets_from_args(args)
+        targets = _parse_targets(_targets_from_args(args))
         params = SwarmParams(swarm_size=args.swarm_size, max_iterations=args.iterations,
                              variant=args.variant, rng_seed=args.seed)
         if args.command == "generate":

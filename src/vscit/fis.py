@@ -5,12 +5,22 @@ base: the current fitness relative to the per-test ceiling (ncf) and the
 percentage distances from a particle to its personal best (d1) and to the
 global best (d2). The defuzzified output, also on 0..100, is scaled onto
 the bounded inertia range.
+
+Defuzzification is the exact centroid of the clipped-max aggregate. Each
+fired output triangle is clipped at its rule strength and the aggregate is
+their pointwise max, so it is linear between sorted breakpoints: the sets'
+feet and peaks, the crossings of every pair of edges, and the points where
+every edge meets every fired label's clip level. Area and first moment are
+summed per segment by 2-point Gauss quadrature, which is exact for a linear
+piece and never samples a segment's ends, so a jump at an interior
+shoulder counts correctly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -19,8 +29,8 @@ W_MIN_DEFAULT = 0.1
 
 INPUT_NAMES = ("ncf", "d1", "d2")
 
-# Fixed centroid grid over [0, 100] so defuzzification is bit-reproducible.
-_UNIVERSE_SAMPLES = 1001
+# The two Gauss-Legendre nodes of a segment, as fractions of its width.
+_GAUSS_NODES = np.array([[0.5 - 0.5 / math.sqrt(3.0)], [0.5 + 0.5 / math.sqrt(3.0)]])
 
 
 @dataclass(frozen=True)
@@ -45,11 +55,37 @@ class MembershipFunction:
     def degree(self, x):
         """Membership degree of x (scalar or array); 0 outside [left, right]."""
         x = np.asarray(x, dtype=float)
-        rising = (x - self.left) / (self.peak - self.left) if self.peak > self.left else np.ones_like(x)
-        falling = (self.right - x) / (self.right - self.peak) if self.right > self.peak else np.ones_like(x)
+        return _Triangles([self], x.ndim).degrees(x)[0]
+
+
+class _Triangles:
+    """Several membership functions held as breakpoint columns.
+
+    Function j sits on axis 0 at index j; an x with `trailing` axes
+    broadcasts against every function at once.
+    """
+
+    def __init__(self, mfs: list[MembershipFunction], trailing: int):
+        shape = (len(mfs),) + (1,) * trailing
+
+        def column(values) -> np.ndarray:
+            return np.array(values, dtype=float).reshape(shape)
+
+        self.left = column([mf.left for mf in mfs])
+        self.right = column([mf.right for mf in mfs])
+        rise = column([mf.peak - mf.left for mf in mfs])
+        fall = column([mf.right - mf.peak for mf in mfs])
+        # A zero-length side is a shoulder: x / inf is 0, and the floor of 1 holds it at 1.0.
+        self.rise = np.where(rise > 0, rise, np.inf)
+        self.rise_floor = (rise == 0).astype(float)
+        self.fall = np.where(fall > 0, fall, np.inf)
+        self.fall_floor = (fall == 0).astype(float)
+
+    def degrees(self, x):
+        rising = (x - self.left) / self.rise + self.rise_floor
+        falling = (self.right - x) / self.fall + self.fall_floor
         inside = (x >= self.left) & (x <= self.right)
-        d = np.where(inside, np.clip(np.minimum(rising, falling), 0.0, 1.0), 0.0)
-        return float(d) if d.ndim == 0 else d
+        return np.where(inside, np.minimum(rising, falling), 0.0)
 
 
 @dataclass(frozen=True)
@@ -76,6 +112,61 @@ def _default_family() -> dict[str, MembershipFunction]:
         "medium": MembershipFunction(25, 50, 75),
         "high": MembershipFunction(50, 100, 100),
     }
+
+
+class _ExactCentroid:
+    """Centroid of output triangles, each clipped at a strength, aggregated by max.
+
+    The breakpoints that no strength moves are fixed here: the universe's
+    ends, every set's feet and peak, and every point in [0, 100] where the
+    lines of two sides cross. Each call adds the points where every side
+    meets every set's clip level. A vertical side needs no crossings of its
+    own, as it stands on a foot or a peak.
+    """
+
+    def __init__(self, mfs: list[MembershipFunction]):
+        # Each sloped side as (foot, run): it reaches level s at foot + s * run.
+        edges = []
+        for mf in mfs:
+            if mf.peak > mf.left:
+                edges.append((mf.left, mf.peak - mf.left))
+            if mf.right > mf.peak:
+                edges.append((mf.right, mf.peak - mf.right))
+        points = {0.0, 100.0}
+        for mf in mfs:
+            points.update((float(mf.left), float(mf.peak), float(mf.right)))
+        for (foot_a, run_a), (foot_b, run_b) in combinations(edges, 2):
+            # Side a is y = (x - foot_a) / run_a; equate it with side b.
+            if run_a != run_b:
+                x = (foot_a * run_b - foot_b * run_a) / (run_b - run_a)
+                if 0.0 <= x <= 100.0:
+                    points.add(x)
+        self.fixed = np.array(sorted(points))
+        feet, runs = zip(*edges)
+        self.feet = np.array(feet)[:, None]
+        self.runs = np.array(runs)[:, None]
+        self.sets = _Triangles(mfs, 3)
+
+    def __call__(self, strength: np.ndarray) -> np.ndarray:
+        """Centroid per column of strength (sets x n), NaN where the aggregate has no area."""
+        sets, n = strength.shape
+        clips = (self.feet + strength.T[:, None, :] * self.runs).reshape(n, self.feet.size * sets)
+        fixed = np.broadcast_to(self.fixed, (n, self.fixed.size))
+        breaks = np.sort(np.concatenate((fixed, clips), axis=1), axis=1)
+        # The aggregate is linear between breakpoints; two Gauss nodes per
+        # segment, each weighted by the segment's width, give twice its area
+        # and first moment exactly, and the factor cancels in the centroid.
+        start = breaks[:, None, :-1]
+        width = breaks[:, None, 1:] - start
+        nodes = start + width * _GAUSS_NODES
+        height = np.minimum(self.sets.degrees(nodes), strength[:, :, None, None]).max(axis=0)
+        weighted = height * width
+        # Summing along the last axis first keeps each row's order of
+        # additions independent of the batch size.
+        area = weighted.sum(axis=2).sum(axis=1)
+        moment = (weighted * nodes).sum(axis=2).sum(axis=1)
+        fired = area > 0.0
+        return np.where(fired, moment / np.where(fired, area, 1.0), np.nan)
 
 
 def selection_to_w(selection, w_max: float = W_MAX_DEFAULT, w_min: float = W_MIN_DEFAULT):
@@ -112,11 +203,31 @@ class FisController:
         if not 0 < self.w_min <= self.w_max:
             raise ValueError(f"need 0 < w_min <= w_max, got {self.w_min}, {self.w_max}")
         self.last_w = self.w_max
-        self._xs = np.linspace(0.0, 100.0, _UNIVERSE_SAMPLES)
-        self._out_values = {label: mf.degree(self._xs) for label, mf in self.output_mfs.items()}
-        # Reusable per-batch-size work arrays; a controller serves one run at a time.
-        self._buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._check_rules()
+        # A set without width has no area, so no centroid can weigh it.
+        for label, mf in self.output_mfs.items():
+            if mf.left == mf.right:
+                raise ValueError(f"output set {label!r} has zero width: left == right == {mf.left}")
+
+        # Every plain (input, label) term the rules read, fuzzified in one
+        # pass; row j + len(terms) of the degree table is term j's complement.
+        terms = sorted({(name, label.removeprefix("not-"))
+                        for rule in DEFAULT_RULES for name, label in rule.antecedent})
+        self._term_inputs = np.array([INPUT_NAMES.index(name) for name, _ in terms])
+        self._terms = _Triangles([self.input_mfs[name][label] for name, label in terms], 1)
+
+        def row(name: str, label: str) -> int:
+            if label.startswith("not-"):
+                return len(terms) + terms.index((name, label[4:]))
+            return terms.index((name, label))
+
+        # Rules sorted by consequent, so one reduceat takes each label's strongest rule.
+        labels = list(dict.fromkeys(rule.consequent for rule in DEFAULT_RULES))
+        rules = sorted(DEFAULT_RULES, key=lambda rule: labels.index(rule.consequent))
+        self._rule_rows = np.array([[row(*term) for term in rule.antecedent] for rule in rules])
+        consequents = [rule.consequent for rule in rules]
+        self._label_starts = np.array([consequents.index(label) for label in labels])
+        self._centroid = _ExactCentroid([self.output_mfs[label] for label in labels])
 
     def _check_rules(self):
         # Replaced membership families may lack a label the rules read.
@@ -127,16 +238,6 @@ class FisController:
                     raise ValueError(f"rule term ({name}, {label}) has no membership function")
             if rule.consequent not in self.output_mfs:
                 raise ValueError(f"rule consequent {rule.consequent!r} has no membership function")
-
-    def _term_degree(self, name: str, label: str, x, cache: dict | None = None):
-        if label.startswith("not-"):
-            return 1.0 - self._term_degree(name, label[4:], x, cache)
-        if cache is None:
-            return self.input_mfs[name][label].degree(x)
-        key = (name, label)
-        if key not in cache:
-            cache[key] = self.input_mfs[name][label].degree(x)
-        return cache[key]
 
     def infer_w(self, ncf: float, d1: float, d2: float) -> float:
         """Crisp inertia weight for one measurement triple; updates last_w."""
@@ -153,8 +254,8 @@ class FisController:
         Fuzzifies each triple, takes the min-conjunction firing strength of
         each rule, clips each consequent's membership function at the best
         strength arguing for it, aggregates by max, and defuzzifies by the
-        centroid of the aggregate. Triples that fire nothing inherit the
-        weight emitted for the previous index (or the stored last_w).
+        exact centroid of the aggregate. Triples that fire nothing inherit
+        the weight emitted for the previous index (or the stored last_w).
         Returns the weights and the defuzzified selections, NaN where no
         rule fired.
         """
@@ -164,36 +265,19 @@ class FisController:
             "d2": np.asarray(d2, dtype=float),
         }
         n = inputs["ncf"].shape[0]
-        for name, arr in inputs.items():
+        for arr in inputs.values():
             if arr.shape != (n,):
                 raise ValueError("FIS inputs must be equal-length 1-d arrays")
-            if np.any((arr < 0.0) | (arr > 100.0)):
-                raise ValueError(f"{name} outside [0, 100]")
+        x = np.stack(list(inputs.values()))
+        outside = ~((x >= 0.0) & (x <= 100.0)).all(axis=1)  # NaN is outside too
+        if outside.any():
+            raise ValueError(f"{INPUT_NAMES[int(np.argmax(outside))]} outside [0, 100]")
 
-        cache: dict = {}
-        label_strength: dict[str, np.ndarray] = {}
-        for rule in DEFAULT_RULES:
-            strength = np.ones(n)
-            for name, label in rule.antecedent:
-                strength = np.minimum(strength, self._term_degree(name, label, inputs[name], cache))
-            if rule.consequent in label_strength:
-                np.maximum(label_strength[rule.consequent], strength,
-                           out=label_strength[rule.consequent])
-            else:
-                label_strength[rule.consequent] = strength
-
-        if n not in self._buffers:
-            self._buffers[n] = (np.empty((n, _UNIVERSE_SAMPLES)), np.empty((n, _UNIVERSE_SAMPLES)))
-        aggregate, scratch = self._buffers[n]
-        aggregate.fill(0.0)
-        for label, strength in label_strength.items():
-            np.minimum(self._out_values[label][None, :], strength[:, None], out=scratch)
-            np.maximum(aggregate, scratch, out=aggregate)
-        area = aggregate.sum(axis=1)
-        fired = area > 0.0
-        np.multiply(aggregate, self._xs[None, :], out=scratch)
-        weighted = scratch.sum(axis=1)
-        selection = np.where(fired, weighted / np.where(fired, area, 1.0), np.nan)
+        degrees = self._terms.degrees(x[self._term_inputs])
+        degrees = np.concatenate((degrees, 1.0 - degrees))
+        rule_strength = degrees[self._rule_rows].min(axis=1)
+        selection = self._centroid(np.maximum.reduceat(rule_strength, self._label_starts))
+        fired = ~np.isnan(selection)
 
         # Each unfired index takes the weight of the latest fired index
         # before it; slot 0 of held is the weight from before this batch.

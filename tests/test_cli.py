@@ -186,6 +186,18 @@ class TestBenchmark:
         assert len(rows) == 1 + 2 * (2 + 2)
         assert {r[0] for r in rows[1:]} == {"small", "tiny-vs"}
 
+    @pytest.mark.parametrize("bad_row", ["bad | 3^ | t=2", "big | 3^4 | t=5"],
+                             ids=["unparsable-model", "strength-above-k"])
+    def test_bad_preset_row_fails_before_any_run(self, tmp_path, capsys, bad_row):
+        preset = tmp_path / "p.txt"
+        preset.write_text(f"ok | 3^4 | t=2\n{bad_row}\n")
+        out = tmp_path / "bench.csv"
+        code = run_cli("benchmark", "--preset", str(preset), "--runs", "5", "--out", str(out))
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert not out.exists()
+
     def test_preset_conflicts_with_model(self, tmp_path):
         assert run_cli("benchmark", "--preset", "table1", "--model", "3^3", "--t", "3",
                        "--out", str(tmp_path / "b.csv")) == EXIT_USAGE
@@ -273,6 +285,17 @@ class TestMfConfig:
                        "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and bad_key in err
+
+    def test_zero_width_output_set_exits_2(self, tmp_path, capsys):
+        # A set with no width has no area for the centroid to weigh.
+        mf = tmp_path / "mf.json"
+        mf.write_text(json.dumps({"output": {"low": [0, 0, 50], "high": [60, 60, 60]}}))
+        out = tmp_path / "s.txt"
+        assert run_cli("generate", "--model", "3^4", "--t", "2", "--seed", "1",
+                       "--mf-config", str(mf), "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'high' has zero width" in err
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli("generate", "--model", "3^3", "--t", "2",

@@ -2,15 +2,16 @@
 
 Oracle for the corner inferences: when exactly one rule fires at strength
 1.0 the aggregate is that consequent's full triangle, whose exact centroid
-is the mean of its vertices' x coordinates; the sampled centroid must land
-within discretization distance of it.
+is the mean of its vertices' x coordinates. Oracle for the defuzzifier in
+general: a 10^5-point midpoint integral of the aggregate, built from
+MembershipFunction.degree.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vscit.fis import (
     DEFAULT_RULES,
@@ -186,6 +187,10 @@ class TestInferW:
         with pytest.raises(ValueError):
             controller.infer_w(0, -1, 0)
 
+    def test_nan_input_raises(self):
+        with pytest.raises(ValueError, match="d2 outside"):
+            FisController().infer_w(0, 0, math.nan)
+
     def test_deterministic_given_same_state(self):
         a, b = FisController(), FisController()
         triples = [(10, 20, 30), (50, 50, 50), (90, 10, 40), (0, 0, 0)]
@@ -297,7 +302,58 @@ class TestDefaultRules:
         assert consequents == ["low", "high", "high", "high"]
 
     def test_not_low_is_complement(self):
-        controller = FisController()
-        x = 20.0
-        low = controller._term_degree("ncf", "low", x)
-        assert controller._term_degree("ncf", "not-low", x) == pytest.approx(1.0 - low)
+        # With d1 = d2 = 0 only rules 1 and 2 fire: "low" at ncf's low degree
+        # (0.6 at ncf = 20) and "high" at its complement, 0.4. Integrating the
+        # clipped triangles by hand gives area 21 + 16 and first moment
+        # 390 + 3820 / 3.
+        _, selection = FisController().infer_w_batch(np.array([20.0]), np.zeros(1), np.zeros(1))
+        assert selection[0] == pytest.approx(4990 / 111, rel=1e-12)
+
+
+# An output set: integer breakpoints with left < right. Shoulders at 0 and
+# 100, interior shoulders and overlapping pairs all turn up.
+@st.composite
+def output_sets(draw):
+    left = draw(st.integers(0, 99))
+    right = draw(st.integers(left + 1, 100))
+    peak = draw(st.one_of(st.just(left), st.just(right), st.integers(left, right)))
+    return MembershipFunction(left, peak, right)
+
+
+strength = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=1.0))
+
+
+class TestExactCentroid:
+    N = 100_000
+
+    @given(output_sets(), output_sets(), strength, strength)
+    @example(MembershipFunction(0, 0, 50), MembershipFunction(50, 100, 100), 0.6, 0.4)
+    @example(MembershipFunction(20, 60, 60), MembershipFunction(40, 40, 90), 0.9, 0.5)
+    @example(MembershipFunction(0, 30, 80), MembershipFunction(20, 70, 100), 0.7, 0.8)
+    @example(MembershipFunction(10, 50, 90), MembershipFunction(30, 50, 70), 0.3, 1.0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numerical_integral(self, low, high, s_low, s_high):
+        controller = FisController(output_mfs={"low": low, "high": high})
+        exact = controller._centroid(np.array([[s_low], [s_high]]))[0]
+        # Midpoints of 10^5 cells: the integer breakpoints, where a shoulder
+        # jumps, fall on cell edges, so each kinked cell errs by O(h^2).
+        xs = (np.arange(self.N) + 0.5) * (100 / self.N)
+        aggregate = np.maximum(np.minimum(low.degree(xs), s_low), np.minimum(high.degree(xs), s_high))
+        if s_low == s_high == 0.0:
+            assert math.isnan(exact)
+        else:
+            assert exact == pytest.approx((xs * aggregate).sum() / aggregate.sum(), abs=1e-5)
+
+    def test_zero_width_output_set_raises(self):
+        with pytest.raises(ValueError, match="output set 'high' has zero width"):
+            FisController(output_mfs={"low": MembershipFunction(0, 0, 50),
+                                      "high": MembershipFunction(60, 60, 60)})
+        with pytest.raises(ValueError, match="output set 'low' has zero width"):
+            controller_from_config({"output": {"low": [0, 0, 0], "high": [50, 100, 100]}})
+
+    def test_zero_width_input_set_is_legal(self):
+        # Such an input term has degree 1.0 at its one point and 0 elsewhere.
+        controller = controller_from_config(
+            {"inputs": {"ncf": {"low": [0, 0, 0], "medium": [25, 50, 75], "high": [50, 100, 100]}}})
+        assert controller.infer_w(0, 0, 0) <= 0.5
+        assert controller.input_mfs["ncf"]["low"].degree(0) == 1.0

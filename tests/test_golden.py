@@ -12,6 +12,7 @@ or logs on purpose re-records them and says so.
 """
 
 import hashlib
+import json
 import logging
 import random
 
@@ -27,14 +28,14 @@ from vscit.verify import render_report_csv, render_report_text, verify_suite, wr
 GOLDEN = [
     ("3^5", "t=2", dict(variant="fpso", rng_seed=5),
      "07f5294b46c83a7012ed126778c75573080cd5636b7350393ba633ba29a0e33b",
-     "5d584f951b2fcd4c4e131e0e6f633669f797cadd481af53f14056f19da6298dd"),
+     "244e8b174cecb527bfdcc90cbd78f30df377917ecc79ef73c258f766262895f6"),
     ("2^5", "t=3", dict(variant="cpso", rng_seed=5),
      "afabbbe3f4ac0a03315d8f2a3c2915ecb996e738b3bcea46317fedaa1a5ec4f7",
      "5397e49677b99652aa72ca90595e2f9fb1eb5925e91deb978d7ddb5b3740b3a2"),
     # A small swarm leaves tests that cover nothing new, so repair fires.
     ("3^3 2^3", "t=2; sub=0,1,2:3", dict(swarm_size=8, max_iterations=20, rng_seed=9),
      "eb9227e8914f3a46ae60ab105c993d0c45981ea94aec82a6a12b153afa0b59c0",
-     "389fc02f910b3b4e5a3fee8fb35e6a66822bd711d7b1545f46884f4d496484fa"),
+     "b80aafdb8b98c4ceee398b6dc165f65210d00e14b1ba0d41319087f59b3cc7fc"),
     # Combinations of lengths 2, 3 and 4 in one store, interleaved in sort order.
     ("3^3 4^3", "t=2; sub=0,1,2:3; sub=2,3,4,5:4",
      dict(variant="cpso", swarm_size=10, max_iterations=20, rng_seed=3),
@@ -62,7 +63,7 @@ def test_suite_bytes_are_pinned(model_spec, config_text, params, digest, log_dig
 
 # Its log holds undefined nornubf and w_selection fields as well as numbers.
 TRACED_RUN = ["generate", "--model", "3^4", "--t", "2", "--seed", "3"]
-TRACE_DIGEST = "d0af07ea2c4f6676aabc848c3afc99a8dd7f45fa8e8ff781a0ae719f8c8db8f0"
+TRACE_DIGEST = "d92f625324a96ded6f356862396d9107d94c1b2ba36c52a04be059ee184bae53"
 
 
 def test_trace_file_bytes_are_pinned(tmp_path):
@@ -71,6 +72,23 @@ def test_trace_file_bytes_are_pinned(tmp_path):
     log = (tmp_path / "suite.txt.log").read_bytes()
     assert b"w_selection=undef" in log and b"nornubf=undef" in log
     assert hashlib.sha256(log).hexdigest() == TRACE_DIGEST
+
+
+# Overlapping output sets: the aggregate's shape changes where the clipped
+# sets cross, so the centroid needs the crossing breakpoints.
+OVERLAP_MF = {"output": {"low": [0, 10, 60], "high": [40, 90, 100]}}
+OVERLAP_DIGESTS = ("09c302a691efee5abb90281150ac16977116dc46ba1eb387f372e772975b0a58",
+                   "81e63372d85f93e322e142d9226b7098a8f2036ba0e885a6851dbdbebcbdc06e")
+
+
+def test_overlapping_output_sets_run_is_pinned(tmp_path):
+    mf = tmp_path / "mf.json"
+    mf.write_text(json.dumps(OVERLAP_MF))
+    out = tmp_path / "suite.txt"
+    assert main([*TRACED_RUN, "--mf-config", str(mf), "--out", str(out)]) == EXIT_OK
+    log = (tmp_path / "suite.txt.log").read_bytes()
+    assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(log).hexdigest()) == OVERLAP_DIGESTS
 
 
 def test_debug_messages_are_the_trace_file_lines(tmp_path, caplog):
