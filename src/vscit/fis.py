@@ -264,10 +264,10 @@ class FisController:
             "d1": np.asarray(d1, dtype=float),
             "d2": np.asarray(d2, dtype=float),
         }
+        shapes = {arr.shape for arr in inputs.values()}
+        if len(shapes) != 1 or inputs["ncf"].ndim != 1:
+            raise ValueError("FIS inputs must be equal-length 1-d arrays")
         n = inputs["ncf"].shape[0]
-        for arr in inputs.values():
-            if arr.shape != (n,):
-                raise ValueError("FIS inputs must be equal-length 1-d arrays")
         x = np.stack(list(inputs.values()))
         outside = ~((x >= 0.0) & (x <= 100.0)).all(axis=1)  # NaN is outside too
         if outside.any():
@@ -296,7 +296,8 @@ def compute_ncf(current_fitness, min_fitness: float, max_fitness: float):
     Accepts a scalar or an array of current fitness values.
     """
     current = np.asarray(current_fitness, dtype=float)
-    if np.any(current < min_fitness) or np.any(current > max_fitness):
+    # NaN fails both comparisons, so it is refused too.
+    if current.size and not (min_fitness <= current.min() and current.max() <= max_fitness):
         raise ValueError(
             f"current fitness {current_fitness} outside [{min_fitness}, {max_fitness}]"
         )
@@ -320,7 +321,7 @@ def compute_distance_pct(x, ref, max_distance: float):
     ref = np.asarray(ref, dtype=float)
     if x.shape[-1] != ref.shape[-1]:
         raise ValueError(f"position vectors differ in length: {x.shape} vs {ref.shape}")
-    if max_distance <= 0:
+    if not max_distance > 0:  # NaN too
         raise ValueError("max_distance must be positive")
     gap = x - ref
     pct = np.sqrt((gap * gap).sum(axis=-1)) / max_distance * 100.0

@@ -181,20 +181,27 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     gbest_position = position[gbest_index].copy()
     gbest_fitness = int(fits[gbest_index])
 
+    if params.variant == "fpso":
+        rows = slice(None)
+    else:
+        # Without the controller only the record reads the measures, and it
+        # logs the last particle's.
+        rows = slice(-1, None)
+        ws = np.empty(size)
+        selections = np.full(size, np.nan)
     stalled = 0
     for iteration in range(1, params.max_iterations + 1):
         # A one-point box (max_distance == 0) never gets past this check: its
         # only case hits every open combination.
         if gbest_fitness >= max_fitness:
             break
-        ncf = compute_ncf(fits, 0, max_fitness)
-        d1 = compute_distance_pct(position, pbest, max_distance)
-        d2 = compute_distance_pct(position, gbest_position, max_distance)
+        ncf = compute_ncf(fits[rows], 0, max_fitness)
+        d1 = compute_distance_pct(position[rows], pbest[rows], max_distance)
+        d2 = compute_distance_pct(position[rows], gbest_position, max_distance)
         if params.variant == "fpso":
             ws, selections = controller.infer_w_batch(ncf, d1, d2)
         else:
-            ws = np.full(size, _cpso_weight(iteration, params.max_iterations))
-            selections = np.full(size, np.nan)
+            ws.fill(_cpso_weight(iteration, params.max_iterations))
         # All moves this iteration see the same global best; bests update after.
         velocity = velocity_update(position, velocity, pbest, gbest_position, ws,
                                    vmax, C1, C2, rng)

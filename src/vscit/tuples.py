@@ -11,6 +11,10 @@ from .model import SutModel, TestCase, VscaConfig, check_case
 
 ParamCombination = tuple[int, ...]
 
+# The bias that lifts every id into [2**52, 2**53), where float64 spacing is 1.
+_BIAS_ID = 2**52
+_BIAS_BITS = np.float64(_BIAS_ID).view(np.int64)
+
 
 def generate_param_combinations(k: int, t: int) -> list[ParamCombination]:
     """All strictly increasing t-combinations of 0..k-1, in lexicographic order.
@@ -44,31 +48,38 @@ class TupleStore:
     Combinations are laid out in sorted order, lengths mixed, and each one's
     value tuples in mixed-radix order (first index most significant), so id
     order is (combination, tuple) order. ``uncovered`` holds one flag per id.
-    Scoring uses a (k, m) stride matrix with one column per combination that
-    still has an uncovered tuple: each parameter it holds gets its stride,
-    every other parameter 0, so a case times the matrix, plus the offsets,
-    is the case's id in each combination. A combination's column leaves the
-    matrix with its last tuple, so the per-case work shrinks as coverage
-    progresses.
+    Scoring uses a (k + 1, m) stride matrix with one column per combination
+    that still has an uncovered tuple: each parameter it holds gets its
+    stride, every other parameter 0, and the last row holds the
+    combination's first id plus 2**52. A case with a 1 appended, times the
+    matrix, is its id in each combination plus that bias, and a float64 in
+    [2**52, 2**53) carries its integer part in the low bits, so viewing the
+    product as int64 and subtracting the bias's bits leaves the ids. A
+    combination's column leaves the matrix with its last tuple, so the
+    per-case work shrinks as coverage progresses. Ids must stay below 2**52
+    for this to be exact; a larger model is refused.
     """
 
     def __init__(self, model: SutModel, combinations: Iterable[ParamCombination]):
         self.model = model
         self._keys = sorted(set(map(tuple, combinations)))
-        sizes = np.array([math.prod(model.param_levels[i] for i in key) for key in self._keys],
-                         dtype=np.int64)
+        sizes = [math.prod(model.param_levels[i] for i in key) for key in self._keys]
+        self.initial_total = sum(sizes)
+        if self.initial_total >= _BIAS_ID:
+            raise ValueError(f"{self.initial_total} required tuples; "
+                             f"the tuple store holds fewer than 2**52")
+        sizes = np.array(sizes, dtype=np.int64)
         self._starts = np.cumsum(sizes) - sizes
-        self.initial_total = int(sizes.sum())
         self._remaining = self.initial_total
         self.uncovered = np.ones(self.initial_total, dtype=bool)
-        # Per open combination: its stride column, id offset and uncovered count.
-        self._strides = np.zeros((model.k, len(self._keys)))
+        # Per open combination: its stride column, biased first id and uncovered count.
+        self._strides = np.zeros((model.k + 1, len(self._keys)))
         for j, key in enumerate(self._keys):
             stride = 1
             for i in reversed(key):
                 self._strides[i, j] = stride
                 stride *= model.param_levels[i]
-        self._offsets = self._starts
+        self._strides[-1] = self._starts + _BIAS_ID
         self._left = sizes
 
     @property
@@ -82,14 +93,20 @@ class TupleStore:
 
     def _ids(self, cases: np.ndarray) -> np.ndarray:
         """(n, m) ids of each case's projection onto each open combination."""
-        # Exact: every product and partial sum is an integer below initial_total << 2**53.
-        ids = (np.asarray(cases, dtype=np.float64) @ self._strides).astype(np.int64)
-        ids += self._offsets
+        cases = np.asarray(cases)
+        n, k = cases.shape
+        lifted = np.empty((n, k + 1))
+        lifted[:, :k] = cases
+        lifted[:, k] = 1.0
+        # Exact: every product and partial sum is an integer below
+        # 2**52 + initial_total <= 2**53.
+        ids = (lifted @ self._strides).view(np.int64)
+        ids -= _BIAS_BITS
         return ids
 
     def counts(self, cases: np.ndarray) -> np.ndarray:
         """Uncovered tuples hit by each row of an (n, k) integer case matrix."""
-        return np.count_nonzero(self.uncovered[self._ids(cases)], axis=1)
+        return self.uncovered[self._ids(cases)].sum(axis=1)
 
     def first_uncovered(self) -> tuple[ParamCombination, tuple[int, ...]]:
         """The smallest uncovered (combination, value tuple) pair."""
@@ -139,7 +156,6 @@ def remove_covered(case: TestCase, store: TupleStore) -> int:
     if not store._left.all():
         keep = store._left > 0
         store._strides = store._strides[:, keep]
-        store._offsets = store._offsets[keep]
         store._left = store._left[keep]
     store._remaining -= removed
     return removed

@@ -65,6 +65,14 @@ class TestGenerate:
         assert run_cli("generate", "--model", "3^3", "--t", "5",
                        "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
 
+    def test_model_with_too_many_tuple_ids_exits_2(self, tmp_path, capsys):
+        # 2**52 required tuples: refused by count, not by a failed allocation.
+        out = tmp_path / "s.txt"
+        assert run_cli("generate", "--model", "67108864^2", "--t", "2",
+                       "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {2**52} required tuples")
+        assert not out.exists()
+
     def test_output_directory_missing_exits_2(self, tmp_path, capsys):
         # Exit 1 means a coverage shortfall, so a file error must not end there.
         code = run_cli("generate", "--model", "3^4", "--t", "2",

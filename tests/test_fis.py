@@ -99,6 +99,18 @@ class TestComputeNcf:
         got = compute_ncf(np.array([0, 5, 10]), 0, 10)
         np.testing.assert_allclose(got, [0.0, 50.0, 100.0])
 
+    def test_nan_raises(self):
+        with pytest.raises(ValueError):
+            compute_ncf(np.array([np.nan]), 0, 10)
+        with pytest.raises(ValueError):
+            compute_ncf(np.array([5.0, np.nan, 5.0]), 0, 10)
+        with pytest.raises(ValueError):
+            compute_ncf(math.nan, 3, 3)
+
+    def test_empty_array_gives_empty(self):
+        got = compute_ncf(np.array([]), 0, 10)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
 
 class TestComputeDistancePct:
     def test_zero_distance(self):
@@ -123,6 +135,10 @@ class TestComputeDistancePct:
     def test_nonpositive_max_distance_raises(self):
         with pytest.raises(ValueError):
             compute_distance_pct([0.0], [1.0], 0.0)
+
+    def test_nan_max_distance_raises(self):
+        with pytest.raises(ValueError, match="positive"):
+            compute_distance_pct(np.zeros(3), np.ones(3), math.nan)
 
     def test_batch_rows_match_scalar_calls(self):
         rng = np.random.default_rng(5)
@@ -190,6 +206,16 @@ class TestInferW:
     def test_nan_input_raises(self):
         with pytest.raises(ValueError, match="d2 outside"):
             FisController().infer_w(0, 0, math.nan)
+
+    @pytest.mark.parametrize("ncf,d1,d2", [
+        (5.0, 5.0, 5.0),
+        (np.array([5.0]), np.array([5.0]), 5.0),
+        (np.array([5.0, 6.0]), np.array([5.0]), np.array([5.0])),
+        (np.full((2, 2), 5.0), np.full((2, 2), 5.0), np.full((2, 2), 5.0)),
+    ])
+    def test_inputs_not_equal_length_vectors_raise(self, ncf, d1, d2):
+        with pytest.raises(ValueError, match="equal-length 1-d arrays"):
+            FisController().infer_w_batch(ncf, d1, d2)
 
     def test_deterministic_given_same_state(self):
         a, b = FisController(), FisController()

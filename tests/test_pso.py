@@ -245,6 +245,33 @@ class TestBests:
         assert case == discretize(p2[0], (5, 5, 5))
 
 
+class TestBenchmarkHooks:
+    """perfbench counts iterations through calls of vscit.pso.compute_ncf and
+    controller calls through FisController.infer_w_batch."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_ncf_call_per_iteration_and_inference_only_under_fpso(self, variant, monkeypatch):
+        calls = {"ncf": 0, "infer": 0}
+        ncf, infer = pso.compute_ncf, FisController.infer_w_batch
+
+        def counted_ncf(*args):
+            calls["ncf"] += 1
+            return ncf(*args)
+
+        def counted_infer(self, *args):
+            calls["infer"] += 1
+            return infer(self, *args)
+
+        monkeypatch.setattr(pso, "compute_ncf", counted_ncf)
+        monkeypatch.setattr(FisController, "infer_w_batch", counted_infer)
+        result = generate_suite(parse_model("3^5"), VscaConfig(3),
+                                small_params(variant=variant, max_iterations=10), FisController())
+        iterations = len(result.iterations_log)
+        assert iterations > len(result.suite.cases)
+        assert calls["ncf"] == iterations
+        assert calls["infer"] == (iterations if variant == "fpso" else 0)
+
+
 class TestRepairCase:
     def test_picks_smallest_uncovered_pair_across_key_lengths(self):
         # Sorted order puts (0, 1) before (0, 1, 2) before (0, 2): the repair

@@ -6,6 +6,7 @@ lexicographic enumeration), and plain nested recounts for store contents.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,18 @@ class TestCoverageCountAndRemoval:
         assert coverage_count((4999, 4998), store) == 1
         assert not store.uncovered[-1] and store.uncovered[:-1].all()
         assert store.first_uncovered() == ((0, 1), (0, 0))
+
+    def test_ids_from_two_to_the_52_are_refused_before_any_allocation(self):
+        # Ids ride in float64s biased by 2**52, exact only below 2**53; this
+        # model has exactly 2**52 ids, and its mask alone would be 4 PiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(2**52)):
+                build_tuple_store(SutModel((2**26, 2**26)), VscaConfig(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("case", [(2, 0, 0), (0, -1, 0), (0, 0)])
     def test_case_outside_the_model_raises(self, case):
