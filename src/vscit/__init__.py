@@ -32,7 +32,6 @@ from .model import (
 )
 from .pso import (
     InternalCoverageError,
-    IterationRecord,
     RunResult,
     SwarmParams,
     analytic_lower_bound,

@@ -88,20 +88,14 @@ def _run_one(target: ParsedTarget, params: SwarmParams, mf_config: dict | None) 
     return generate_suite(model, config, params, controller=controller)
 
 
-def _write_run_log(result: RunResult, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# test iteration fitness ncf d1 d2 nornubf w_selection w\n")
-        for rec in result.iterations_log:
-            fh.write(f"{rec}\n")
-
-
 def cmd_generate(target: ParsedTarget, params: SwarmParams, mf_config: dict | None,
                  out: str) -> int:
-    """Single run: write the suite and its iteration log, print a summary line."""
+    """Single run: write the suite and its per-test log, print a summary line."""
     result = _run_one(target, params, mf_config)
     write_suite(result.suite, out)
-    _write_run_log(result, out + ".log")
-    print(f"size={len(result.suite)} seed={result.seed} variant={params.variant}")
+    with open(out + ".log", "w", newline="\n") as fh:
+        fh.writelines(f"{rec}\n" for rec in result.tests)
+    print(f"size={len(result.suite)} seed={params.rng_seed} variant={params.variant}")
     return EXIT_OK
 
 
@@ -183,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _targets_from_args(args) -> list[Target]:
     if getattr(args, "preset", ""):
-        if args.model or args.t is not None:
-            raise ParseError("--preset cannot be combined with --model/--t")
+        if args.model or args.t is not None or args.sub:
+            raise ParseError("--preset cannot be combined with --model/--t/--sub")
         return load_preset(args.preset)
     if not args.model or args.t is None:
         raise ParseError("--model and --t are required (or --preset for benchmarks)")
@@ -208,14 +202,16 @@ def _load_mf_config(path: str) -> dict | None:
 
 def _configure_logging() -> None:
     levels = {"off": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
-    level = levels.get(os.environ.get(LOG_ENV, "off").strip().lower(), logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    name = os.environ.get(LOG_ENV, "").strip().lower() or "off"
+    if name not in levels:
+        raise ParseError(f"{LOG_ENV}={name!r} is not one of {', '.join(levels)}")
+    logging.basicConfig(level=levels[name], format="%(levelname)s %(name)s: %(message)s")
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
+        _configure_logging()
         if args.command == "verify":
             return cmd_verify(args.suite, args.csv or None)
         mf_config = _load_mf_config(args.mf_config)

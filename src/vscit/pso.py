@@ -8,9 +8,10 @@ variant) picks the inertia weight each particle uses each iteration.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,7 +63,8 @@ class SwarmParams:
 @dataclass(frozen=True)
 class IterationRecord:
     """Per-iteration diagnostics: the measures fed to the controller (as seen
-    by the last particle processed) and the best fitness reached so far."""
+    by the last particle processed) and the best fitness reached so far;
+    built only as the payload of a DEBUG message, when DEBUG is on."""
 
     test_index: int
     iteration: int
@@ -75,7 +77,7 @@ class IterationRecord:
     w: float
 
     def __str__(self) -> str:
-        """The trace line: one per iteration in the run log and in DEBUG logging."""
+        """The trace line: one per iteration in DEBUG logging."""
         nubf = "undef" if self.nor_nubf is None else f"{self.nor_nubf:.2f}"
         wsel = "undef" if self.w_selection is None else f"{self.w_selection:.2f}"
         return (
@@ -86,21 +88,32 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
+class TestRecord:
+    """One accepted test: search iterations run, why the search stopped
+    ("all-covered" or "budget"), whether repair fired, tuples newly covered."""
+
+    iterations: int
+    stop: str
+    repaired: bool
+    covered: int
+
+    def __str__(self) -> str:
+        """The per-test line of the run log and of INFO logging: one JSON object."""
+        return json.dumps(asdict(self))
+
+
+@dataclass(frozen=True)
 class RunResult:
     suite: TestSuite
-    iterations_log: tuple[IterationRecord, ...]
-    seed: int
-
-
-def _snap(positions: np.ndarray, vmax: np.ndarray) -> np.ndarray:
-    # Round to nearest with .5 going toward zero, so boundaries never jump up.
-    return np.clip(np.ceil(positions - 0.5), 0.0, vmax).astype(np.int64)
+    tests: tuple[TestRecord, ...]
 
 
 def discretize(position, levels) -> TestCase:
     """Round a continuous position to the nearest valid case, ties toward zero."""
     vmax = np.asarray(levels, dtype=float) - 1.0
-    row = _snap(np.atleast_2d(np.asarray(position, dtype=float)), vmax)[0]
+    # Ties go toward zero, so boundaries never jump up. The search rounds the same
+    # way, without the clamp: position_update keeps its positions inside the box.
+    row = np.clip(np.ceil(np.asarray(position, dtype=float) - 0.5), 0.0, vmax)
     return tuple(int(x) for x in row)
 
 
@@ -144,9 +157,8 @@ def _cpso_weight(iteration: int, max_iterations: int) -> float:
 
 def generate_one_test(store: TupleStore, params: SwarmParams,
                       controller: FisController | None, rng, *,
-                      test_index: int = 0,
-                      log: list[IterationRecord] | None = None) -> TestCase:
-    """Run one swarm search and return the best case it found.
+                      test_index: int = 0) -> tuple[TestCase, int, str, bool]:
+    """Run one swarm search: the best case found, then the first three TestRecord fields.
 
     Particles start uniformly over the box with velocities drawn uniformly
     from the clamp range [-(v_i - 1), v_i - 1] (one block of position draws,
@@ -174,7 +186,7 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
 
     position = rng.random((size, k)) * vmax
     velocity = (rng.random((size, k)) * 2.0 - 1.0) * vmax
-    fits = store.counts(_snap(position, vmax))
+    fits = store.counts(np.ceil(position - 0.5))
     pbest = position.copy()
     pbest_fitness = fits.copy()
     gbest_index = int(np.argmax(fits))  # first maximum wins; ties keep the incumbent
@@ -184,17 +196,15 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     if params.variant == "fpso":
         rows = slice(None)
     else:
-        # Without the controller only the record reads the measures, and it
-        # logs the last particle's.
+        # Without the controller only the trace reads the measures, and it
+        # logs the last particle's; compute_ncf still runs once per iteration.
         rows = slice(-1, None)
         ws = np.empty(size)
         selections = np.full(size, np.nan)
-    stalled = 0
-    for iteration in range(1, params.max_iterations + 1):
-        # A one-point box (max_distance == 0) never gets past this check: its
-        # only case hits every open combination.
-        if gbest_fitness >= max_fitness:
-            break
+    stalled = iteration = 0
+    # A one-point box (max_distance == 0) never enters: its one case hits every open combination.
+    while iteration < params.max_iterations and gbest_fitness < max_fitness:
+        iteration += 1
         ncf = compute_ncf(fits[rows], 0, max_fitness)
         d1 = compute_distance_pct(position[rows], pbest[rows], max_distance)
         d2 = compute_distance_pct(position[rows], gbest_position, max_distance)
@@ -206,7 +216,7 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
         velocity = velocity_update(position, velocity, pbest, gbest_position, ws,
                                    vmax, C1, C2, rng)
         position = position_update(position, velocity, vmax)
-        fits = store.counts(_snap(position, vmax))
+        fits = store.counts(np.ceil(position - 0.5))
         better = fits > pbest_fitness
         pbest[better] = position[better]
         pbest_fitness[better] = fits[better]
@@ -216,22 +226,19 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
             gbest_fitness = int(fits[best])
             gbest_position = position[best].copy()
         stalled = 0 if improved else stalled + 1
-        nor_nubf = compute_nor_nubf(stalled, params.max_iterations)
-        sel = float(selections[-1])
-        w_selection = None if math.isnan(sel) else sel
-        record = IterationRecord(
-            test_index, iteration, gbest_fitness,
-            float(ncf[-1]), float(d1[-1]), float(d2[-1]),
-            nor_nubf, w_selection, float(ws[-1]),
-        )
-        if log is not None:
-            log.append(record)
-        logger.debug("%s", record)
+        if logger.isEnabledFor(logging.DEBUG):
+            sel = float(selections[-1])
+            logger.debug("%s", IterationRecord(
+                test_index, iteration, gbest_fitness, float(ncf[-1]), float(d1[-1]),
+                float(d2[-1]), compute_nor_nubf(stalled, params.max_iterations),
+                None if math.isnan(sel) else sel, float(ws[-1])))
 
+    stop = "all-covered" if gbest_fitness >= max_fitness else "budget"
     case = discretize(gbest_position, levels)
-    if coverage_count(case, store) == 0:
+    repaired = coverage_count(case, store) == 0
+    if repaired:
         case = _repair_case(store, rng)
-    return case
+    return case, iteration, stop, repaired
 
 
 def _repair_case(store: TupleStore, rng) -> TestCase:
@@ -257,22 +264,20 @@ def generate_suite(model: SutModel, config: VscaConfig, params: SwarmParams,
     if params.variant == "fpso" and controller is None:
         controller = FisController()
     store = build_tuple_store(model, config)
-    log: list[IterationRecord] = []
     cases: list[TestCase] = []
+    tests: list[TestRecord] = []
     while store.remaining_count > 0:
-        case = generate_one_test(store, params, controller, rng,
-                                 test_index=len(cases), log=log)
-        removed = remove_covered(case, store)
+        case, *search = generate_one_test(store, params, controller, rng, test_index=len(cases))
         cases.append(case)
-        logger.info("test %d covered %d new tuples, %d remaining",
-                    len(cases) - 1, removed, store.remaining_count)
+        tests.append(TestRecord(*search, remove_covered(case, store)))
+        logger.info("%s", tests[-1])
     suite = TestSuite(model, config, tuple(cases))
     report = verify_suite(suite)
     if not report.complete:
         raise InternalCoverageError(
             f"suite misses {len(report.missing)} of {report.required} required tuples"
         )
-    return RunResult(suite=suite, iterations_log=tuple(log), seed=params.rng_seed)
+    return RunResult(suite=suite, tests=tuple(tests))
 
 
 def analytic_lower_bound(model: SutModel, config: VscaConfig) -> int:

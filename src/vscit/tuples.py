@@ -105,7 +105,7 @@ class TupleStore:
         return ids
 
     def counts(self, cases: np.ndarray) -> np.ndarray:
-        """Uncovered tuples hit by each row of an (n, k) integer case matrix."""
+        """Uncovered tuples hit by each row of an (n, k) integer-valued case matrix."""
         return self.uncovered[self._ids(cases)].sum(axis=1)
 
     def first_uncovered(self) -> tuple[ParamCombination, tuple[int, ...]]:

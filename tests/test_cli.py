@@ -30,12 +30,14 @@ class TestGenerate:
         assert code == EXIT_OK
         assert "size=4" in capsys.readouterr().out
 
-    def test_writes_iteration_log(self, tmp_path):
+    def test_writes_one_json_line_per_test(self, tmp_path):
         out = tmp_path / "suite.txt"
         run_cli("generate", "--model", "3^4", "--t", "2", "--seed", "3", "--out", str(out))
-        log = (tmp_path / "suite.txt.log").read_text()
-        assert log.startswith("# test iteration fitness")
-        assert "w=" in log
+        records = [json.loads(line)
+                   for line in (tmp_path / "suite.txt.log").read_text().splitlines()]
+        assert len(records) == len(read_suite(out))
+        assert all(list(r) == ["iterations", "stop", "repaired", "covered"] for r in records)
+        assert sum(r["covered"] for r in records) == 54
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -210,6 +212,16 @@ class TestBenchmark:
         assert run_cli("benchmark", "--preset", "table1", "--model", "3^3", "--t", "3",
                        "--out", str(tmp_path / "b.csv")) == EXIT_USAGE
 
+    def test_preset_conflicts_with_sub(self, tmp_path, capsys):
+        preset = tmp_path / "p.txt"
+        preset.write_text("small | 2^2 | t=2\n")
+        out = tmp_path / "b.csv"
+        assert run_cli("benchmark", "--preset", str(preset), "--sub", "0,1:2",
+                       "--runs", "1", "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--sub" in err
+        assert not out.exists()
+
     def test_unknown_preset_exits_2(self, tmp_path):
         assert run_cli("benchmark", "--preset", "nope",
                        "--out", str(tmp_path / "b.csv")) == EXIT_USAGE
@@ -345,6 +357,21 @@ class TestLogging:
         monkeypatch.setenv("VSCIT_LOG", "trace")
         out = tmp_path / "suite.txt"
         assert run_cli("generate", "--model", "2^3", "--t", "2", "--out", str(out)) == EXIT_OK
+
+    @pytest.mark.parametrize("value", ["debug", "tracee"])
+    def test_unknown_level_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("VSCIT_LOG", value)
+        out = tmp_path / "suite.txt"
+        assert run_cli("generate", "--model", "2^3", "--t", "2", "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "off, info, trace" in err and value in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("value", ["", " Off "])
+    def test_empty_or_off_level_runs_quietly(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("VSCIT_LOG", value)
+        assert run_cli("generate", "--model", "2^3", "--t", "2",
+                       "--out", str(tmp_path / "suite.txt")) == EXIT_OK
 
     def test_exit_code_constants(self):
         assert (EXIT_OK, EXIT_SHORTFALL, EXIT_USAGE, EXIT_INTERNAL) == (0, 1, 2, 3)

@@ -1,14 +1,15 @@
 """Runs pinned across commits: sha256 of the written suite file and of the
-iteration log for fixed seeds, of one ``vscit generate`` trace file, and of
-the coverage report of fixed suites.
+per-iteration trace for fixed seeds, of one ``vscit generate`` run's trace
+lines and per-test log file, and of the coverage report of fixed suites.
 
 The determinism tests elsewhere compare two runs of the same code. These
 digests were recorded once and catch any change to a suite's bytes, so a
 refactor that alters the search, the store's scoring order or the repair
-target fails here. The log digest is over ``repr(result.iterations_log)``,
-which holds d1, d2 and w at full precision, so a reordered float operation
-fails here even when the suite does not change. A change that alters suites
-or logs on purpose re-records them and says so.
+target fails here. The trace digest is over the ``repr`` of the tuple of
+IterationRecords logged at DEBUG, which holds d1, d2 and w at full
+precision, so a reordered float operation fails here even when the suite
+does not change. A change that alters suites or traces on purpose
+re-records them and says so.
 """
 
 import hashlib
@@ -47,58 +48,72 @@ GOLDEN = [
 @pytest.mark.parametrize("model_spec,config_text,params,digest,log_digest", GOLDEN,
                          ids=["fpso", "cpso", "variable-strength-repair", "three-lengths"])
 def test_suite_bytes_are_pinned(model_spec, config_text, params, digest, log_digest,
-                                tmp_path, monkeypatch):
+                                tmp_path, monkeypatch, trace):
     repairs = []
     repair = pso._repair_case
     monkeypatch.setattr(pso, "_repair_case", lambda *a: repairs.append(1) or repair(*a))
-    result = generate_suite(parse_model(model_spec), parse_config(config_text),
-                            SwarmParams(**params))
+    result, records = trace(generate_suite, parse_model(model_spec),
+                            parse_config(config_text), SwarmParams(**params))
     out = tmp_path / "suite.txt"
     write_suite(result.suite, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-    assert hashlib.sha256(repr(result.iterations_log).encode()).hexdigest() == log_digest
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == log_digest
     if "sub=" in config_text:
         assert repairs, "the variable-strength run must exercise repair"
 
 
-# Its log holds undefined nornubf and w_selection fields as well as numbers.
+def trace_lines(records) -> bytes:
+    return "".join(f"{rec}\n" for rec in records).encode()
+
+
+# Its trace holds undefined nornubf and w_selection fields as well as numbers.
+# The trace digests are of the lines an earlier `generate` wrote to its .log
+# file, after the header; the .log digests are of the per-test JSON lines.
 TRACED_RUN = ["generate", "--model", "3^4", "--t", "2", "--seed", "3"]
-TRACE_DIGEST = "d92f625324a96ded6f356862396d9107d94c1b2ba36c52a04be059ee184bae53"
+TRACE_DIGEST = "6afb058550952c470f1ad079956f3ce0c6909b484bc0992ee1cf3c4cc034ff40"
+LOG_DIGEST = "fe55a8365bacbe906ed7b5c55b92ddec06604929d0df270b9396b9be6bc0138a"
 
 
-def test_trace_file_bytes_are_pinned(tmp_path):
+def test_trace_file_bytes_are_pinned(tmp_path, trace):
     out = tmp_path / "suite.txt"
-    assert main([*TRACED_RUN, "--out", str(out)]) == EXIT_OK
+    code, records = trace(main, [*TRACED_RUN, "--out", str(out)])
+    assert code == EXIT_OK
+    lines = trace_lines(records)
+    assert b"w_selection=undef" in lines and b"nornubf=undef" in lines
+    assert hashlib.sha256(lines).hexdigest() == TRACE_DIGEST
     log = (tmp_path / "suite.txt.log").read_bytes()
-    assert b"w_selection=undef" in log and b"nornubf=undef" in log
-    assert hashlib.sha256(log).hexdigest() == TRACE_DIGEST
+    assert hashlib.sha256(log).hexdigest() == LOG_DIGEST
 
 
 # Overlapping output sets: the aggregate's shape changes where the clipped
 # sets cross, so the centroid needs the crossing breakpoints.
 OVERLAP_MF = {"output": {"low": [0, 10, 60], "high": [40, 90, 100]}}
+# Suite, trace and .log digests.
 OVERLAP_DIGESTS = ("09c302a691efee5abb90281150ac16977116dc46ba1eb387f372e772975b0a58",
-                   "81e63372d85f93e322e142d9226b7098a8f2036ba0e885a6851dbdbebcbdc06e")
+                   "44d2f6f4c0c4407647ae69061c79394986a64b65f306351ccb62f7ea53338856",
+                   "fe55a8365bacbe906ed7b5c55b92ddec06604929d0df270b9396b9be6bc0138a")
 
 
-def test_overlapping_output_sets_run_is_pinned(tmp_path):
+def test_overlapping_output_sets_run_is_pinned(tmp_path, trace):
     mf = tmp_path / "mf.json"
     mf.write_text(json.dumps(OVERLAP_MF))
     out = tmp_path / "suite.txt"
-    assert main([*TRACED_RUN, "--mf-config", str(mf), "--out", str(out)]) == EXIT_OK
+    code, records = trace(main, [*TRACED_RUN, "--mf-config", str(mf), "--out", str(out)])
+    assert code == EXIT_OK
     log = (tmp_path / "suite.txt.log").read_bytes()
     assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(trace_lines(records)).hexdigest(),
             hashlib.sha256(log).hexdigest()) == OVERLAP_DIGESTS
 
 
-def test_debug_messages_are_the_trace_file_lines(tmp_path, caplog):
+def test_info_messages_are_the_log_file_lines(tmp_path, caplog):
     out = tmp_path / "suite.txt"
-    with caplog.at_level(logging.DEBUG, logger="vscit"):
+    with caplog.at_level(logging.INFO, logger="vscit"):
         assert main([*TRACED_RUN, "--out", str(out)]) == EXIT_OK
-    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     lines = (tmp_path / "suite.txt.log").read_text().splitlines()
-    assert lines[0].startswith("# ")
-    assert messages == lines[1:]
+    assert len(lines) == len(out.read_text().splitlines()) - 2
+    assert messages == lines
 
 
 REPORTS = [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import vscit
 import vscit.pso as pso
 from vscit.fis import FisController
-from vscit.model import SubConfig, VscaConfig, parse_model
+from vscit.model import SubConfig, VscaConfig, parse_config, parse_model
 from vscit.pso import (
     VARIANTS,
     SwarmParams,
@@ -175,7 +176,7 @@ class TestGenerateOneTest:
             if (a, b) != (2, 1):
                 remove_covered((a, 0, b), store)
         rng = np.random.default_rng(0)
-        case = generate_one_test(store, small_params(), FisController(), rng)
+        case, *_ = generate_one_test(store, small_params(), FisController(), rng)
         assert case[0] == 2 and case[2] == 1
 
     def test_two_binary_params_cover_one_each(self):
@@ -184,14 +185,14 @@ class TestGenerateOneTest:
         controller = FisController()
         for expected_left in (4, 3, 2, 1):
             assert store.remaining_count == expected_left
-            case = generate_one_test(store, small_params(), controller, rng)
+            case, *_ = generate_one_test(store, small_params(), controller, rng)
             assert remove_covered(case, store) == 1
         assert store.remaining_count == 0
 
     def test_first_case_covers_every_combination(self):
         store = build_tuple_store(parse_model("3^5"), VscaConfig(2))
         rng = np.random.default_rng(2)
-        case = generate_one_test(store, small_params(), FisController(), rng)
+        case, *_ = generate_one_test(store, small_params(), FisController(), rng)
         assert coverage_count(case, store) == 10
 
     def test_empty_store_raises(self):
@@ -214,7 +215,7 @@ class ScriptedStore:
 
 
 class TestBests:
-    def test_personal_and_global_best_rules(self, monkeypatch):
+    def test_personal_and_global_best_rules(self, monkeypatch, trace):
         # Start [1, 3, 3]: the tie puts the global best on particle 1, the first.
         # Iteration 1 [2, 1, 3]: only particle 0's personal best moves; 3 equals
         # the incumbent, so the global best stays. Iteration 2 [4, 4, 0]: personal
@@ -229,10 +230,10 @@ class TestBests:
             return update(position, velocity, pbest, gbest, *rest)
 
         monkeypatch.setattr(pso, "velocity_update", record)
-        log = []
-        case = generate_one_test(store, small_params(swarm_size=3, max_iterations=3,
-                                                     variant="cpso"),
-                                 None, np.random.default_rng(0), log=log)
+        (case, iterations, stop, repaired), records = trace(
+            generate_one_test, store,
+            small_params(swarm_size=3, max_iterations=3, variant="cpso"),
+            None, np.random.default_rng(0))
         (p0, pbest0, g0), (p1, pbest1, g1), (p2, pbest2, g2) = seen
         assert not (p0 == p1).all(axis=1).any() and not (p1 == p2).all(axis=1).any()
         np.testing.assert_array_equal(pbest0, p0)
@@ -241,8 +242,16 @@ class TestBests:
         np.testing.assert_array_equal(g1, p0[1])
         np.testing.assert_array_equal(pbest2, [p2[0], p2[1], p0[2]])
         np.testing.assert_array_equal(g2, p2[0])
-        assert [r.gbest_fitness for r in log] == [3, 4, 4]
+        assert [r.gbest_fitness for r in records] == [3, 4, 4]
         assert case == discretize(p2[0], (5, 5, 5))
+        assert (iterations, stop, repaired) == (3, "budget", False)
+
+    def test_a_global_best_that_fills_the_last_iteration_stops_all_covered(self):
+        store = ScriptedStore(parse_model("5^3"), [[1, 3, 3], [2, 1, 3], [4, 10, 0]], 10)
+        _, iterations, stop, _ = generate_one_test(
+            store, small_params(swarm_size=3, max_iterations=2, variant="cpso"),
+            None, np.random.default_rng(0))
+        assert (iterations, stop) == (2, "all-covered")
 
 
 class TestBenchmarkHooks:
@@ -266,10 +275,34 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(FisController, "infer_w_batch", counted_infer)
         result = generate_suite(parse_model("3^5"), VscaConfig(3),
                                 small_params(variant=variant, max_iterations=10), FisController())
-        iterations = len(result.iterations_log)
+        iterations = sum(r.iterations for r in result.tests)
         assert iterations > len(result.suite.cases)
         assert calls["ncf"] == iterations
         assert calls["infer"] == (iterations if variant == "fpso" else 0)
+
+    def test_the_trace_is_built_only_with_debug_on(self, monkeypatch, caplog, trace):
+        calls = {"record": 0, "nubf": 0}
+        record, nubf = pso.IterationRecord, pso.compute_nor_nubf
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(pso, "IterationRecord", counted("record", record))
+        monkeypatch.setattr(pso, "compute_nor_nubf", counted("nubf", nubf))
+        caplog.set_level(logging.INFO, logger="vscit")
+        iterations = 0
+        for variant in VARIANTS:
+            result = generate_suite(parse_model("3^5"), VscaConfig(3),
+                                    small_params(variant=variant, max_iterations=10))
+            iterations += sum(r.iterations for r in result.tests)
+        assert iterations > 0
+        assert calls == {"record": 0, "nubf": 0}
+        _, records = trace(generate_suite, parse_model("3^5"), VscaConfig(3),
+                           small_params(max_iterations=10))
+        assert calls == {"record": len(records), "nubf": len(records)} and records
 
 
 class TestRepairCase:
@@ -324,21 +357,22 @@ class TestGenerateSuite:
         result = generate_suite(model, VscaConfig(2), SwarmParams(rng_seed=3))
         assert 4 <= len(result.suite) <= 8
 
-    def test_one_level_parameters_need_one_case(self):
+    def test_one_level_parameters_need_one_case(self, trace):
         # The one-point box has no diagonal to scale distances by; the search
         # must stop before its first iteration, where it would need one.
         for variant in VARIANTS:
-            result = generate_suite(parse_model("1^3"), VscaConfig(2),
+            result, records = trace(generate_suite, parse_model("1^3"), VscaConfig(2),
                                     small_params(variant=variant))
             assert result.suite.cases == ((0, 0, 0),)
-            assert result.iterations_log == ()
+            assert records == ()
+            assert result.tests == (pso.TestRecord(0, "all-covered", False, 3),)
 
-    def test_reproducible_for_fixed_seed(self):
+    def test_reproducible_for_fixed_seed(self, trace):
         model = parse_model("3^5")
-        a = generate_suite(model, VscaConfig(2), SwarmParams(rng_seed=42))
-        b = generate_suite(model, VscaConfig(2), SwarmParams(rng_seed=42))
-        assert a.suite.cases == b.suite.cases
-        assert a.iterations_log == b.iterations_log
+        a, a_records = trace(generate_suite, model, VscaConfig(2), SwarmParams(rng_seed=42))
+        b, b_records = trace(generate_suite, model, VscaConfig(2), SwarmParams(rng_seed=42))
+        assert a == b
+        assert a_records == b_records
 
     def test_different_seeds_usually_differ(self):
         model = parse_model("3^5")
@@ -346,21 +380,19 @@ class TestGenerateSuite:
         b = generate_suite(model, VscaConfig(2), SwarmParams(rng_seed=2))
         assert a.suite.cases != b.suite.cases
 
-    def test_gbest_fitness_monotone_within_each_test(self):
-        result = generate_suite(
-            parse_model("3^5"), VscaConfig(3), small_params(max_iterations=10)
-        )
-        assert result.iterations_log
-        for _, records in itertools.groupby(result.iterations_log, key=lambda r: r.test_index):
+    def test_gbest_fitness_monotone_within_each_test(self, trace):
+        _, trace_records = trace(generate_suite, parse_model("3^5"), VscaConfig(3),
+                                 small_params(max_iterations=10))
+        assert trace_records
+        for _, records in itertools.groupby(trace_records, key=lambda r: r.test_index):
             fitnesses = [r.gbest_fitness for r in records]
             assert fitnesses == sorted(fitnesses)
 
-    def test_iteration_log_fields(self):
-        result = generate_suite(
-            parse_model("3^5"), VscaConfig(3), small_params(max_iterations=10)
-        )
-        assert result.iterations_log, "contended run should log iterations"
-        for rec in result.iterations_log:
+    def test_iteration_log_fields(self, trace):
+        _, records = trace(generate_suite, parse_model("3^5"), VscaConfig(3),
+                           small_params(max_iterations=10))
+        assert records, "contended run should log iterations"
+        for rec in records:
             assert 0 <= rec.ncf <= 100
             assert 0 <= rec.d1 <= 100 and 0 <= rec.d2 <= 100
             assert 0.1 <= rec.w <= 0.9
@@ -394,9 +426,39 @@ class TestGenerateSuite:
         assert verify_suite(result.suite).complete
         assert len(result.suite) >= 27
 
-    def test_result_carries_seed(self):
-        result = generate_suite(parse_model("2^3"), VscaConfig(2), small_params(rng_seed=17))
-        assert result.seed == 17
+
+# The fpso, cpso and repair runs of test_golden.GOLDEN.
+RECORD_RUNS = [
+    ("3^5", "t=2", dict(variant="fpso", rng_seed=5)),
+    ("2^5", "t=3", dict(variant="cpso", rng_seed=5)),
+    ("3^3 2^3", "t=2; sub=0,1,2:3", dict(swarm_size=8, max_iterations=20, rng_seed=9)),
+]
+
+
+class TestTestRecords:
+    @pytest.mark.parametrize("model_spec,config_text,kwargs", RECORD_RUNS,
+                             ids=["fpso", "cpso", "variable-strength-repair"])
+    def test_one_record_per_accepted_test(self, model_spec, config_text, kwargs, monkeypatch):
+        repairs = []
+        repair = pso._repair_case
+        monkeypatch.setattr(pso, "_repair_case", lambda *a: repairs.append(1) or repair(*a))
+        params = SwarmParams(**kwargs)
+        result = generate_suite(parse_model(model_spec), parse_config(config_text), params)
+        tests = result.tests
+        assert len(tests) == len(result.suite)
+        assert sum(r.covered for r in tests) == verify_suite(result.suite).required
+        for r in tests:
+            assert 0 <= r.iterations <= params.max_iterations
+            assert r.stop in ("all-covered", "budget") and r.covered > 0
+            if r.stop == "budget":
+                assert r.iterations == params.max_iterations
+        assert sum(r.repaired for r in tests) == len(repairs)
+        if "sub=" in config_text:
+            assert repairs
+
+    def test_log_line_is_json_in_field_order(self):
+        record = pso.TestRecord(100, "budget", True, 7)
+        assert str(record) == '{"iterations": 100, "stop": "budget", "repaired": true, "covered": 7}'
 
 
 class TestAnalyticLowerBound:

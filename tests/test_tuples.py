@@ -235,3 +235,13 @@ class TestBatchCounts:
         np.testing.assert_array_equal(store.counts(np.array(cases, dtype=np.int64)), expected)
         assert store.remaining_count == len(uncovered)
         assert store.open_combinations == len({key for key, _ in uncovered})
+
+    def test_float_cases_count_as_their_int_cast(self):
+        # The search scores rounded positions as floats, -0.0 included.
+        model = parse_model("3^3 4^3")
+        store = build_tuple_store(model, VscaConfig(2, (SubConfig((2, 3, 4, 5), 4),)))
+        remove_covered((0, 1, 2, 3, 0, 1), store)
+        vmax = np.array(model.param_levels, dtype=float) - 1.0
+        cases = np.ceil(np.random.default_rng(0).random((200, model.k)) * vmax - 0.5)
+        assert np.signbit(cases[cases == 0]).any()
+        np.testing.assert_array_equal(store.counts(cases), store.counts(cases.astype(np.int64)))
