@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / full coverage, 1 coverage shortfall, 2 usage,
 parse or file error, 3 internal consistency failure. The VSCIT_LOG environment
-variable (off, info, trace) controls stderr logging.
+variable (off, info, trace) sets the level of the ``vscit`` logger, which
+writes to stderr unless a handler the caller installed already receives its
+records; unset or empty, it leaves logging as the caller configured it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,15 @@ from importlib import resources
 
 from .fis import controller_from_config
 from .model import ParseError, SutModel, VscaConfig, check_config, parse_config, parse_model
-from .pso import VARIANTS, InternalCoverageError, RunResult, SwarmParams, generate_suite
+from .pso import (
+    DEFAULT_PATIENCE,
+    VARIANT_DEFAULT,
+    VARIANTS,
+    InternalCoverageError,
+    RunResult,
+    SwarmParams,
+    generate_suite,
+)
 from .verify import (
     read_suite,
     render_report_csv,
@@ -136,6 +146,16 @@ def cmd_verify(suite_path: str, csv_path: str | None = None) -> int:
     return EXIT_OK if report.complete else EXIT_SHORTFALL
 
 
+def _parse_patience(text: str) -> int | None:
+    """'none' or an integer; SwarmParams checks the integer's range."""
+    if text.strip().lower() == "none":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'none', got {text!r}") from None
+
+
 def _add_run_options(parser: argparse.ArgumentParser, benchmark: bool) -> None:
     defaults = SwarmParams()
     parser.add_argument("--model", help="model spec, e.g. '3^15' or '4^3 5^3 6^2'")
@@ -145,6 +165,12 @@ def _add_run_options(parser: argparse.ArgumentParser, benchmark: bool) -> None:
     parser.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
     parser.add_argument("--swarm-size", type=int, default=defaults.swarm_size)
     parser.add_argument("--iterations", type=int, default=defaults.max_iterations)
+    by_variant = ", ".join(f"{p or 'none'} under {v}" for v, p in DEFAULT_PATIENCE.items())
+    parser.add_argument("--patience", type=_parse_patience, default=VARIANT_DEFAULT,
+                        metavar="N|none",
+                        help="stop a search after N iterations without a new global best; "
+                             "'none' spends every iteration, as the paper does "
+                             f"(default: {by_variant})")
     parser.add_argument("--seed", type=int, default=defaults.rng_seed,
                         help="base RNG seed (run r uses seed + r)")
     parser.add_argument("--out", default="", help="output path (suite or CSV)")
@@ -202,10 +228,18 @@ def _load_mf_config(path: str) -> dict | None:
 
 def _configure_logging() -> None:
     levels = {"off": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
-    name = os.environ.get(LOG_ENV, "").strip().lower() or "off"
+    name = os.environ.get(LOG_ENV, "").strip().lower()
+    if not name:
+        return
     if name not in levels:
         raise ParseError(f"{LOG_ENV}={name!r} is not one of {', '.join(levels)}")
-    logging.basicConfig(level=levels[name], format="%(levelname)s %(name)s: %(message)s")
+    logger = logging.getLogger("vscit")
+    logger.setLevel(levels[name])
+    # One handler at most, however often main runs in one process.
+    if not logger.hasHandlers():
+        handler = logging.StreamHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
 
 
 def main(argv=None) -> int:
@@ -217,7 +251,8 @@ def main(argv=None) -> int:
         mf_config = _load_mf_config(args.mf_config)
         targets = _parse_targets(_targets_from_args(args))
         params = SwarmParams(swarm_size=args.swarm_size, max_iterations=args.iterations,
-                             variant=args.variant, rng_seed=args.seed)
+                             variant=args.variant, rng_seed=args.seed,
+                             patience=args.patience)
         if args.command == "generate":
             return cmd_generate(targets[0], params, mf_config, args.out or "suite.txt")
         return cmd_benchmark(targets, params, mf_config, args.runs, args.out or "benchmark.csv")

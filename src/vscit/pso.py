@@ -39,15 +39,30 @@ class InternalCoverageError(RuntimeError):
 # Cognitive and social acceleration coefficients; only the inertia weight adapts.
 C1 = C2 = 2.0
 
+# Each variant's default patience: the smallest value of the sweep in
+# BENCH_10.json whose 30-run best stays and whose mean grows by at most 1% on
+# every row. No value passed under cpso, whose inertia slide spans the whole
+# budget: a stall stop cuts off its low-inertia end.
+DEFAULT_PATIENCE = {"fpso": 50, "cpso": None}
+# SwarmParams' patience until it is resolved to DEFAULT_PATIENCE[variant].
+VARIANT_DEFAULT = object()
+
 
 @dataclass(frozen=True)
 class SwarmParams:
-    """Settings of one generation run; the CLI takes its defaults from here."""
+    """Settings of one generation run; the CLI takes its defaults from here.
+
+    patience is the number of consecutive iterations without a new global
+    best after which a search stops; None runs the whole max_iterations
+    budget, as the paper does. Left out, it is DEFAULT_PATIENCE[variant],
+    fixed at construction (so dataclasses.replace of the variant keeps it).
+    """
 
     swarm_size: int = 80
     max_iterations: int = 100
     variant: str = "fpso"
     rng_seed: int = 0
+    patience: int | None = VARIANT_DEFAULT
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -58,6 +73,11 @@ class SwarmParams:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.patience is VARIANT_DEFAULT:
+            object.__setattr__(self, "patience", DEFAULT_PATIENCE[self.variant])
+        elif self.patience is not None and (
+                type(self.patience) is not int or self.patience < 1):
+            raise ValueError(f"patience must be an integer >= 1 or None, got {self.patience!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +110,8 @@ class IterationRecord:
 @dataclass(frozen=True)
 class TestRecord:
     """One accepted test: search iterations run, why the search stopped
-    ("all-covered" or "budget"), whether repair fired, tuples newly covered."""
+    ("all-covered", "stalled" or "budget"), whether repair fired, tuples
+    newly covered."""
 
     iterations: int
     stop: str
@@ -169,9 +190,11 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     it, and the global best moves to the first argmax of the iteration's
     fitness only if that strictly beats the incumbent. The loop
     stops early once the global best hits every combination that still has
-    an uncovered tuple, after which no iteration can change the outcome. If
-    the final case covers nothing new, it is replaced by one built around
-    the smallest uncovered tuple so the outer loop always makes progress.
+    an uncovered tuple, after which no iteration can change the outcome, or
+    once params.patience iterations in a row left the global best where it
+    was. If the final case covers nothing new, it is replaced by one built
+    around the smallest uncovered tuple so the outer loop always makes
+    progress.
     """
     if store.remaining_count == 0:
         raise ValueError("tuple store is empty; nothing left to cover")
@@ -193,21 +216,26 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     gbest_position = position[gbest_index].copy()
     gbest_fitness = int(fits[gbest_index])
 
+    traced = logger.isEnabledFor(logging.DEBUG)
     if params.variant == "fpso":
         rows = slice(None)
     else:
-        # Without the controller only the trace reads the measures, and it
-        # logs the last particle's; compute_ncf still runs once per iteration.
+        # Without the controller only the trace reads the measures, and it logs
+        # the last particle's: d1 and d2 are computed only for it, but
+        # compute_ncf runs once per iteration, which perfbench counts.
         rows = slice(-1, None)
         ws = np.empty(size)
         selections = np.full(size, np.nan)
+    patience = math.inf if params.patience is None else params.patience
     stalled = iteration = 0
     # A one-point box (max_distance == 0) never enters: its one case hits every open combination.
-    while iteration < params.max_iterations and gbest_fitness < max_fitness:
+    while (iteration < params.max_iterations and gbest_fitness < max_fitness
+           and stalled < patience):
         iteration += 1
         ncf = compute_ncf(fits[rows], 0, max_fitness)
-        d1 = compute_distance_pct(position[rows], pbest[rows], max_distance)
-        d2 = compute_distance_pct(position[rows], gbest_position, max_distance)
+        if params.variant == "fpso" or traced:
+            d1 = compute_distance_pct(position[rows], pbest[rows], max_distance)
+            d2 = compute_distance_pct(position[rows], gbest_position, max_distance)
         if params.variant == "fpso":
             ws, selections = controller.infer_w_batch(ncf, d1, d2)
         else:
@@ -226,14 +254,19 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
             gbest_fitness = int(fits[best])
             gbest_position = position[best].copy()
         stalled = 0 if improved else stalled + 1
-        if logger.isEnabledFor(logging.DEBUG):
+        if traced:
             sel = float(selections[-1])
             logger.debug("%s", IterationRecord(
                 test_index, iteration, gbest_fitness, float(ncf[-1]), float(d1[-1]),
                 float(d2[-1]), compute_nor_nubf(stalled, params.max_iterations),
                 None if math.isnan(sel) else sel, float(ws[-1])))
 
-    stop = "all-covered" if gbest_fitness >= max_fitness else "budget"
+    if gbest_fitness >= max_fitness:
+        stop = "all-covered"
+    elif stalled >= patience:
+        stop = "stalled"
+    else:
+        stop = "budget"
     case = discretize(gbest_position, levels)
     repaired = coverage_count(case, store) == 0
     if repaired:

@@ -3,6 +3,17 @@ import logging
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def vscit_logger():
+    """Undo what a test's in-process `main` did to the vscit logger: it sets the
+    level under VSCIT_LOG and may add a handler, and both outlive the call."""
+    logger = logging.getLogger("vscit")
+    level, handlers = logger.level, logger.handlers[:]
+    yield logger
+    logger.setLevel(level)
+    logger.handlers[:] = handlers
+
+
 @pytest.fixture
 def trace(caplog):
     """Call a function with the vscit logger at DEBUG; return its result and

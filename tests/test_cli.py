@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import warnings
 
 import pytest
@@ -45,6 +46,19 @@ class TestGenerate:
             assert run_cli("generate", "--model", "3^5", "--t", "2", "--seed", "7",
                            "--out", str(out)) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_patience_flag(self, tmp_path):
+        def stops(*flags):
+            out = tmp_path / "suite.txt"
+            assert run_cli("generate", "--model", "3^5", "--t", "2", "--seed", "5",
+                           *flags, "--out", str(out)) == EXIT_OK
+            lines = (tmp_path / "suite.txt.log").read_text().splitlines()
+            return {json.loads(line)["stop"] for line in lines}
+
+        assert stops("--patience", "none") == {"all-covered", "budget"}
+        assert stops("--patience", "3") == {"all-covered", "stalled"}
+        assert stops() == {"all-covered", "stalled"}
+        assert stops("--variant", "cpso") == {"all-covered", "budget"}
 
     def test_sub_flag(self, tmp_path):
         out = tmp_path / "suite.txt"
@@ -245,13 +259,25 @@ class TestRunOptionRefusals:
         ("generate", "--swarm-size", "1", "swarm_size"),
         ("generate", "--iterations", "0", "max_iterations"),
         ("generate", "--seed", "-1", "rng_seed"),
-    ], ids=["runs", "swarm-size", "iterations", "seed"])
+        ("generate", "--patience", "0", "patience"),
+    ], ids=["runs", "swarm-size", "iterations", "seed", "patience"])
     def test_bad_value_exits_2(self, tmp_path, capsys, command, flag, value, name):
         out = tmp_path / "out.txt"
         code = run_cli(command, "--model", "3^4", "--t", "2", flag, value, "--out", str(out))
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{name} must be" in err and f"got {value}" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("command", ["generate", "benchmark"])
+    def test_non_integer_patience_exits_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--model", "3^4", "--t", "2", "--patience", "abc",
+                    "--out", str(tmp_path / "out.txt"))
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "'abc'" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -372,6 +398,28 @@ class TestLogging:
         monkeypatch.setenv("VSCIT_LOG", value)
         assert run_cli("generate", "--model", "2^3", "--t", "2",
                        "--out", str(tmp_path / "suite.txt")) == EXIT_OK
+
+    def test_trace_reaches_a_handler_installed_before_main(self, tmp_path, monkeypatch,
+                                                          caplog):
+        # A host that configured logging first: basicConfig would do nothing here.
+        monkeypatch.setattr(logging.root, "handlers", [*logging.root.handlers,
+                                                      logging.NullHandler()])
+        monkeypatch.setenv("VSCIT_LOG", "trace")
+        assert run_cli("generate", "--model", "2^3", "--t", "2",
+                       "--out", str(tmp_path / "suite.txt")) == EXIT_OK
+        assert logging.getLogger("vscit").getEffectiveLevel() == logging.DEBUG
+        trace = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert trace and all(line.startswith("test=") for line in trace)
+
+    def test_repeated_runs_add_one_handler(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(logging.root, "handlers", [])
+        monkeypatch.setenv("VSCIT_LOG", "info")
+        for _ in range(2):
+            assert run_cli("generate", "--model", "2^2", "--t", "2",
+                           "--out", str(tmp_path / "suite.txt")) == EXIT_OK
+        assert len(logging.getLogger("vscit").handlers) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 8 and all(line.startswith("INFO vscit: {") for line in err)
 
     def test_exit_code_constants(self):
         assert (EXIT_OK, EXIT_SHORTFALL, EXIT_USAGE, EXIT_INTERNAL) == (0, 1, 2, 3)

@@ -148,15 +148,18 @@ class TestSwarmParams:
         assert (params.swarm_size, params.max_iterations) == (80, 100)
         assert params.variant == "fpso"
         assert params.rng_seed == 0
+        assert params.patience == pso.DEFAULT_PATIENCE["fpso"] == 50
+        assert SwarmParams(variant="cpso").patience is pso.DEFAULT_PATIENCE["cpso"] is None
         assert pso.C1 == pso.C2 == 2.0
 
     def test_holds_only_the_run_settings(self):
         assert [f.name for f in dataclasses.fields(SwarmParams)] == [
-            "swarm_size", "max_iterations", "variant", "rng_seed"]
+            "swarm_size", "max_iterations", "variant", "rng_seed", "patience"]
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"swarm_size": 1}, {"max_iterations": 0}, {"variant": "dpso"}, {"rng_seed": -1}],
+        [{"swarm_size": 1}, {"max_iterations": 0}, {"variant": "dpso"}, {"rng_seed": -1},
+         {"patience": 0}, {"patience": -1}, {"patience": True}, {"patience": 2.5}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -252,6 +255,37 @@ class TestBests:
             store, small_params(swarm_size=3, max_iterations=2, variant="cpso"),
             None, np.random.default_rng(0))
         assert (iterations, stop) == (2, "all-covered")
+
+
+class TestPatience:
+    """A search stops once `patience` iterations in a row leave the global best
+    where it was; an improvement starts the count again."""
+
+    def search(self, fitness_rows, **params):
+        store = ScriptedStore(parse_model("5^3"), fitness_rows, 10)
+        _, iterations, stop, _ = generate_one_test(
+            store, small_params(swarm_size=3, variant="cpso", **params),
+            None, np.random.default_rng(0))
+        return iterations, stop
+
+    def test_stops_after_exactly_patience_stalled_iterations(self):
+        # Iteration 2 improves on the start's 3, so iterations 3 and 4 are the
+        # two stalled ones; unscripted iterations score ones.
+        assert self.search([[1, 3, 3], [1, 1, 1], [4, 1, 1]],
+                           max_iterations=20, patience=2) == (4, "stalled")
+
+    def test_none_spends_the_whole_budget(self):
+        assert self.search([[1, 3, 3]], max_iterations=20, patience=None) == (20, "budget")
+
+    def test_stalled_wins_over_budget(self):
+        assert self.search([[1, 3, 3]], max_iterations=3, patience=3) == (3, "stalled")
+
+    def test_all_covered_wins_where_patience_and_budget_run_out(self):
+        # Iterations 1 and 2 stall; iteration 3, the last of the budget, fills
+        # every combination, and without that improvement it would have been
+        # the third stalled one.
+        assert self.search([[1, 3, 3], [1, 1, 1], [1, 1, 1], [1, 10, 1]],
+                           max_iterations=3, patience=3) == (3, "all-covered")
 
 
 class TestBenchmarkHooks:
@@ -427,7 +461,7 @@ class TestGenerateSuite:
         assert len(result.suite) >= 27
 
 
-# The fpso, cpso and repair runs of test_golden.GOLDEN.
+# The fpso, cpso and repair runs of test_golden.GOLDEN, at the default patience.
 RECORD_RUNS = [
     ("3^5", "t=2", dict(variant="fpso", rng_seed=5)),
     ("2^5", "t=3", dict(variant="cpso", rng_seed=5)),
@@ -449,7 +483,9 @@ class TestTestRecords:
         assert sum(r.covered for r in tests) == verify_suite(result.suite).required
         for r in tests:
             assert 0 <= r.iterations <= params.max_iterations
-            assert r.stop in ("all-covered", "budget") and r.covered > 0
+            assert r.stop in ("all-covered", "stalled", "budget") and r.covered > 0
+            if r.stop == "stalled":
+                assert params.patience <= r.iterations <= params.max_iterations
             if r.stop == "budget":
                 assert r.iterations == params.max_iterations
         assert sum(r.repaired for r in tests) == len(repairs)
