@@ -34,8 +34,6 @@ from .pso import (
     InternalCoverageError,
     RunResult,
     SwarmParams,
-    analytic_lower_bound,
-    discretize,
     generate_one_test,
     generate_suite,
     position_update,
@@ -45,7 +43,6 @@ from .tuples import (
     ParamCombination,
     TupleStore,
     build_tuple_store,
-    coverage_count,
     generate_param_combinations,
     remove_covered,
 )

@@ -52,11 +52,6 @@ class MembershipFunction:
                 f"got ({self.left}, {self.peak}, {self.right})"
             )
 
-    def degree(self, x):
-        """Membership degree of x (scalar or array); 0 outside [left, right]."""
-        x = np.asarray(x, dtype=float)
-        return _Triangles([self], x.ndim).degrees(x)[0]
-
 
 class _Triangles:
     """Several membership functions held as breakpoint columns.
@@ -191,10 +186,12 @@ class FisController:
         unknown = set(input_mfs) - set(INPUT_NAMES)
         if unknown:
             raise ValueError(f"unknown FIS inputs {sorted(unknown)}; expected {INPUT_NAMES}")
+        # A family given, even an empty one, replaces the default whole.
         self.input_mfs = {
-            name: dict(input_mfs.get(name) or _default_family()) for name in INPUT_NAMES
+            name: dict(_default_family() if input_mfs.get(name) is None else input_mfs[name])
+            for name in INPUT_NAMES
         }
-        self.output_mfs = dict(output_mfs) if output_mfs else _default_family()
+        self.output_mfs = _default_family() if output_mfs is None else dict(output_mfs)
         self.w_max = float(w_max)
         self.w_min = float(w_min)
         for name, bound in (("w_max", self.w_max), ("w_min", self.w_min)):
@@ -313,7 +310,7 @@ def compute_distance_pct(x, ref, max_distance: float):
 
     max_distance is normally the space diagonal of the discrete case box,
     i.e. the norm of the per-parameter (v_i - 1) vector, which bounds any
-    in-box distance; the result is clamped to [0, 100] regardless. Rows of
+    in-box distance; the result is capped at 100 regardless. Rows of
     a matrix are treated as a batch of positions (the distance is taken
     along the last axis), with broadcasting between x and ref.
     """
@@ -325,7 +322,7 @@ def compute_distance_pct(x, ref, max_distance: float):
         raise ValueError("max_distance must be positive")
     gap = x - ref
     pct = np.sqrt((gap * gap).sum(axis=-1)) / max_distance * 100.0
-    pct = np.minimum(np.maximum(pct, 0.0), 100.0)
+    pct = np.minimum(pct, 100.0)
     return float(pct) if pct.ndim == 0 else pct
 
 
@@ -344,6 +341,9 @@ def compute_nor_nubf(nubf_k: int, nubf_max: int) -> float | None:
 
 def controller_from_config(cfg: dict) -> FisController:
     """Build a controller from a JSON-style dict; omitted pieces keep defaults.
+
+    A family given, even an empty one, replaces its default whole, so it
+    must name every label the rules read.
 
     Recognized keys: "w_max", "w_min", "output" (label -> [left, peak, right])
     and "inputs" (input name -> label -> [left, peak, right]). A value of the
@@ -373,7 +373,7 @@ def controller_from_config(cfg: dict) -> FisController:
         name: family(f"inputs.{name}", spec)
         for name, spec in mapping("inputs", cfg.get("inputs") or {}).items()
     }
-    output = family("output", cfg["output"]) if cfg.get("output") else None
+    output = None if cfg.get("output") is None else family("output", cfg["output"])
     return FisController(
         input_mfs=inputs or None,
         output_mfs=output,

@@ -24,7 +24,7 @@ from .fis import (
     compute_nor_nubf,
 )
 from .model import SutModel, TestCase, TestSuite, VscaConfig, validate_config
-from .tuples import TupleStore, build_tuple_store, coverage_count, remove_covered
+from .tuples import TupleStore, build_tuple_store, remove_covered
 from .verify import verify_suite
 
 logger = logging.getLogger("vscit")
@@ -129,15 +129,6 @@ class RunResult:
     tests: tuple[TestRecord, ...]
 
 
-def discretize(position, levels) -> TestCase:
-    """Round a continuous position to the nearest valid case, ties toward zero."""
-    vmax = np.asarray(levels, dtype=float) - 1.0
-    # Ties go toward zero, so boundaries never jump up. The search rounds the same
-    # way, without the clamp: position_update keeps its positions inside the box.
-    row = np.clip(np.ceil(np.asarray(position, dtype=float) - 0.5), 0.0, vmax)
-    return tuple(int(x) for x in row)
-
-
 def velocity_update(position: np.ndarray, velocity: np.ndarray, pbest: np.ndarray,
                     gbest: np.ndarray, w: np.ndarray, vmax: np.ndarray,
                     c1: float, c2: float, rng) -> np.ndarray:
@@ -192,9 +183,10 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     stops early once the global best hits every combination that still has
     an uncovered tuple, after which no iteration can change the outcome, or
     once params.patience iterations in a row left the global best where it
-    was. If the final case covers nothing new, it is replaced by one built
-    around the smallest uncovered tuple so the outer loop always makes
-    progress.
+    was. The accepted case is the global best's rounding, which its fitness
+    already scored against this unchanged store; if that fitness is 0, the
+    case is replaced by one built around the smallest uncovered tuple so
+    the outer loop always makes progress.
     """
     if store.remaining_count == 0:
         raise ValueError("tuple store is empty; nothing left to cover")
@@ -267,10 +259,11 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
         stop = "stalled"
     else:
         stop = "budget"
-    case = discretize(gbest_position, levels)
-    repaired = coverage_count(case, store) == 0
+    repaired = gbest_fitness == 0
     if repaired:
         case = _repair_case(store, rng)
+    else:
+        case = tuple(int(x) for x in np.ceil(gbest_position - 0.5))
     return case, iteration, stop, repaired
 
 
@@ -312,13 +305,3 @@ def generate_suite(model: SutModel, config: VscaConfig, params: SwarmParams,
         )
     return RunResult(suite=suite, tests=tuple(tests))
 
-
-def analytic_lower_bound(model: SutModel, config: VscaConfig) -> int:
-    """No suite can be smaller than the largest single-combination tuple count."""
-    best = 0
-    demands = [(tuple(range(model.k)), config.main_strength)]
-    demands += [(tuple(sorted(sub.indices)), sub.strength) for sub in config.sub_configs]
-    for pool, strength in demands:
-        vs = sorted((model.param_levels[i] for i in pool), reverse=True)
-        best = max(best, math.prod(vs[:strength]))
-    return best

@@ -136,12 +136,6 @@ def build_tuple_store(model: SutModel, config: VscaConfig) -> TupleStore:
     return TupleStore(model, combinations)
 
 
-def coverage_count(case: TestCase, store: TupleStore) -> int:
-    """How many uncovered tuples this case's projections hit; read-only."""
-    check_case(store.model, case)
-    return int(store.counts(np.array([case], dtype=np.int64))[0])
-
-
 def remove_covered(case: TestCase, store: TupleStore) -> int:
     """Mark every tuple the case covers as covered and return how many were new.
 

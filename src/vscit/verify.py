@@ -105,7 +105,8 @@ def write_suite(suite: TestSuite, path) -> None:
 
 
 def read_suite(path) -> TestSuite:
-    """Inverse of write_suite; raises ParseError on any malformed content.
+    """Inverse of write_suite; raises ParseError on any malformed content,
+    a repeated header included.
 
     The configuration is validated against the model, so a file whose
     configuration demands nothing (or names parameters the model lacks)
@@ -122,8 +123,12 @@ def read_suite(path) -> TestSuite:
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
                 if body.startswith("model:"):
+                    if model is not None:
+                        raise ParseError(f"{path}:{line_no}: repeated '# model:' header")
                     model = parse_model(body[len("model:"):].strip())
                 elif body.startswith("config:"):
+                    if config is not None:
+                        raise ParseError(f"{path}:{line_no}: repeated '# config:' header")
                     config = parse_config(body[len("config:"):].strip())
                 continue
             try:

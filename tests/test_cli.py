@@ -135,6 +135,15 @@ class TestVerifyCommand:
         path.write_text("not a suite\n")
         assert run_cli("verify", str(path)) == EXIT_USAGE
 
+    def test_repeated_model_header_exits_2(self, tmp_path, capsys):
+        # Read with the second header, this suite would verify against 2^3 and fail.
+        path = tmp_path / "twice.txt"
+        path.write_text("# model: 3^3\n# config: t=2\n# model: 2^3\n0,1,1\n")
+        assert run_cli("verify", str(path)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "coverage" not in captured.out
+        assert captured.err.startswith("error:") and ":3: repeated '# model:' header" in captured.err
+
     def test_missing_suite_file_exits_2(self, tmp_path, capsys):
         assert run_cli("verify", str(tmp_path / "missing.txt")) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -323,7 +332,9 @@ class TestMfConfig:
         ({"output": {"low": [0, 50]}}, "output.low"),
         ({"inputs": {"ncf": [[0, 0, 50]]}}, "inputs.ncf"),
         ({"w_max": [0.9]}, "w_max"),
-    ], ids=["top-level-list", "two-point-triangle", "list-valued-family", "list-valued-bound"])
+        ({"output": []}, "output"),
+    ], ids=["top-level-list", "two-point-triangle", "list-valued-family", "list-valued-bound",
+            "list-valued-output"])
     def test_mis_shaped_json_exits_2(self, tmp_path, capsys, payload, bad_key):
         mf = tmp_path / "mf.json"
         mf.write_text(json.dumps(payload))
@@ -341,6 +352,21 @@ class TestMfConfig:
                        "--mf-config", str(mf), "--out", str(out)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'high' has zero width" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"inputs": {"ncf": {}}}, "rule term (ncf, low) has no membership function"),
+        ({"output": {}}, "rule consequent 'low' has no membership function"),
+    ], ids=["empty-input-family", "empty-output-family"])
+    def test_empty_family_exits_2(self, tmp_path, capsys, payload, message):
+        # A family given replaces the default whole, so an empty one names no label.
+        mf = tmp_path / "mf.json"
+        mf.write_text(json.dumps(payload))
+        out = tmp_path / "s.txt"
+        assert run_cli("generate", "--model", "3^3", "--t", "2", "--mf-config", str(mf),
+                       "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
         assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):

@@ -1,10 +1,12 @@
 """Fuzzy controller: membership shapes, measures, inference, and bounds.
 
-Oracle for the corner inferences: when exactly one rule fires at strength
-1.0 the aggregate is that consequent's full triangle, whose exact centroid
-is the mean of its vertices' x coordinates. Oracle for the defuzzifier in
+Oracle for membership degrees: `triangle`, the piecewise-linear formula
+written out below, apart from the controller's own evaluation. Oracle for
+the corner inferences: when exactly one rule fires at strength 1.0 the
+aggregate is that consequent's full triangle, whose exact centroid is the
+mean of its vertices' x coordinates. Oracle for the defuzzifier in
 general: a 10^5-point midpoint integral of the aggregate, built from
-MembershipFunction.degree.
+`triangle`.
 """
 
 import math
@@ -19,6 +21,7 @@ from vscit.fis import (
     MembershipFunction,
     W_MAX_DEFAULT,
     W_MIN_DEFAULT,
+    _Triangles,
     compute_distance_pct,
     compute_ncf,
     compute_nor_nubf,
@@ -33,39 +36,57 @@ HIGH_TRIANGLE_CENTROID = (50 + 100 + 100) / 3
 pct = st.floats(min_value=0, max_value=100, allow_nan=False)
 
 
+def triangle(mf, x):
+    """Degree of x in mf: 0 outside [left, right], else the lower of the two
+    sides' lines, where a side of zero length is a shoulder held at 1."""
+    x = np.asarray(x, dtype=float)
+    rising = (x - mf.left) / (mf.peak - mf.left) if mf.peak > mf.left else np.ones_like(x)
+    falling = (mf.right - x) / (mf.right - mf.peak) if mf.right > mf.peak else np.ones_like(x)
+    return np.where((mf.left <= x) & (x <= mf.right), np.minimum(rising, falling), 0.0)
+
+
+def degree(mf, x):
+    """Degree of x in mf by the oracle, once the controller's own evaluation
+    is checked to agree with it."""
+    x = np.asarray(x, dtype=float)
+    expected = triangle(mf, x)
+    np.testing.assert_allclose(_Triangles([mf], x.ndim).degrees(x)[0], expected, rtol=1e-12)
+    return expected
+
+
 class TestMembershipFunction:
     def test_peak_degree_is_one(self):
-        assert MembershipFunction(25, 50, 75).degree(50) == 1.0
+        assert degree(MembershipFunction(25, 50, 75), 50) == 1.0
 
     def test_outside_support_is_zero(self):
         mf = MembershipFunction(25, 50, 75)
-        assert mf.degree(10) == 0.0
-        assert mf.degree(90) == 0.0
+        assert degree(mf, 10) == 0.0
+        assert degree(mf, 90) == 0.0
 
     def test_linear_between(self):
         mf = MembershipFunction(25, 50, 75)
-        assert mf.degree(37.5) == pytest.approx(0.5)
-        assert mf.degree(62.5) == pytest.approx(0.5)
+        assert degree(mf, 37.5) == pytest.approx(0.5)
+        assert degree(mf, 62.5) == pytest.approx(0.5)
 
     def test_left_shoulder(self):
         mf = MembershipFunction(0, 0, 50)
-        assert mf.degree(0) == 1.0
-        assert mf.degree(25) == pytest.approx(0.5)
-        assert mf.degree(50) == 0.0
+        assert degree(mf, 0) == 1.0
+        assert degree(mf, 25) == pytest.approx(0.5)
+        assert degree(mf, 50) == 0.0
 
     def test_right_shoulder(self):
         mf = MembershipFunction(50, 100, 100)
-        assert mf.degree(100) == 1.0
-        assert mf.degree(75) == pytest.approx(0.5)
-        assert mf.degree(50) == 0.0
+        assert degree(mf, 100) == 1.0
+        assert degree(mf, 75) == pytest.approx(0.5)
+        assert degree(mf, 50) == 0.0
 
     def test_interior_right_angle_is_zero_past_peak(self):
         mf = MembershipFunction(20, 60, 60)
-        assert mf.degree(80) == 0.0
+        assert degree(mf, 80) == 0.0
 
     def test_array_input(self):
         mf = MembershipFunction(0, 50, 100)
-        np.testing.assert_allclose(mf.degree(np.array([0, 25, 50, 100])), [0, 0.5, 1, 0])
+        np.testing.assert_allclose(degree(mf, np.array([0, 25, 50, 100])), [0, 0.5, 1, 0])
 
     def test_unordered_breakpoints_raise(self):
         with pytest.raises(ValueError):
@@ -269,9 +290,9 @@ class TestInferW:
         controller = FisController()
         family = controller.input_mfs["ncf"]
         xs = np.linspace(0, 100, 201)
-        total = sum(family[label].degree(xs) for label in ("low", "medium", "high"))
+        total = sum(triangle(family[label], xs) for label in ("low", "medium", "high"))
         for label in ("low", "medium", "high"):
-            d = family[label].degree(xs)
+            d = triangle(family[label], xs)
             assert np.all((0 <= d) & (d <= 1))
         assert np.all(total > 0)
         assert np.all(total <= 2)
@@ -304,6 +325,21 @@ class TestControllerConfig:
         ncf = {"low": MembershipFunction(0, 0, 50), "high": MembershipFunction(50, 100, 100)}
         with pytest.raises(ValueError, match=r"\(ncf, medium\) has no membership function"):
             FisController(input_mfs={"ncf": ncf})
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({"inputs": {"ncf": {}}}, r"rule term \(ncf, low\) has no membership function"),
+        ({"output": {}}, "rule consequent 'low' has no membership function"),
+    ], ids=["input", "output"])
+    def test_empty_family_replaces_the_default(self, cfg, message):
+        # An empty family is a family given: it names no label the rules read.
+        with pytest.raises(ValueError, match=message):
+            controller_from_config(cfg)
+
+    def test_omitted_or_null_families_keep_the_defaults(self):
+        for cfg in ({}, {"inputs": {}}, {"inputs": None}, {"output": None}):
+            controller = controller_from_config(cfg)
+            assert controller.input_mfs == FisController().input_mfs
+            assert controller.output_mfs == FisController().output_mfs
 
     def test_bad_w_bounds_raise(self):
         with pytest.raises(ValueError):
@@ -364,7 +400,8 @@ class TestExactCentroid:
         # Midpoints of 10^5 cells: the integer breakpoints, where a shoulder
         # jumps, fall on cell edges, so each kinked cell errs by O(h^2).
         xs = (np.arange(self.N) + 0.5) * (100 / self.N)
-        aggregate = np.maximum(np.minimum(low.degree(xs), s_low), np.minimum(high.degree(xs), s_high))
+        aggregate = np.maximum(np.minimum(triangle(low, xs), s_low),
+                               np.minimum(triangle(high, xs), s_high))
         if s_low == s_high == 0.0:
             assert math.isnan(exact)
         else:
@@ -382,4 +419,4 @@ class TestExactCentroid:
         controller = controller_from_config(
             {"inputs": {"ncf": {"low": [0, 0, 0], "medium": [25, 50, 75], "high": [50, 100, 100]}}})
         assert controller.infer_w(0, 0, 0) <= 0.5
-        assert controller.input_mfs["ncf"]["low"].degree(0) == 1.0
+        assert triangle(controller.input_mfs["ncf"]["low"], 0) == 1.0

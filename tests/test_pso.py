@@ -1,4 +1,4 @@
-"""Swarm engine: discretization, updates, single-test search, suite assembly."""
+"""Swarm engine: rounding, updates, single-test search, suite assembly."""
 
 import dataclasses
 import itertools
@@ -10,19 +10,17 @@ import pytest
 import vscit
 import vscit.pso as pso
 from vscit.fis import FisController
-from vscit.model import SubConfig, VscaConfig, parse_config, parse_model
+from vscit.model import SubConfig, SutModel, VscaConfig, parse_config, parse_model
 from vscit.pso import (
     VARIANTS,
     SwarmParams,
     _repair_case,
-    analytic_lower_bound,
-    discretize,
     generate_one_test,
     generate_suite,
     position_update,
     velocity_update,
 )
-from vscit.tuples import TupleStore, build_tuple_store, coverage_count, remove_covered
+from vscit.tuples import TupleStore, build_tuple_store, remove_covered
 from vscit.verify import verify_suite
 
 
@@ -53,38 +51,103 @@ def move(position, velocity, pbest, gbest, w, levels, draws):
                            2.0, 2.0, StubRng(draws))
 
 
+class ScriptedStore:
+    """A store whose counts return scripted fitness rows, then ones, and keep
+    the cases they were asked to score; its smallest uncovered tuple is
+    parameter 0 at value 1."""
+
+    def __init__(self, model, fitness_rows, open_combinations):
+        self.model = model
+        self.rows = [np.array(r, dtype=np.int64) for r in fitness_rows]
+        self.remaining_count = 1
+        self.open_combinations = open_combinations
+        self.scored = []
+
+    def counts(self, cases):
+        self.scored.append(np.array(cases))
+        return self.rows.pop(0) if self.rows else np.ones(len(cases), dtype=np.int64)
+
+    def first_uncovered(self):
+        return (0,), (1,)
+
+
+class RecordingStore:
+    """A real tuple store that keeps the cases its counts were asked to score."""
+
+    def __init__(self, store):
+        self.store = store
+        self.scored = []
+
+    def __getattr__(self, name):
+        return getattr(self.store, name)
+
+    def counts(self, cases):
+        self.scored.append(np.array(cases))
+        return self.store.counts(cases)
+
+
+def accepted(levels, draws):
+    """The case a two-particle search accepts when its first particle starts at
+    draws * (v - 1) and, scored first, already fills every combination."""
+    store = ScriptedStore(SutModel(tuple(levels)), [[10, 0]], 10)
+    rng = StubRng(list(draws) + [0.0] * (3 * len(levels)))
+    case, iterations, stop, repaired = generate_one_test(
+        store, SwarmParams(swarm_size=2, variant="cpso"), None, rng)
+    assert (iterations, stop, repaired) == (0, "all-covered", False)
+    np.testing.assert_array_equal(store.scored[0][0], case)  # the case it scored
+    return case
+
+
 class TestDiscretize:
+    """The search scores, and then accepts, each position rounded to the
+    nearest case, ties toward zero; no position leaves the case box."""
+
     def test_rounds_to_nearest(self):
-        assert discretize([0.4, 1.6, 1.2], (3, 3, 3)) == (0, 2, 1)
+        # Positions 0.4, 1.6 and 1.2.
+        assert accepted((3, 3, 3), [0.2, 0.8, 0.6]) == (0, 2, 1)
 
     def test_ties_go_toward_zero(self):
-        assert discretize([0.5, 1.5, 2.5], (4, 4, 4)) == (0, 1, 2)
+        # Positions 0.5, 1.5 and 2.5.
+        assert accepted((5, 5, 5), [0.125, 0.375, 0.625]) == (0, 1, 2)
 
     def test_clamps_into_range(self):
-        assert discretize([-1.0, 7.0], (3, 3)) == (0, 2)
+        # Every row scored lies in the box, so the accepted case needs no clamp.
+        model = parse_model("3^3 4^2 2^2")
+        vmax = np.array(model.param_levels) - 1
+        for variant, seed in itertools.product(VARIANTS, range(3)):
+            store = RecordingStore(build_tuple_store(model, parse_config("t=2; sub=0,1,2,3:3")))
+            rng, controller = np.random.default_rng(seed), FisController()
+            while store.remaining_count:
+                case, *_ = generate_one_test(store, small_params(variant=variant), controller, rng)
+                remove_covered(case, store.store)
+            scored = np.concatenate(store.scored)
+            assert (scored >= 0).all() and (scored <= vmax).all()
+            assert (scored == np.round(scored)).all()
 
     def test_exact_levels_unchanged(self):
-        assert discretize([0.0, 1.0, 2.0], (3, 3, 3)) == (0, 1, 2)
-
-
-def fitness(position, store):
-    """A particle's score: uncovered tuples its discretized position hits."""
-    return coverage_count(discretize(position, store.model.param_levels), store)
+        assert accepted((3, 3, 3), [0.0, 0.5, 1.0]) == (0, 1, 2)
 
 
 class TestFitness:
+    """A particle's score: uncovered tuples its rounded position hits."""
+
     def test_empty_store_scores_zero(self):
         store = TupleStore(parse_model("3^5"), [])
-        assert fitness([0.0] * 5, store) == 0
+        np.testing.assert_array_equal(store.counts(np.zeros((1, 5))), [0])
 
     def test_fresh_store_scores_one_per_combination(self):
         store = build_tuple_store(parse_model("3^5"), VscaConfig(2))
-        assert fitness([0.0] * 5, store) == 10
+        np.testing.assert_array_equal(store.counts(np.zeros((1, 5))), [10])
 
     def test_rounding_before_scoring(self):
-        store = build_tuple_store(parse_model("3^5"), VscaConfig(2))
-        assert discretize([0.4] * 5, store.model.param_levels) == (0,) * 5
-        assert fitness([0.4] * 5, store) == fitness([0.0] * 5, store)
+        # The first particle starts at 0.4 everywhere and is scored as the zero
+        # case, which hits all 10 combinations, so the search stops at once.
+        store = RecordingStore(build_tuple_store(parse_model("3^5"), VscaConfig(2)))
+        case, iterations, stop, repaired = generate_one_test(
+            store, SwarmParams(swarm_size=2, variant="cpso"), None,
+            StubRng([0.2] * 5 + [0.0] * 15))
+        np.testing.assert_array_equal(store.scored[0][0], np.zeros(5))
+        assert (case, iterations, stop, repaired) == ((0,) * 5, 0, "all-covered", False)
 
 
 class TestVelocityUpdate:
@@ -196,25 +259,12 @@ class TestGenerateOneTest:
         store = build_tuple_store(parse_model("3^5"), VscaConfig(2))
         rng = np.random.default_rng(2)
         case, *_ = generate_one_test(store, small_params(), FisController(), rng)
-        assert coverage_count(case, store) == 10
+        np.testing.assert_array_equal(store.counts(np.array([case])), [10])
 
     def test_empty_store_raises(self):
         store = TupleStore(parse_model("2^2"), [])
         with pytest.raises(ValueError, match="empty"):
             generate_one_test(store, small_params(), FisController(), np.random.default_rng(0))
-
-
-class ScriptedStore:
-    """A store whose counts return scripted fitness rows, then ones."""
-
-    def __init__(self, model, fitness_rows, open_combinations):
-        self.model = model
-        self.rows = [np.array(r, dtype=np.int64) for r in fitness_rows]
-        self.remaining_count = 1
-        self.open_combinations = open_combinations
-
-    def counts(self, cases):
-        return self.rows.pop(0) if self.rows else np.ones(len(cases), dtype=np.int64)
 
 
 class TestBests:
@@ -246,8 +296,20 @@ class TestBests:
         np.testing.assert_array_equal(pbest2, [p2[0], p2[1], p0[2]])
         np.testing.assert_array_equal(g2, p2[0])
         assert [r.gbest_fitness for r in records] == [3, 4, 4]
-        assert case == discretize(p2[0], (5, 5, 5))
+        # The accepted case is the scorer's rounding of p2[0], from iteration 2.
+        np.testing.assert_array_equal(store.scored[2][0], np.ceil(p2[0] - 0.5))
+        assert case == tuple(store.scored[2][0])
         assert (iterations, stop, repaired) == (3, "budget", False)
+
+    def test_a_search_that_never_scores_above_zero_is_repaired(self):
+        # Every scripted row is 0, so the global best covers nothing new; the
+        # case is built around the store's smallest uncovered tuple instead.
+        store = ScriptedStore(parse_model("5^3"), [[0, 0, 0]] * 4, 10)
+        case, iterations, stop, repaired = generate_one_test(
+            store, small_params(swarm_size=3, max_iterations=3, variant="cpso"),
+            None, np.random.default_rng(0))
+        assert (iterations, stop, repaired) == (3, "budget", True)
+        assert case[0] == 1
 
     def test_a_global_best_that_fills_the_last_iteration_stops_all_covered(self):
         store = ScriptedStore(parse_model("5^3"), [[1, 3, 3], [2, 1, 3], [4, 10, 0]], 10)
@@ -431,18 +493,6 @@ class TestGenerateSuite:
             assert 0 <= rec.d1 <= 100 and 0 <= rec.d2 <= 100
             assert 0.1 <= rec.w <= 0.9
 
-    def test_size_respects_analytic_lower_bound(self):
-        configs = [
-            ("3^3", VscaConfig(3)),
-            ("2^3", VscaConfig(2)),
-            ("3^4", VscaConfig(2)),
-            ("2^5", VscaConfig(2, (SubConfig((0, 1, 2), 3),))),
-        ]
-        for spec, cfg in configs:
-            model = parse_model(spec)
-            result = generate_suite(model, cfg, small_params(swarm_size=16))
-            assert len(result.suite) >= analytic_lower_bound(model, cfg)
-
     def test_every_emitted_suite_passes_the_oracle(self):
         for spec, cfg in [("3^4", VscaConfig(2)), ("2^4", VscaConfig(3))]:
             result = generate_suite(parse_model(spec), cfg, small_params(swarm_size=16))
@@ -495,18 +545,6 @@ class TestTestRecords:
     def test_log_line_is_json_in_field_order(self):
         record = pso.TestRecord(100, "budget", True, 7)
         assert str(record) == '{"iterations": 100, "stop": "budget", "repaired": true, "covered": 7}'
-
-
-class TestAnalyticLowerBound:
-    def test_uniform(self):
-        assert analytic_lower_bound(parse_model("3^5"), VscaConfig(2)) == 9
-
-    def test_mixed_picks_largest_levels(self):
-        assert analytic_lower_bound(parse_model("4^3 5^3 6^2"), VscaConfig(2)) == 36
-
-    def test_sub_dominates(self):
-        cfg = VscaConfig(2, (SubConfig((0, 1, 2), 3),))
-        assert analytic_lower_bound(parse_model("3^15"), cfg) == 27
 
 
 class TestPublicApi:

@@ -16,7 +16,6 @@ from vscit.model import SubConfig, SutModel, VscaConfig, parse_model
 from vscit.tuples import (
     TupleStore,
     build_tuple_store,
-    coverage_count,
     generate_param_combinations,
     remove_covered,
 )
@@ -107,21 +106,26 @@ class TestBuildTupleStore:
                     assert store.initial_total == math.comb(k, t) * v**t, (k, v, t)
 
 
+def count(case, store):
+    """Uncovered tuples one case hits, through the store's batch scorer."""
+    return int(store.counts(np.array([case]))[0])
+
+
 class TestCoverageCountAndRemoval:
     def test_fresh_store_count_is_one_per_combination(self):
         store = build_tuple_store(parse_model("3^5"), VscaConfig(2))
-        assert coverage_count((0, 0, 0, 0, 0), store) == 10
+        assert count((0, 0, 0, 0, 0), store) == 10
 
     def test_empty_store_counts_zero(self):
         store = TupleStore(parse_model("3^5"), [])
-        assert coverage_count((0, 0, 0, 0, 0), store) == 0
+        assert count((0, 0, 0, 0, 0), store) == 0
 
     def test_remove_then_recount(self):
         store = build_tuple_store(parse_model("3^5"), VscaConfig(2))
         case = (0, 0, 0, 0, 0)
         assert remove_covered(case, store) == 10
         assert store.remaining_count == 80
-        assert coverage_count(case, store) == 0
+        assert count(case, store) == 0
         assert remove_covered(case, store) == 0
 
     def test_exhausting_single_entry_drops_it(self):
@@ -138,10 +142,10 @@ class TestCoverageCountAndRemoval:
         # 25M ids; the last, 24,999,999, lies past 2**24, where float32 would round.
         store = build_tuple_store(SutModel((5000, 5000)), VscaConfig(2))
         case = (4999, 4999)
-        assert coverage_count(case, store) == 1
+        assert count(case, store) == 1
         assert remove_covered(case, store) == 1
-        assert coverage_count(case, store) == 0
-        assert coverage_count((4999, 4998), store) == 1
+        assert count(case, store) == 0
+        assert count((4999, 4998), store) == 1
         assert not store.uncovered[-1] and store.uncovered[:-1].all()
         assert store.first_uncovered() == ((0, 1), (0, 0))
 
@@ -162,8 +166,6 @@ class TestCoverageCountAndRemoval:
         # A value past its level would otherwise alias another combination's id.
         store = build_tuple_store(parse_model("2^3"), VscaConfig(2))
         with pytest.raises(ValueError):
-            coverage_count(case, store)
-        with pytest.raises(ValueError):
             remove_covered(case, store)
         assert store.remaining_count == 12
 
@@ -171,7 +173,7 @@ class TestCoverageCountAndRemoval:
         store = build_tuple_store(parse_model("2^3"), VscaConfig(2))
         remove_covered((0, 0, 0), store)
         before = store.uncovered.copy()
-        coverage_count((1, 0, 1), store)
+        count((1, 0, 1), store)
         np.testing.assert_array_equal(store.uncovered, before)
         assert (store.remaining_count, store.open_combinations) == (9, 3)
 
@@ -187,7 +189,7 @@ class TestCoverageCountAndRemoval:
             warm = tuple(data.draw(st.integers(0, v - 1)) for v in levels)
             remove_covered(warm, store)
         case = tuple(data.draw(st.integers(0, v - 1)) for v in levels)
-        counted = coverage_count(case, store)
+        counted = count(case, store)
         assert counted == remove_covered(case, store)
 
     def test_conservation_over_full_coverage(self):

@@ -270,6 +270,17 @@ class TestSuiteFiles:
         with pytest.raises(ParseError, match="header"):
             read_suite(path)
 
+    @pytest.mark.parametrize("text,line_no,header", [
+        ("# model: 3^3\n# config: t=2\n# model: 2^3\n0,1,1\n", 3, "model"),
+        ("# config: t=3\n# model: 2^3\n0,1,1\n# config: t=2\n", 4, "config"),
+    ], ids=["model", "config"])
+    def test_repeated_header_raises(self, tmp_path, text, line_no, header):
+        # A later header would otherwise silently replace the first.
+        path = tmp_path / "twice.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f":{line_no}: repeated '# {header}:' header"):
+            read_suite(path)
+
     def test_bad_case_line_raises(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# model: 2^2\n# config: t=2\n0,x\n")
