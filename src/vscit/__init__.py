@@ -8,7 +8,6 @@ independent brute-force coverage oracle and a benchmark harness.
 
 from .fis import (
     FisController,
-    FuzzyRule,
     MembershipFunction,
     W_MAX_DEFAULT,
     W_MIN_DEFAULT,
@@ -16,7 +15,6 @@ from .fis import (
     compute_ncf,
     compute_nor_nubf,
     controller_from_config,
-    selection_to_w,
 )
 from .model import (
     ConfigError,

@@ -1,10 +1,11 @@
 """Mamdani controller that adapts the swarm's inertia weight online.
 
-Three normalized performance measures on a 0..100 scale feed a small rule
-base: the current fitness relative to the per-test ceiling (ncf) and the
-percentage distances from a particle to its personal best (d1) and to the
-global best (d2). The defuzzified output, also on 0..100, is scaled onto
-the bounded inertia range.
+Three normalized performance measures on a 0..100 scale feed the paper's
+four fuzzy rules: the current fitness relative to the per-test ceiling
+(ncf) and the percentage distances from a particle to its personal best
+(d1) and to the global best (d2). The rules are written out as code in
+FisController.infer_w_batch. The defuzzified output, also on 0..100, is
+scaled onto the bounded inertia range.
 
 Defuzzification is the exact centroid of the clipped-max aggregate. Each
 fired output triangle is clipped at its rule strength and the aggregate is
@@ -28,6 +29,13 @@ W_MAX_DEFAULT = 0.9
 W_MIN_DEFAULT = 0.1
 
 INPUT_NAMES = ("ncf", "d1", "d2")
+
+# Every (input, label) term the rules read, and every output label they
+# set, in the order the rules read them: the first label missing is the one
+# reported, and infer_w_batch unpacks the term degrees in this order.
+_RULE_TERMS = (("ncf", "low"), ("d1", "low"), ("d2", "low"), ("ncf", "medium"),
+               ("ncf", "high"), ("d1", "high"), ("d2", "high"))
+_RULE_OUTPUTS = ("low", "high")
 
 # The two Gauss-Legendre nodes of a segment, as fractions of its width.
 _GAUSS_NODES = np.array([[0.5 - 0.5 / math.sqrt(3.0)], [0.5 + 0.5 / math.sqrt(3.0)]])
@@ -81,22 +89,6 @@ class _Triangles:
         falling = (self.right - x) / self.fall + self.fall_floor
         inside = (x >= self.left) & (x <= self.right)
         return np.where(inside, np.minimum(rising, falling), 0.0)
-
-
-@dataclass(frozen=True)
-class FuzzyRule:
-    """Min-conjunction over (input, label) terms; "not-low" means 1 - low."""
-
-    antecedent: tuple[tuple[str, str], ...]
-    consequent: str
-
-
-DEFAULT_RULES = (
-    FuzzyRule((("ncf", "low"), ("d1", "low"), ("d2", "low")), "low"),
-    FuzzyRule((("ncf", "not-low"), ("d1", "low"), ("d2", "low")), "high"),
-    FuzzyRule((("ncf", "medium"), ("d1", "low"), ("d2", "not-low")), "high"),
-    FuzzyRule((("ncf", "high"), ("d1", "high"), ("d2", "high")), "high"),
-)
 
 
 def _default_family() -> dict[str, MembershipFunction]:
@@ -164,14 +156,8 @@ class _ExactCentroid:
         return np.where(fired, moment / np.where(fired, area, 1.0), np.nan)
 
 
-def selection_to_w(selection, w_max: float = W_MAX_DEFAULT, w_min: float = W_MIN_DEFAULT):
-    """Map a defuzzified 0..100 selection (scalar or array) onto the bounded inertia range."""
-    w = np.minimum(np.maximum(np.asarray(selection, dtype=float) / 100.0 * w_max, w_min), w_max)
-    return float(w) if w.ndim == 0 else w
-
-
 class FisController:
-    """Membership families, DEFAULT_RULES, and centroid defuzzifier for the inertia weight.
+    """Membership families, the four rules, and centroid defuzzifier for the inertia weight.
 
     Stateful: the controller remembers the last weight it emitted, and input
     triples that fire no rule hold that value. It starts at w_max so early
@@ -200,57 +186,27 @@ class FisController:
         if not 0 < self.w_min <= self.w_max:
             raise ValueError(f"need 0 < w_min <= w_max, got {self.w_min}, {self.w_max}")
         self.last_w = self.w_max
-        self._check_rules()
+        # Replaced membership families may lack a label the rules read.
+        for name, label in _RULE_TERMS:
+            if label not in self.input_mfs[name]:
+                raise ValueError(f"rule term ({name}, {label}) has no membership function")
+        for label in _RULE_OUTPUTS:
+            if label not in self.output_mfs:
+                raise ValueError(f"rule consequent {label!r} has no membership function")
         # A set without width has no area, so no centroid can weigh it.
         for label, mf in self.output_mfs.items():
             if mf.left == mf.right:
                 raise ValueError(f"output set {label!r} has zero width: left == right == {mf.left}")
-
-        # Every plain (input, label) term the rules read, fuzzified in one
-        # pass; row j + len(terms) of the degree table is term j's complement.
-        terms = sorted({(name, label.removeprefix("not-"))
-                        for rule in DEFAULT_RULES for name, label in rule.antecedent})
-        self._term_inputs = np.array([INPUT_NAMES.index(name) for name, _ in terms])
-        self._terms = _Triangles([self.input_mfs[name][label] for name, label in terms], 1)
-
-        def row(name: str, label: str) -> int:
-            if label.startswith("not-"):
-                return len(terms) + terms.index((name, label[4:]))
-            return terms.index((name, label))
-
-        # Rules sorted by consequent, so one reduceat takes each label's strongest rule.
-        labels = list(dict.fromkeys(rule.consequent for rule in DEFAULT_RULES))
-        rules = sorted(DEFAULT_RULES, key=lambda rule: labels.index(rule.consequent))
-        self._rule_rows = np.array([[row(*term) for term in rule.antecedent] for rule in rules])
-        consequents = [rule.consequent for rule in rules]
-        self._label_starts = np.array([consequents.index(label) for label in labels])
-        self._centroid = _ExactCentroid([self.output_mfs[label] for label in labels])
-
-    def _check_rules(self):
-        # Replaced membership families may lack a label the rules read.
-        for rule in DEFAULT_RULES:
-            for name, label in rule.antecedent:
-                plain = label[4:] if label.startswith("not-") else label
-                if name not in self.input_mfs or plain not in self.input_mfs[name]:
-                    raise ValueError(f"rule term ({name}, {label}) has no membership function")
-            if rule.consequent not in self.output_mfs:
-                raise ValueError(f"rule consequent {rule.consequent!r} has no membership function")
-
-    def infer_w(self, ncf: float, d1: float, d2: float) -> float:
-        """Crisp inertia weight for one measurement triple; updates last_w."""
-        w, _ = self.infer_w_batch(
-            np.asarray([ncf], dtype=float),
-            np.asarray([d1], dtype=float),
-            np.asarray([d2], dtype=float),
-        )
-        return float(w[0])
+        self._term_inputs = np.array([INPUT_NAMES.index(name) for name, _ in _RULE_TERMS])
+        self._terms = _Triangles([self.input_mfs[name][label] for name, label in _RULE_TERMS], 1)
+        self._centroid = _ExactCentroid([self.output_mfs[label] for label in _RULE_OUTPUTS])
 
     def infer_w_batch(self, ncf, d1, d2):
-        """Vectorized inference, equivalent to scalar calls in index order.
+        """Vectorized inference, equivalent to one call per triple in index order.
 
-        Fuzzifies each triple, takes the min-conjunction firing strength of
-        each rule, clips each consequent's membership function at the best
-        strength arguing for it, aggregates by max, and defuzzifies by the
+        Fuzzifies each triple, takes each rule's firing strength as the min
+        of its terms, clips each output label's membership function at the
+        strongest rule that sets it, aggregates by max, and defuzzifies by the
         exact centroid of the aggregate. Triples that fire nothing inherit
         the weight emitted for the previous index (or the stored last_w).
         Returns the weights and the defuzzified selections, NaN where no
@@ -270,15 +226,29 @@ class FisController:
         if outside.any():
             raise ValueError(f"{INPUT_NAMES[int(np.argmax(outside))]} outside [0, 100]")
 
-        degrees = self._terms.degrees(x[self._term_inputs])
-        degrees = np.concatenate((degrees, 1.0 - degrees))
-        rule_strength = degrees[self._rule_rows].min(axis=1)
-        selection = self._centroid(np.maximum.reduceat(rule_strength, self._label_starts))
+        ncf_low, d1_low, d2_low, ncf_medium, ncf_high, d1_high, d2_high = (
+            self._terms.degrees(x[self._term_inputs]))
+        # The paper's four rules. "and" is the min of the terms' degrees,
+        # "not-low" is 1 - low, and each output label takes the strongest
+        # rule that sets it.
+        strength = np.empty((2, n))
+        low, high = strength
+        # 1. ncf low and d1 low and d2 low -> w low
+        np.minimum(np.minimum(ncf_low, d1_low), d2_low, out=low)
+        # 2. ncf not-low and d1 low and d2 low -> w high
+        np.minimum(np.minimum(1.0 - ncf_low, d1_low), d2_low, out=high)
+        # 3. ncf medium and d1 low and d2 not-low -> w high
+        np.maximum(high, np.minimum(np.minimum(ncf_medium, d1_low), 1.0 - d2_low), out=high)
+        # 4. ncf high and d1 high and d2 high -> w high
+        np.maximum(high, np.minimum(np.minimum(ncf_high, d1_high), d2_high), out=high)
+        selection = self._centroid(strength)
         fired = ~np.isnan(selection)
 
-        # Each unfired index takes the weight of the latest fired index
-        # before it; slot 0 of held is the weight from before this batch.
-        held = np.concatenate(([self.last_w], selection_to_w(selection, self.w_max, self.w_min)))
+        # A selection scales onto [0, w_max], clamped to [w_min, w_max]. Each
+        # unfired index takes the weight of the latest fired index before
+        # it; slot 0 of held is the weight from before this batch.
+        mapped = np.minimum(np.maximum(selection / 100.0 * self.w_max, self.w_min), self.w_max)
+        held = np.concatenate(([self.last_w], mapped))
         latest = np.maximum.accumulate(np.where(fired, np.arange(1, n + 1), 0))
         w = held[latest]
         if n:
@@ -369,13 +339,13 @@ def controller_from_config(cfg: dict) -> FisController:
     for key in ("w_max", "w_min"):
         if key in cfg and not is_number(cfg[key]):
             raise ValueError(f"{key} must be a number, got {cfg[key]!r}")
-    inputs = {
+    inputs = None if cfg.get("inputs") is None else {
         name: family(f"inputs.{name}", spec)
-        for name, spec in mapping("inputs", cfg.get("inputs") or {}).items()
+        for name, spec in mapping("inputs", cfg["inputs"]).items()
     }
     output = None if cfg.get("output") is None else family("output", cfg["output"])
     return FisController(
-        input_mfs=inputs or None,
+        input_mfs=inputs,
         output_mfs=output,
         w_max=cfg.get("w_max", W_MAX_DEFAULT),
         w_min=cfg.get("w_min", W_MIN_DEFAULT),

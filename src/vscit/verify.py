@@ -106,7 +106,8 @@ def write_suite(suite: TestSuite, path) -> None:
 
 def read_suite(path) -> TestSuite:
     """Inverse of write_suite; raises ParseError on any malformed content,
-    a repeated header included.
+    a repeated header or bytes that do not decode included, naming the
+    file and, where one is to blame, the line.
 
     The configuration is validated against the model, so a file whose
     configuration demands nothing (or names parameters the model lacks)
@@ -116,25 +117,31 @@ def read_suite(path) -> TestSuite:
     config: VscaConfig | None = None
     cases: list[tuple[int, ...]] = []
     with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("model:"):
-                    if model is not None:
-                        raise ParseError(f"{path}:{line_no}: repeated '# model:' header")
-                    model = parse_model(body[len("model:"):].strip())
-                elif body.startswith("config:"):
-                    if config is not None:
-                        raise ParseError(f"{path}:{line_no}: repeated '# config:' header")
-                    config = parse_config(body[len("config:"):].strip())
-                continue
-            try:
-                cases.append(tuple(int(x) for x in line.split(",")))
-            except ValueError:
-                raise ParseError(f"{path}:{line_no}: bad case line {line!r}") from None
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    try:
+                        if body.startswith("model:"):
+                            if model is not None:
+                                raise ParseError("repeated '# model:' header")
+                            model = parse_model(body[len("model:"):].strip())
+                        elif body.startswith("config:"):
+                            if config is not None:
+                                raise ParseError("repeated '# config:' header")
+                            config = parse_config(body[len("config:"):].strip())
+                    except ParseError as exc:
+                        raise ParseError(f"{path}:{line_no}: {exc}") from None
+                    continue
+                try:
+                    cases.append(tuple(int(x) for x in line.split(",")))
+                except ValueError:
+                    raise ParseError(f"{path}:{line_no}: bad case line {line!r}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     if model is None or config is None:
         raise ParseError(f"{path}: missing '# model:' or '# config:' header")
     try:

@@ -148,11 +148,15 @@ def test_criterion_5_combination_generator_equivalence(announce):
 def test_criterion_6_fis_properties(announce):
     rng = np.random.default_rng(99)
     controller = FisController()
-    in_bounds = all(
-        0.1 <= controller.infer_w(*(rng.random(3) * 100)) <= 0.9 for _ in range(10_000)
-    )
-    w_low = FisController().infer_w(0, 0, 0)
-    w_high = FisController().infer_w(100, 100, 100)
+
+    def infer(fis, triple) -> float:
+        # One triple at a time, so each weight may hold its predecessor's.
+        w, _ = fis.infer_w_batch(*(np.array([x], dtype=float) for x in triple))
+        return float(w[0])
+
+    in_bounds = all(0.1 <= infer(controller, rng.random(3) * 100) <= 0.9 for _ in range(10_000))
+    w_low = infer(FisController(), (0, 0, 0))
+    w_high = infer(FisController(), (100, 100, 100))
     corners = w_low <= 0.5 <= w_high
     ok = in_bounds and corners
     announce(6, ok, f"10,000 random triples stayed in [0.1, 0.9]: {in_bounds}; "

@@ -144,6 +144,22 @@ class TestVerifyCommand:
         assert "coverage" not in captured.out
         assert captured.err.startswith("error:") and ":3: repeated '# model:' header" in captured.err
 
+    @pytest.mark.parametrize("text,message", [
+        ("# model: 3^x\n# config: t=2\n", ":1: bad model term '3^x'"),
+        ("# model: 3^3\n# config: t=x\n0,0,0\n", ":2: bad main strength 'x'"),
+    ], ids=["model", "config"])
+    def test_bad_header_names_file_and_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run_cli("verify", str(path)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+    def test_undecodable_suite_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(bytes(range(256)))
+        assert run_cli("verify", str(path)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+
     def test_missing_suite_file_exits_2(self, tmp_path, capsys):
         assert run_cli("verify", str(tmp_path / "missing.txt")) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -333,8 +349,10 @@ class TestMfConfig:
         ({"inputs": {"ncf": [[0, 0, 50]]}}, "inputs.ncf"),
         ({"w_max": [0.9]}, "w_max"),
         ({"output": []}, "output"),
+        ({"inputs": []}, "inputs"),
+        ({"inputs": 0}, "inputs"),
     ], ids=["top-level-list", "two-point-triangle", "list-valued-family", "list-valued-bound",
-            "list-valued-output"])
+            "list-valued-output", "list-valued-inputs", "number-valued-inputs"])
     def test_mis_shaped_json_exits_2(self, tmp_path, capsys, payload, bad_key):
         mf = tmp_path / "mf.json"
         mf.write_text(json.dumps(payload))

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vscit.fis import (
-    DEFAULT_RULES,
     FisController,
     MembershipFunction,
     W_MAX_DEFAULT,
@@ -26,7 +25,6 @@ from vscit.fis import (
     compute_ncf,
     compute_nor_nubf,
     controller_from_config,
-    selection_to_w,
 )
 
 # Exact continuous centroids of the default output triangles at full height.
@@ -34,6 +32,18 @@ LOW_TRIANGLE_CENTROID = (0 + 0 + 50) / 3
 HIGH_TRIANGLE_CENTROID = (50 + 100 + 100) / 3
 
 pct = st.floats(min_value=0, max_value=100, allow_nan=False)
+
+
+def infer(controller, ncf, d1, d2) -> float:
+    """The weight for one triple, through a batch of one."""
+    w, _ = controller.infer_w_batch(np.array([ncf], dtype=float), np.array([d1], dtype=float),
+                                    np.array([d2], dtype=float))
+    return float(w[0])
+
+
+def scaled(selection) -> float:
+    """The default weight a selection maps to: selection% of w_max, clamped to [w_min, w_max]."""
+    return min(max(selection / 100 * W_MAX_DEFAULT, W_MIN_DEFAULT), W_MAX_DEFAULT)
 
 
 def triangle(mf, x):
@@ -188,45 +198,54 @@ class TestComputeNorNubf:
 class TestInferW:
     def test_all_low_corner_fires_rule_one_alone(self):
         controller = FisController()
-        w = controller.infer_w(0, 0, 0)
+        w = infer(controller, 0, 0, 0)
         assert w <= 0.5
-        assert w == pytest.approx(selection_to_w(LOW_TRIANGLE_CENTROID), abs=0.005)
+        assert w == pytest.approx(scaled(LOW_TRIANGLE_CENTROID), abs=0.005)
 
     def test_all_high_corner_fires_rule_four_alone(self):
         controller = FisController()
-        w = controller.infer_w(100, 100, 100)
+        w = infer(controller, 100, 100, 100)
         assert w >= 0.5
-        assert w == pytest.approx(selection_to_w(HIGH_TRIANGLE_CENTROID), abs=0.005)
+        assert w == pytest.approx(scaled(HIGH_TRIANGLE_CENTROID), abs=0.005)
 
-    def test_full_selection_maps_to_w_max_exactly(self):
-        assert selection_to_w(100.0) == 0.9
-        assert selection_to_w(100.0, w_max=0.8) == 0.8
+    def test_selection_scales_onto_w_max(self):
+        # Rule 4 alone fires: the whole "high" triangle, centroid 250/3,
+        # scales to 250/3 % of w_max, inside the bounds.
+        w, selection = FisController(w_max=0.8, w_min=0.2).infer_w_batch(
+            np.array([100.0]), np.array([100.0]), np.array([100.0]))
+        assert selection[0] == pytest.approx(HIGH_TRIANGLE_CENTROID, rel=1e-12)
+        assert w[0] == selection[0] / 100 * 0.8
 
     def test_selection_floor_is_w_min(self):
-        assert selection_to_w(0.0) == W_MIN_DEFAULT
+        # Rule 1 alone fires on a "low" set of centroid 1/3, which would
+        # scale to 0.003: the weight is held at w_min.
+        controller = controller_from_config({"output": {"low": [0, 0, 1], "high": [50, 100, 100]}})
+        w, selection = controller.infer_w_batch(np.zeros(1), np.zeros(1), np.zeros(1))
+        assert selection[0] == pytest.approx(1 / 3, rel=1e-12)
+        assert w[0] == W_MIN_DEFAULT
 
     def test_no_fire_returns_last_w(self):
         controller = FisController()
-        assert controller.infer_w(50, 50, 50) == W_MAX_DEFAULT  # starts at w_max
-        controller.infer_w(0, 0, 0)  # drives last_w low
+        assert infer(controller, 50, 50, 50) == W_MAX_DEFAULT  # starts at w_max
+        infer(controller, 0, 0, 0)  # drives last_w low
         low = controller.last_w
-        assert controller.infer_w(50, 50, 50) == low
+        assert infer(controller, 50, 50, 50) == low
 
     def test_updates_last_w(self):
         controller = FisController()
-        w = controller.infer_w(0, 0, 0)
+        w = infer(controller, 0, 0, 0)
         assert controller.last_w == w
 
     def test_out_of_range_input_raises(self):
         controller = FisController()
         with pytest.raises(ValueError):
-            controller.infer_w(101, 0, 0)
+            infer(controller, 101, 0, 0)
         with pytest.raises(ValueError):
-            controller.infer_w(0, -1, 0)
+            infer(controller, 0, -1, 0)
 
     def test_nan_input_raises(self):
         with pytest.raises(ValueError, match="d2 outside"):
-            FisController().infer_w(0, 0, math.nan)
+            infer(FisController(), 0, 0, math.nan)
 
     @pytest.mark.parametrize("ncf,d1,d2", [
         (5.0, 5.0, 5.0),
@@ -241,7 +260,7 @@ class TestInferW:
     def test_deterministic_given_same_state(self):
         a, b = FisController(), FisController()
         triples = [(10, 20, 30), (50, 50, 50), (90, 10, 40), (0, 0, 0)]
-        assert [a.infer_w(*t) for t in triples] == [b.infer_w(*t) for t in triples]
+        assert [infer(a, *t) for t in triples] == [infer(b, *t) for t in triples]
 
     def test_rule_one_dominance_monotone(self):
         # Holding d1 = d2 = 0, shrinking ncf from the medium peak toward 0
@@ -249,14 +268,14 @@ class TestInferW:
         ws = []
         for ncf in [50, 40, 30, 20, 10, 5, 0]:
             controller = FisController()
-            ws.append(controller.infer_w(ncf, 0, 0))
+            ws.append(infer(controller, ncf, 0, 0))
         assert all(a >= b for a, b in zip(ws, ws[1:]))
 
     def test_batch_equals_sequential_scalar_calls(self):
         rng = np.random.default_rng(11)
         triples = rng.random((40, 3)) * 100
         scalar_controller = FisController()
-        scalar = [scalar_controller.infer_w(*t) for t in triples]
+        scalar = [infer(scalar_controller, *t) for t in triples]
         batch_controller = FisController()
         batch, _ = batch_controller.infer_w_batch(triples[:, 0], triples[:, 1], triples[:, 2])
         np.testing.assert_array_equal(batch, scalar)
@@ -284,7 +303,7 @@ class TestInferW:
     @settings(max_examples=200)
     def test_output_always_within_bounds(self, ncf, d1, d2):
         controller = FisController()
-        assert W_MIN_DEFAULT <= controller.infer_w(ncf, d1, d2) <= W_MAX_DEFAULT
+        assert W_MIN_DEFAULT <= infer(controller, ncf, d1, d2) <= W_MAX_DEFAULT
 
     def test_degree_sanity_default_layout(self):
         controller = FisController()
@@ -314,17 +333,31 @@ class TestControllerConfig:
     def test_w_bounds_override(self):
         controller = controller_from_config({"w_max": 0.8, "w_min": 0.2})
         assert controller.w_max == 0.8
-        assert controller.infer_w(0, 0, 0) >= 0.2
+        assert infer(controller, 0, 0, 0) >= 0.2
 
     def test_unknown_input_name_raises(self):
         with pytest.raises(ValueError, match="unknown FIS inputs"):
             FisController(input_mfs={"speed": {}})
 
-    def test_rule_referencing_missing_label_raises(self):
-        # A replaced family must name every label the rules read; rule 3 reads ncf medium.
-        ncf = {"low": MembershipFunction(0, 0, 50), "high": MembershipFunction(50, 100, 100)}
-        with pytest.raises(ValueError, match=r"\(ncf, medium\) has no membership function"):
-            FisController(input_mfs={"ncf": ncf})
+    @pytest.mark.parametrize("family,label", [
+        ("ncf", "low"), ("ncf", "medium"), ("ncf", "high"), ("d1", "low"), ("d1", "high"),
+        ("d2", "low"), ("d2", "high"), ("output", "low"), ("output", "high"),
+    ])
+    def test_rule_referencing_missing_label_raises(self, family, label):
+        # A replaced family must name every label the rules read. d1 and d2
+        # keep "medium", which no rule reads, so only the named label is missing.
+        mfs = {"low": MembershipFunction(0, 0, 50), "medium": MembershipFunction(25, 50, 75),
+               "high": MembershipFunction(50, 100, 100)}
+        del mfs[label]
+        if family == "output":
+            cfg = {"output_mfs": mfs}
+            message = f"rule consequent {label!r} has no membership function"
+        else:
+            cfg = {"input_mfs": {family: mfs}}
+            message = f"rule term ({family}, {label}) has no membership function"
+        with pytest.raises(ValueError) as err:
+            FisController(**cfg)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("cfg,message", [
         ({"inputs": {"ncf": {}}}, r"rule term \(ncf, low\) has no membership function"),
@@ -336,10 +369,18 @@ class TestControllerConfig:
             controller_from_config(cfg)
 
     def test_omitted_or_null_families_keep_the_defaults(self):
-        for cfg in ({}, {"inputs": {}}, {"inputs": None}, {"output": None}):
+        for cfg in ({}, {"inputs": {}}, {"inputs": None}, {"output": None},
+                    {"inputs": None, "output": None}):
             controller = controller_from_config(cfg)
             assert controller.input_mfs == FisController().input_mfs
             assert controller.output_mfs == FisController().output_mfs
+
+    @pytest.mark.parametrize("inputs", [[], 0, "", False], ids=["list", "int", "str", "bool"])
+    def test_non_object_inputs_raise(self, inputs):
+        # Only null or an omitted key means "no inputs"; any other falsy value is refused.
+        with pytest.raises(ValueError) as err:
+            controller_from_config({"inputs": inputs})
+        assert str(err.value) == f"inputs must be a JSON object, got {type(inputs).__name__}"
 
     def test_bad_w_bounds_raise(self):
         with pytest.raises(ValueError):
@@ -358,10 +399,41 @@ class TestControllerConfig:
 
 
 class TestDefaultRules:
-    def test_rule_shapes(self):
-        assert len(DEFAULT_RULES) == 4
-        consequents = [r.consequent for r in DEFAULT_RULES]
-        assert consequents == ["low", "high", "high", "high"]
+    @pytest.mark.parametrize("triple,centroid", [
+        ((0, 0, 0), LOW_TRIANGLE_CENTROID),
+        ((100, 0, 0), HIGH_TRIANGLE_CENTROID),
+        ((50, 0, 100), HIGH_TRIANGLE_CENTROID),
+        ((100, 100, 100), HIGH_TRIANGLE_CENTROID),
+    ], ids=["rule-1", "rule-2", "rule-3", "rule-4"])
+    def test_rule_fires_alone_at_its_corner(self, triple, centroid):
+        # Each triple sets every term of one rule to degree 1 and some term
+        # of each other rule to 0:
+        #   rule 1 (0, 0, 0):       ncf low, d1 low, d2 low
+        #   rule 2 (100, 0, 0):     ncf not-low, d1 low, d2 low
+        #   rule 3 (50, 0, 100):    ncf medium, d1 low, d2 not-low
+        #   rule 4 (100, 100, 100): ncf high, d1 high, d2 high
+        # The aggregate is then that rule's whole output triangle.
+        _, selection = FisController().infer_w_batch(*(np.array([x], dtype=float) for x in triple))
+        assert selection[0] == pytest.approx(centroid, rel=0, abs=1e-12)
+
+    # Clipped at 0.5, the "high" triangle has area 6.25 + 12.5 and first
+    # moment 15625 / 24 + 4375 / 4, so its centroid is 725/9; "low" is its
+    # mirror image, at 100 - 725/9.
+    @pytest.mark.parametrize("triple,centroid", [
+        ((0, 25, 0), 175 / 9),
+        ((0, 0, 25), 175 / 9),
+        ((100, 0, 25), 725 / 9),
+        ((37.5, 0, 100), 725 / 9),
+        ((50, 25, 100), 725 / 9),
+        ((100, 75, 100), 725 / 9),
+        ((100, 100, 75), 725 / 9),
+    ], ids=["rule-1-d1", "rule-1-d2", "rule-2-d2", "rule-3-ncf", "rule-3-d1", "rule-4-d1",
+            "rule-4-d2"])
+    def test_rule_is_clipped_at_its_weakest_term(self, triple, centroid):
+        # One term of the rule at degree 0.5, its other terms at 1, and some
+        # term of every other rule at 0: the rule's output triangle, clipped at 0.5.
+        _, selection = FisController().infer_w_batch(*(np.array([x], dtype=float) for x in triple))
+        assert selection[0] == pytest.approx(centroid, rel=0, abs=1e-12)
 
     def test_not_low_is_complement(self):
         # With d1 = d2 = 0 only rules 1 and 2 fire: "low" at ncf's low degree
@@ -418,5 +490,5 @@ class TestExactCentroid:
         # Such an input term has degree 1.0 at its one point and 0 elsewhere.
         controller = controller_from_config(
             {"inputs": {"ncf": {"low": [0, 0, 0], "medium": [25, 50, 75], "high": [50, 100, 100]}}})
-        assert controller.infer_w(0, 0, 0) <= 0.5
+        assert infer(controller, 0, 0, 0) <= 0.5
         assert triangle(controller.input_mfs["ncf"]["low"], 0) == 1.0

@@ -281,6 +281,27 @@ class TestSuiteFiles:
         with pytest.raises(ParseError, match=f":{line_no}: repeated '# {header}:' header"):
             read_suite(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("# model: 3^x\n# config: t=2\n", ":1: bad model term '3^x'"),
+        ("# model: 3^3\n\n# config: t=x\n0,0,0\n", ":3: bad main strength 'x'"),
+        ("# model: 3^3\n# config: t=2; sub=0,1\n", ":2: bad sub-config 'sub=0,1', expected indices:strength"),
+    ], ids=["model", "config", "sub-config"])
+    def test_bad_header_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_suite(path)
+        assert str(err.value) == f"{path}{message}"
+
+    def test_undecodable_content_names_the_file(self, tmp_path):
+        # Under a UTF-8 locale the bytes fail to decode; under a one-byte
+        # locale they decode and fail as a case line. Either names the file.
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(bytes(range(256)))
+        with pytest.raises(ParseError) as err:
+            read_suite(path)
+        assert str(err.value).startswith(f"{path}:")
+
     def test_bad_case_line_raises(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# model: 2^2\n# config: t=2\n0,x\n")
