@@ -130,30 +130,42 @@ class _ExactCentroid:
                     points.add(x)
         self.fixed = np.array(sorted(points))
         feet, runs = zip(*edges)
-        self.feet = np.array(feet)[:, None]
-        self.runs = np.array(runs)[:, None]
+        self.feet = np.array(feet)[:, None, None]
+        self.runs = np.array(runs)[:, None, None]
         self.sets = _Triangles(mfs, 3)
 
     def __call__(self, strength: np.ndarray) -> np.ndarray:
-        """Centroid per column of strength (sets x n), NaN where the aggregate has no area."""
+        """Centroid per column of strength (sets x n), NaN where the aggregate has no area.
+
+        Every array runs along the batch, one column per triple.
+        """
         sets, n = strength.shape
-        clips = (self.feet + strength.T[:, None, :] * self.runs).reshape(n, self.feet.size * sets)
-        fixed = np.broadcast_to(self.fixed, (n, self.fixed.size))
-        breaks = np.sort(np.concatenate((fixed, clips), axis=1), axis=1)
+        fixed = self.fixed.size
+        breaks = np.empty((fixed + self.feet.size * sets, n))
+        breaks[:fixed] = self.fixed[:, None]
+        clips = breaks[fixed:].reshape(self.feet.size, sets, n)
+        np.multiply(strength, self.runs, out=clips)
+        clips += self.feet
+        breaks.sort(axis=0)
         # The aggregate is linear between breakpoints; two Gauss nodes per
         # segment, each weighted by the segment's width, give twice its area
         # and first moment exactly, and the factor cancels in the centroid.
-        start = breaks[:, None, :-1]
-        width = breaks[:, None, 1:] - start
+        start = breaks[:-1, None]
+        width = breaks[1:, None] - start
         nodes = start + width * _GAUSS_NODES
-        height = np.minimum(self.sets.degrees(nodes), strength[:, :, None, None]).max(axis=0)
-        weighted = height * width
-        # Summing along the last axis first keeps each row's order of
-        # additions independent of the batch size.
-        area = weighted.sum(axis=2).sum(axis=1)
-        moment = (weighted * nodes).sum(axis=2).sum(axis=1)
-        fired = area > 0.0
-        return np.where(fired, moment / np.where(fired, area, 1.0), np.nan)
+        height = self.sets.degrees(nodes)
+        np.minimum(height, strength[:, None, None, :], out=height)
+        # (area, moment) along axis 0, then the segments, the two nodes and the batch.
+        terms = np.empty((2,) + nodes.shape)
+        weighted = np.maximum.reduce(height, axis=0, out=terms[0])
+        weighted *= width
+        np.multiply(weighted, nodes, out=terms[1])
+        # The segment axis is never the innermost, so each column adds its
+        # segments in order for every batch size; numpy adds pairwise only
+        # along the innermost axis.
+        totals = np.add.reduce(terms, axis=1)
+        area, moment = totals[:, 0] + totals[:, 1]
+        return np.divide(moment, area, out=np.full(n, np.nan), where=area > 0.0)
 
 
 class FisController:
@@ -212,19 +224,16 @@ class FisController:
         Returns the weights and the defuzzified selections, NaN where no
         rule fired.
         """
-        inputs = {
-            "ncf": np.asarray(ncf, dtype=float),
-            "d1": np.asarray(d1, dtype=float),
-            "d2": np.asarray(d2, dtype=float),
-        }
-        shapes = {arr.shape for arr in inputs.values()}
-        if len(shapes) != 1 or inputs["ncf"].ndim != 1:
+        if len({np.shape(ncf), np.shape(d1), np.shape(d2)}) != 1 or np.ndim(ncf) != 1:
             raise ValueError("FIS inputs must be equal-length 1-d arrays")
-        n = inputs["ncf"].shape[0]
-        x = np.stack(list(inputs.values()))
-        outside = ~((x >= 0.0) & (x <= 100.0)).all(axis=1)  # NaN is outside too
-        if outside.any():
-            raise ValueError(f"{INPUT_NAMES[int(np.argmax(outside))]} outside [0, 100]")
+        x = np.array((ncf, d1, d2), dtype=float)
+        n = x.shape[1]
+        # NaN fails both comparisons, so it is refused too. Only a refused
+        # batch is scanned input by input, to name the first one at fault.
+        if n and not (0.0 <= x.min() and x.max() <= 100.0):
+            for name, row in zip(INPUT_NAMES, x):
+                if not ((row >= 0.0) & (row <= 100.0)).all():
+                    raise ValueError(f"{name} outside [0, 100]")
 
         ncf_low, d1_low, d2_low, ncf_medium, ncf_high, d1_high, d2_high = (
             self._terms.degrees(x[self._term_inputs]))
@@ -242,14 +251,14 @@ class FisController:
         # 4. ncf high and d1 high and d2 high -> w high
         np.maximum(high, np.minimum(np.minimum(ncf_high, d1_high), d2_high), out=high)
         selection = self._centroid(strength)
-        fired = ~np.isnan(selection)
 
         # A selection scales onto [0, w_max], clamped to [w_min, w_max]. Each
         # unfired index takes the weight of the latest fired index before
         # it; slot 0 of held is the weight from before this batch.
-        mapped = np.minimum(np.maximum(selection / 100.0 * self.w_max, self.w_min), self.w_max)
-        held = np.concatenate(([self.last_w], mapped))
-        latest = np.maximum.accumulate(np.where(fired, np.arange(1, n + 1), 0))
+        held = np.empty(n + 1)
+        held[0] = self.last_w
+        np.minimum(np.maximum(selection / 100.0 * self.w_max, self.w_min), self.w_max, out=held[1:])
+        latest = np.maximum.accumulate(np.where(np.isnan(selection), 0, np.arange(1, n + 1)))
         w = held[latest]
         if n:
             self.last_w = float(w[-1])
