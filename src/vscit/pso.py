@@ -56,6 +56,9 @@ class SwarmParams:
     best after which a search stops; None runs the whole max_iterations
     budget, as the paper does. Left out, it is DEFAULT_PATIENCE[variant],
     fixed at construction (so dataclasses.replace of the variant keeps it).
+    swarm_size, max_iterations, rng_seed and patience take an int only, not
+    a bool or a float; a refused value raises a ValueError that names its
+    field.
     """
 
     swarm_size: int = 80
@@ -65,19 +68,20 @@ class SwarmParams:
     patience: int | None = VARIANT_DEFAULT
 
     def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.patience is VARIANT_DEFAULT:
             object.__setattr__(self, "patience", DEFAULT_PATIENCE[self.variant])
-        elif self.patience is not None and (
-                type(self.patience) is not int or self.patience < 1):
-            raise ValueError(f"patience must be an integer >= 1 or None, got {self.patience!r}")
+        for name, least in (("swarm_size", 2), ("max_iterations", 1), ("rng_seed", 0),
+                            ("patience", 1)):
+            value = getattr(self, name)
+            if name == "patience" and value is None:
+                continue
+            # A bool would run as 0 or 1, and a float would run rounded up or
+            # fail inside numpy.
+            if type(value) is not int or value < least:
+                none = " or None" if name == "patience" else ""
+                raise ValueError(f"{name} must be an integer >= {least}{none}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,13 @@ ParamCombination = tuple[int, ...]
 # The bias that lifts every id into [2**52, 2**53), where float64 spacing is 1.
 _BIAS_ID = 2**52
 _BIAS_BITS = np.float64(_BIAS_ID).view(np.int64)
+# Place values of the sort key are reduced modulo the largest prime below
+# 2**53: every one is then an exact float64, and no key can reach inf or NaN.
+_KEY_PRIME = 2**53 - 111
+# Open combinations from which counts scores each distinct row only once: a
+# break-even sweep over 80 rows found the sort and the row comparison paying
+# for themselves from about here on, while up to 60% of the rows are distinct.
+_DEDUP_MIN_COMBINATIONS = 256
 
 
 def generate_param_combinations(k: int, t: int) -> list[ParamCombination]:
@@ -57,7 +64,9 @@ class TupleStore:
     product as int64 and subtracting the bias's bits leaves the ids. A
     combination's column leaves the matrix with its last tuple, so the
     per-case work shrinks as coverage progresses. Ids must stay below 2**52
-    for this to be exact; a larger model is refused.
+    for this to be exact; a larger model is refused. The mask changes only
+    through remove_covered, so equal cases always score the same, and while
+    the store is wide, counts scores each distinct case once.
     """
 
     def __init__(self, model: SutModel, combinations: Iterable[ParamCombination]):
@@ -81,6 +90,11 @@ class TupleStore:
                 stride *= model.param_levels[i]
         self._strides[-1] = self._starts + _BIAS_ID
         self._left = sizes
+        place, radix = 1, []
+        for v in reversed(model.param_levels):
+            radix.append(place)
+            place = place * v % _KEY_PRIME
+        self._radix = np.array(radix[::-1], dtype=float)
 
     @property
     def remaining_count(self) -> int:
@@ -104,9 +118,34 @@ class TupleStore:
         ids -= _BIAS_BITS
         return ids
 
-    def counts(self, cases: np.ndarray) -> np.ndarray:
-        """Uncovered tuples hit by each row of an (n, k) integer-valued case matrix."""
+    def _scores(self, cases: np.ndarray) -> np.ndarray:
         return self.uncovered[self._ids(cases)].sum(axis=1)
+
+    def counts(self, cases: np.ndarray) -> np.ndarray:
+        """Uncovered tuples hit by each row of an (n, k) integer-valued case matrix.
+
+        With at least _DEDUP_MIN_COMBINATIONS open combinations, each
+        distinct row is scored once. The rows are sorted by a key, the
+        case's mixed-radix number with its place values reduced modulo a
+        prime, and adjacent sorted rows are compared value by value (so
+        -0.0 equals 0.0); the first row of each run of equal rows is scored
+        for the whole run. The key only brings equal rows together. It may
+        round or collide on a wide model, but the row comparison decides
+        what is equal, so every score is exact. With fewer open
+        combinations, the sort and the comparison cost more than the
+        product and gather they save, and every row is scored.
+        """
+        cases = np.asarray(cases)
+        if len(self._left) < _DEDUP_MIN_COMBINATIONS:
+            return self._scores(cases)
+        order = np.argsort(cases @ self._radix)
+        ordered = cases.take(order, axis=0)
+        first = np.empty(len(cases), dtype=bool)
+        first[:1] = True
+        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        counts = np.empty(len(cases), dtype=np.intp)
+        counts[order] = self._scores(ordered.compress(first, axis=0))[first.cumsum() - 1]
+        return counts
 
     def first_uncovered(self) -> tuple[ParamCombination, tuple[int, ...]]:
         """The smallest uncovered (combination, value tuple) pair."""

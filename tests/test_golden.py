@@ -51,12 +51,20 @@ GOLDEN = [
     ("3^5", "t=2", dict(variant="fpso", rng_seed=5),
      "122984bddf707686c6a8237002db645c8fa18108feb47bef48079c03c296bd4c",
      "58d812b835992482e8338c30b549e8e5ba975be4a8877a13ed01bebcec7f87f6"),
+    # Stores of 560 and 455 combinations, wide enough that the store scores
+    # each distinct case once; recorded before it did.
+    ("2^16", "t=3", dict(variant="cpso", swarm_size=10, max_iterations=30, rng_seed=2),
+     "f5602c023132d569675a766098df1a72b88bdc442595cd81b499a974a8495f62",
+     "eb1b914988564771de4988edc682b4f2e25dda0ea705f14c95a6b09f48881ae3"),
+    ("3^15", "t=3", dict(variant="fpso", swarm_size=10, max_iterations=20, rng_seed=2),
+     "e1940cdb74bfed6cdf4eca545907724a7f77a244456fba38ef7ff7845e9bd7cf",
+     "6a48b6ffdda8cb93be7213881299517b84467d0d00e352a457b6673be597240e"),
 ]
 
 
 @pytest.mark.parametrize("model_spec,config_text,params,digest,log_digest", GOLDEN,
                          ids=["fpso", "cpso", "variable-strength-repair", "three-lengths",
-                              "fpso-default-patience"])
+                              "fpso-default-patience", "wide-cpso", "wide-fpso"])
 def test_suite_bytes_are_pinned(model_spec, config_text, params, digest, log_digest,
                                 tmp_path, monkeypatch, trace):
     repairs = []

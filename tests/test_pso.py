@@ -222,10 +222,12 @@ class TestSwarmParams:
     @pytest.mark.parametrize(
         "kwargs",
         [{"swarm_size": 1}, {"max_iterations": 0}, {"variant": "dpso"}, {"rng_seed": -1},
-         {"patience": 0}, {"patience": -1}, {"patience": True}, {"patience": 2.5}],
+         {"patience": 0}, {"patience": -1}, {"patience": True}, {"patience": 2.5},
+         {"swarm_size": 4.0}, {"swarm_size": True}, {"max_iterations": 2.5},
+         {"max_iterations": True}, {"rng_seed": 1.5}, {"rng_seed": False}],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
             SwarmParams(**kwargs)
 
 

@@ -4,6 +4,7 @@ Brute-force oracles: itertools.combinations for the generator (canonical
 lexicographic enumeration), and plain nested recounts for store contents.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from vscit.model import SubConfig, SutModel, VscaConfig, parse_model
 from vscit.tuples import (
+    _DEDUP_MIN_COMBINATIONS,
     TupleStore,
     build_tuple_store,
     generate_param_combinations,
@@ -247,3 +249,69 @@ class TestBatchCounts:
         cases = np.ceil(np.random.default_rng(0).random((200, model.k)) * vmax - 0.5)
         assert np.signbit(cases[cases == 0]).any()
         np.testing.assert_array_equal(store.counts(cases), store.counts(cases.astype(np.int64)))
+
+
+@functools.cache
+def wide_store(spec):
+    """A partly covered store at or above the dedup gate, the cases that
+    covered it, and its uncovered pairs and their combinations by itertools."""
+    model_spec, t = spec
+    model = parse_model(model_spec)
+    store = build_tuple_store(model, VscaConfig(t))
+    uncovered = brute_force_pairs(model, VscaConfig(t))
+    rng = np.random.default_rng(1)
+    if model_spec == "2^16":
+        # Every value triple of parameters 0-2 closes combination (0, 1, 2) and others.
+        warm = [head + tuple(rng.integers(0, 2, model.k - 3).tolist())
+                for head in itertools.product(range(2), repeat=3)]
+    else:
+        warm = [tuple(rng.integers(0, model.param_levels).tolist()) for _ in range(2)]
+    for case in warm:
+        remove_covered(case, store)
+        uncovered -= {(key, tuple(case[i] for i in key)) for key, _ in uncovered}
+    keys = frozenset(key for key, _ in uncovered)
+    assert store.open_combinations == len(keys) >= _DEDUP_MIN_COMBINATIONS
+    return store, warm, frozenset(uncovered), keys
+
+
+class TestDedupCounts:
+    """counts on stores wide enough to score each distinct row once."""
+
+    # The place values of 7^25 pass 2**53, so its keys are inexact; unreduced,
+    # those of 2^1100 would pass the float64 range.
+    @given(st.sampled_from([("2^16", 3), ("7^25", 2), ("2^1100", 1)]), st.integers(1, 80),
+           st.sampled_from([1, 2, 3, None]), st.sampled_from([0, 1, 80]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_itertools_recount(self, spec, pool_size, tail, n, as_float, seed):
+        store, warm, uncovered, keys = wide_store(spec)
+        levels = np.array(store.model.param_levels)
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, levels, (pool_size, len(levels)))
+        if tail is not None:
+            # Cases that differ only in their last values have the closest keys;
+            # next to a covering case, they differ in score too.
+            pool[:, :-tail] = warm[rng.integers(len(warm))][:-tail]
+        cases = pool[rng.integers(0, pool_size, n)]
+        expected = [sum((key, tuple(int(case[i]) for i in key)) in uncovered for key in keys)
+                    for case in cases]
+        if as_float:
+            cases = cases.astype(float)
+            cases[(cases == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
+        np.testing.assert_array_equal(store.counts(cases), expected)
+
+    @pytest.mark.parametrize("model_spec,t,rows", [("2^16", 3, 5), ("3^5", 2, 80)],
+                             ids=["wide", "narrow"])
+    def test_only_distinct_rows_are_scored_above_the_gate(self, model_spec, t, rows,
+                                                           monkeypatch):
+        store = build_tuple_store(parse_model(model_spec), VscaConfig(t))
+        assert (store.open_combinations >= _DEDUP_MIN_COMBINATIONS) == (rows == 5)
+        sizes = []
+        ids = TupleStore._ids
+        monkeypatch.setattr(TupleStore, "_ids", lambda self, c: sizes.append(len(c)) or ids(self, c))
+        rng = np.random.default_rng(0)
+        cases = rng.integers(0, 2, (5, store.model.k)).astype(float)[np.arange(80) % 5]
+        # The search rounds with np.ceil, which gives -0.0 as well as 0.0.
+        cases[(cases == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
+        store.counts(cases)
+        assert sizes == [rows]
