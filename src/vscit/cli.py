@@ -18,14 +18,13 @@ import sys
 from dataclasses import replace
 from importlib import resources
 
-from .fis import controller_from_config
+from .fis import FisController, controller_from_config
 from .model import ParseError, SutModel, VscaConfig, check_config, parse_config, parse_model
 from .pso import (
     DEFAULT_PATIENCE,
     VARIANT_DEFAULT,
     VARIANTS,
     InternalCoverageError,
-    RunResult,
     SwarmParams,
     generate_suite,
 )
@@ -89,19 +88,11 @@ def _parse_targets(targets: list[Target]) -> list[ParsedTarget]:
     return parsed
 
 
-def _run_one(target: ParsedTarget, params: SwarmParams, mf_config: dict | None) -> RunResult:
-    _, model, config = target
-    # A controller per fpso run, so its last emitted weight cannot leak into the next.
-    controller = None
-    if mf_config and params.variant == "fpso":
-        controller = controller_from_config(mf_config)
-    return generate_suite(model, config, params, controller=controller)
-
-
-def cmd_generate(target: ParsedTarget, params: SwarmParams, mf_config: dict | None,
+def cmd_generate(target: ParsedTarget, params: SwarmParams, controller: FisController | None,
                  out: str) -> int:
     """Single run: write the suite and its per-test log, print a summary line."""
-    result = _run_one(target, params, mf_config)
+    _, model, config = target
+    result = generate_suite(model, config, params, controller)
     write_suite(result.suite, out)
     with open(out + ".log", "w", newline="\n") as fh:
         fh.writelines(f"{rec}\n" for rec in result.tests)
@@ -109,8 +100,8 @@ def cmd_generate(target: ParsedTarget, params: SwarmParams, mf_config: dict | No
     return EXIT_OK
 
 
-def cmd_benchmark(targets: list[ParsedTarget], params: SwarmParams, mf_config: dict | None,
-                  runs: int, out: str) -> int:
+def cmd_benchmark(targets: list[ParsedTarget], params: SwarmParams,
+                  controller: FisController | None, runs: int, out: str) -> int:
     """Seeded campaign over one or more configs; per-run sizes plus best/mean rows.
 
     Run r of each config uses params with the seed raised by r.
@@ -118,10 +109,9 @@ def cmd_benchmark(targets: list[ParsedTarget], params: SwarmParams, mf_config: d
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     rows: list[list[str]] = []
-    for target in targets:
-        label = target[0]
-        results = [_run_one(target, replace(params, rng_seed=params.rng_seed + r), mf_config)
-                   for r in range(runs)]
+    for label, model, config in targets:
+        results = [generate_suite(model, config, replace(params, rng_seed=params.rng_seed + r),
+                                  controller) for r in range(runs)]
         best, mean, sizes = suite_stats(results)
         for r, size in enumerate(sizes):
             rows.append([label, params.variant, str(params.rng_seed + r), str(size)])
@@ -212,18 +202,16 @@ def _targets_from_args(args) -> list[Target]:
     return [(f"{args.model} {config_text}", args.model, config_text)]
 
 
-def _load_mf_config(path: str) -> dict | None:
+def _load_mf_config(path: str) -> FisController | None:
+    """The controller an --mf-config file describes, built and checked whatever the variant."""
     if not path:
         return None
     try:
         with open(path) as fh:
-            mf_config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot load --mf-config {path!r}: {exc}") from None
-    # Checked here, whatever the variant, so a malformed file never passes;
-    # each fpso run still builds its own controller from the dict.
-    controller_from_config(mf_config)
-    return mf_config
+    return controller_from_config(cfg)
 
 
 def _configure_logging() -> None:
@@ -248,14 +236,14 @@ def main(argv=None) -> int:
         _configure_logging()
         if args.command == "verify":
             return cmd_verify(args.suite, args.csv or None)
-        mf_config = _load_mf_config(args.mf_config)
+        controller = _load_mf_config(args.mf_config)
         targets = _parse_targets(_targets_from_args(args))
         params = SwarmParams(swarm_size=args.swarm_size, max_iterations=args.iterations,
                              variant=args.variant, rng_seed=args.seed,
                              patience=args.patience)
         if args.command == "generate":
-            return cmd_generate(targets[0], params, mf_config, args.out or "suite.txt")
-        return cmd_benchmark(targets, params, mf_config, args.runs, args.out or "benchmark.csv")
+            return cmd_generate(targets[0], params, controller, args.out or "suite.txt")
+        return cmd_benchmark(targets, params, controller, args.runs, args.out or "benchmark.csv")
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -172,9 +172,10 @@ class FisController:
     """Membership families, the four rules, and centroid defuzzifier for the inertia weight.
 
     Stateful: the controller remembers the last weight it emitted, and input
-    triples that fire no rule hold that value. It starts at w_max so early
-    no-fire regions keep the search exploratory. One controller serves one
-    generation run.
+    triples that fire no rule hold that value. It starts at w_max, so early
+    no-fire regions keep the search exploratory, and generate_suite sets it
+    back to w_max at the start of every fpso run, so one controller can
+    serve any number of runs.
     """
 
     def __init__(self, input_mfs: dict[str, dict[str, MembershipFunction]] | None = None,
@@ -190,11 +191,14 @@ class FisController:
             for name in INPUT_NAMES
         }
         self.output_mfs = _default_family() if output_mfs is None else dict(output_mfs)
-        self.w_max = float(w_max)
-        self.w_min = float(w_min)
-        for name, bound in (("w_max", self.w_max), ("w_min", self.w_min)):
+        for name, bound in (("w_max", w_max), ("w_min", w_min)):
+            try:
+                bound = float(bound)
+            except OverflowError:
+                raise ValueError(f"{name} is an integer too large for a float") from None
             if not math.isfinite(bound):
                 raise ValueError(f"{name} must be finite, got {bound}")
+            setattr(self, name, bound)
         if not 0 < self.w_min <= self.w_max:
             raise ValueError(f"need 0 < w_min <= w_max, got {self.w_min}, {self.w_max}")
         self.last_w = self.w_max

@@ -287,12 +287,17 @@ def generate_suite(model: SutModel, config: VscaConfig, params: SwarmParams,
     Deletion happens only after a case is accepted into the suite. The
     finished suite is re-checked against the independent oracle on every
     run; a shortfall raises InternalCoverageError. Deterministic for a
-    fixed seed.
+    fixed seed, since every fpso run starts its controller at w_max.
     """
     config = validate_config(model, config)
     rng = np.random.default_rng(params.rng_seed)
-    if params.variant == "fpso" and controller is None:
-        controller = FisController()
+    if params.variant == "fpso":
+        if controller is None:
+            controller = FisController()
+        controller.last_w = controller.w_max
+        # A weight scales velocities of up to (levels - 1) per component.
+        if not math.isfinite(controller.w_max * (max(model.param_levels) - 1)):
+            raise ValueError(f"w_max={controller.w_max} times a velocity overflows a float")
     store = build_tuple_store(model, config)
     cases: list[TestCase] = []
     tests: list[TestRecord] = []

@@ -6,7 +6,9 @@ import logging
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import vscit.cli as cli
 from vscit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_SHORTFALL, EXIT_USAGE, load_preset, main
 from vscit.model import parse_config, parse_model, validate_config
 from vscit.verify import read_suite
@@ -420,6 +422,102 @@ class TestMfConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "top level" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["w_max", "w_min"])
+    def test_integer_bound_past_the_float_range_exits_2(self, tmp_path, capsys, name):
+        mf = tmp_path / "mf.json"
+        mf.write_text(f'{{"{name}": 1{"0" * 400}}}')
+        out = tmp_path / "s.txt"
+        assert run_cli("generate", "--model", "3^3", "--t", "2", "--mf-config", str(mf),
+                       "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {name} is an integer too large for a float\n"
+        assert not out.exists()
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        mf = tmp_path / "mf.json"
+        mf.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "s.txt"
+        assert run_cli("generate", "--model", "3^3", "--t", "2", "--mf-config", str(mf),
+                       "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load --mf-config {str(mf)!r}: maximum recursion")
+        assert not out.exists()
+
+    # A run whose suite changes when the controller enters it at w_min.
+    CAMPAIGN = ["--model", "3^4", "--t", "2", "--swarm-size", "10", "--iterations", "20",
+                "--patience", "none"]
+
+    def test_benchmark_builds_one_controller(self, tmp_path, monkeypatch):
+        mf = tmp_path / "mf.json"
+        mf.write_text(json.dumps({"output": {"low": [0, 10, 60], "high": [40, 90, 100]}}))
+        built = []
+        build = cli.controller_from_config
+        monkeypatch.setattr(cli, "controller_from_config",
+                            lambda cfg: built.append(cfg) or build(cfg))
+        assert run_cli("benchmark", *self.CAMPAIGN, "--runs", "3", "--seed", "39",
+                       "--mf-config", str(mf), "--out", str(tmp_path / "b.csv")) == EXIT_OK
+        assert len(built) == 1
+
+    def test_benchmark_sizes_are_those_of_single_runs(self, tmp_path):
+        mf = tmp_path / "mf.json"
+        mf.write_text(json.dumps({"w_max": 0.8, "output": {"low": [0, 10, 60],
+                                                           "high": [40, 90, 100]}}))
+        bench = tmp_path / "b.csv"
+        assert run_cli("benchmark", *self.CAMPAIGN, "--runs", "3", "--seed", "38",
+                       "--mf-config", str(mf), "--out", str(bench)) == EXIT_OK
+        with open(bench) as fh:
+            sizes = [int(row[3]) for row in list(csv.reader(fh))[1:4]]
+        single = []
+        for seed in (38, 39, 40):
+            out = tmp_path / f"s{seed}.txt"
+            assert run_cli("generate", *self.CAMPAIGN, "--seed", str(seed),
+                           "--mf-config", str(mf), "--out", str(out)) == EXIT_OK
+            single.append(len(read_suite(out)))
+        assert sizes == single
+
+
+# Documents for the --mf-config property test. Breakpoints stay integers
+# (or 10**400, or non-numbers), so no side is too narrow to divide by.
+def mostly(likely, other):
+    """Draws from likely nine times in ten, so that some documents pass every check."""
+    return st.integers(0, 9).flatmap(lambda draw: likely if draw else other)
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.text(max_size=4)
+BOUNDS = mostly(st.floats(0.1, 1),
+                st.integers() | st.sampled_from([10**400, -10**400]) | st.floats()
+                | JSON_SCALARS | st.lists(st.integers(), max_size=2)
+                | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+POINTS = (st.integers(-1, 101) | st.just(10**400) | JSON_SCALARS
+          | st.lists(st.integers(), max_size=1))
+TRIANGLES = mostly(st.lists(st.integers(0, 100), min_size=3, max_size=3).map(sorted),
+                   st.lists(POINTS, max_size=4) | POINTS)
+FAMILIES = mostly(st.fixed_dictionaries({"low": TRIANGLES, "medium": TRIANGLES,
+                                         "high": TRIANGLES})
+                  | st.dictionaries(st.sampled_from(["low", "medium", "high", "top"]), TRIANGLES,
+                                    max_size=4),
+                  st.lists(TRIANGLES, max_size=2) | JSON_SCALARS | st.integers())
+INPUTS = mostly(st.dictionaries(st.sampled_from(["ncf", "d1", "d2", "speed"]), FAMILIES,
+                                max_size=3),
+                st.lists(FAMILIES, max_size=2) | JSON_SCALARS | st.integers())
+DOCUMENTS = mostly(st.fixed_dictionaries({}, optional={"w_max": BOUNDS, "w_min": BOUNDS,
+                                                       "inputs": INPUTS, "output": FAMILIES}),
+                   st.lists(BOUNDS, max_size=2) | BOUNDS)
+
+
+@given(DOCUMENTS)
+@example({"w_max": 10**400})
+@example({"w_max": 1.7976931348623157e308})  # w_max times a velocity would overflow
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_controller_file_runs_or_exits_2(tmp_path, document):
+    # Every file the tmp_path holds is rewritten by each example.
+    mf = tmp_path / "mf.json"
+    mf.write_text(json.dumps(document))
+    code = run_cli("generate", "--model", "3^3", "--t", "2", "--swarm-size", "3",
+                   "--iterations", "4", "--mf-config", str(mf), "--out", str(tmp_path / "s.txt"))
+    assert code in (EXIT_OK, EXIT_USAGE)
 
 
 class TestLogging:

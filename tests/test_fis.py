@@ -420,6 +420,14 @@ class TestControllerConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             controller_from_config(bounds)
 
+    @pytest.mark.parametrize("name", ["w_max", "w_min"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_integer_bound_past_the_float_range_raises(self, name, sign):
+        # JSON integers are unbounded, and float() of 10**400 overflows.
+        with pytest.raises(ValueError) as err:
+            controller_from_config({name: sign * 10**400})
+        assert str(err.value) == f"{name} is an integer too large for a float"
+
 
 class TestDefaultRules:
     @pytest.mark.parametrize("triple,centroid", [

@@ -472,6 +472,25 @@ class TestGenerateSuite:
         assert a == b
         assert a_records == b_records
 
+    def test_a_used_controller_runs_as_a_fresh_one(self, trace):
+        # Entered at w_min, this run's controller changes the suite unless
+        # generate_suite starts it at w_max.
+        model = parse_model("3^4")
+        params = SwarmParams(swarm_size=10, max_iterations=20, rng_seed=39, patience=None)
+        used = FisController()
+        used.last_w = 0.1
+        fresh = trace(generate_suite, model, VscaConfig(2), params, FisController())
+        assert trace(generate_suite, model, VscaConfig(2), params, used) == fresh
+        assert used.last_w != 0.1
+
+    def test_a_weight_that_overflows_a_velocity_is_refused(self):
+        # Velocities reach 2 per component on 3^3, so w_max * 2 must stay finite.
+        model, params = parse_model("3^3"), small_params(max_iterations=3)
+        biggest = np.finfo(float).max
+        generate_suite(model, VscaConfig(2), params, FisController(w_max=biggest / 2))
+        with pytest.raises(ValueError, match="times a velocity overflows a float"):
+            generate_suite(model, VscaConfig(2), params, FisController(w_max=biggest))
+
     def test_different_seeds_usually_differ(self):
         model = parse_model("3^5")
         a = generate_suite(model, VscaConfig(2), SwarmParams(rng_seed=1))
@@ -554,3 +573,13 @@ class TestPublicApi:
         assert vscit.SwarmParams is SwarmParams
         assert callable(vscit.generate_suite)
         assert vscit.__version__
+
+    def test_the_root_holds_the_library_api(self):
+        # The helpers behind the API are read from their modules.
+        submodules = {"cli", "fis", "model", "pso", "tuples", "verify"}
+        assert {name for name in dir(vscit) if not name.startswith("_")} - submodules == {
+            "ConfigError", "CoverageReport", "FisController", "InternalCoverageError",
+            "MembershipFunction", "ParseError", "RunResult", "SubConfig", "SutModel",
+            "SwarmParams", "TestCase", "TestSuite", "VscaConfig", "controller_from_config",
+            "generate_suite", "parse_config", "parse_model", "read_suite", "validate_config",
+            "verify_suite", "write_suite"}
