@@ -46,7 +46,8 @@ class MembershipFunction:
     """Triangular membership on [0, 100]: zero at the feet, 1.0 at the peak.
 
     A foot coinciding with the peak makes that side a shoulder (degree 1.0
-    right up to the peak).
+    right up to the peak). A sloped side must be wide enough that a rise of
+    up to 100 over it stays a finite float.
     """
 
     left: float
@@ -59,6 +60,12 @@ class MembershipFunction:
                 "breakpoints must satisfy 0 <= left <= peak <= right <= 100, "
                 f"got ({self.left}, {self.peak}, {self.right})"
             )
+        for side, width in (("rising", self.peak - self.left), ("falling", self.right - self.peak)):
+            if width > 0 and not math.isfinite(100.0 / width):
+                raise ValueError(
+                    f"{side} side of ({self.left}, {self.peak}, {self.right}) is too narrow: "
+                    f"width {width} makes 100 / width overflow"
+                )
 
 
 class _Triangles:
@@ -269,26 +276,18 @@ class FisController:
         return w, selection
 
 
-def compute_ncf(current_fitness, min_fitness: float, max_fitness: float):
-    """Current fitness as a percentage of the known fitness range.
-
-    A degenerate range (max == min) reports 100: every candidate is maximal.
-    Accepts a scalar or an array of current fitness values.
-    """
-    current = np.asarray(current_fitness, dtype=float)
+def compute_ncf(fitness, max_fitness: float) -> np.ndarray:
+    """Each fitness as a percentage of max_fitness, the per-test ceiling (at least 1)."""
+    if not max_fitness >= 1:  # NaN too
+        raise ValueError(f"max_fitness must be at least 1, got {max_fitness}")
+    current = np.asarray(fitness, dtype=float)
     # NaN fails both comparisons, so it is refused too.
-    if current.size and not (min_fitness <= current.min() and current.max() <= max_fitness):
-        raise ValueError(
-            f"current fitness {current_fitness} outside [{min_fitness}, {max_fitness}]"
-        )
-    if max_fitness == min_fitness:
-        out = np.full_like(current, 100.0)
-    else:
-        out = (current - min_fitness) / (max_fitness - min_fitness) * 100.0
-    return float(out) if out.ndim == 0 else out
+    if current.size and not (0.0 <= current.min() and current.max() <= max_fitness):
+        raise ValueError(f"fitness {fitness} outside [0, {max_fitness}]")
+    return current / max_fitness * 100.0
 
 
-def compute_distance_pct(x, ref, max_distance: float):
+def compute_distance_pct(x, ref, max_distance: float) -> np.ndarray:
     """Euclidean distance from x to ref as a percentage of max_distance.
 
     max_distance is normally the space diagonal of the discrete case box,
@@ -305,8 +304,7 @@ def compute_distance_pct(x, ref, max_distance: float):
         raise ValueError("max_distance must be positive")
     gap = x - ref
     pct = np.sqrt((gap * gap).sum(axis=-1)) / max_distance * 100.0
-    pct = np.minimum(pct, 100.0)
-    return float(pct) if pct.ndim == 0 else pct
+    return np.minimum(pct, 100.0)
 
 
 def compute_nor_nubf(nubf_k: int, nubf_max: int) -> float | None:

@@ -8,6 +8,7 @@ variant) picks the inertia weight each particle uses each iteration.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -163,12 +164,19 @@ def position_update(position: np.ndarray, velocity: np.ndarray,
     return pos
 
 
-def _cpso_weight(iteration: int, max_iterations: int) -> float:
-    """Linear slide from W_MAX_DEFAULT down to W_MIN_DEFAULT across the budget."""
-    if max_iterations <= 1:
-        return W_MAX_DEFAULT
-    frac = (iteration - 1) / (max_iterations - 1)
-    return W_MAX_DEFAULT - (W_MAX_DEFAULT - W_MIN_DEFAULT) * frac
+def _cpso_slide(max_iterations: int):
+    """cpso's weights, called as FisController.infer_w_batch is; it reads no measure.
+
+    Call i gives every triple iteration i's weight on a linear slide from
+    W_MAX_DEFAULT down to W_MIN_DEFAULT across the budget, and a NaN selection.
+    """
+    steps, span = itertools.count(), max(max_iterations - 1, 1)
+
+    def weights(ncf, d1, d2):
+        w = W_MAX_DEFAULT - (W_MAX_DEFAULT - W_MIN_DEFAULT) * (next(steps) / span)
+        return np.full(len(ncf), w), np.full(len(ncf), np.nan)
+
+    return weights
 
 
 def generate_one_test(store: TupleStore, params: SwarmParams,
@@ -198,13 +206,12 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
         raise ValueError("the fpso variant needs a FisController")
     levels = store.model.param_levels
     k = len(levels)
-    size = params.swarm_size
     vmax = np.array([v - 1 for v in levels], dtype=float)
     max_fitness = store.open_combinations
     max_distance = float(np.linalg.norm(vmax))
 
-    position = rng.random((size, k)) * vmax
-    velocity = (rng.random((size, k)) * 2.0 - 1.0) * vmax
+    position = rng.random((params.swarm_size, k)) * vmax
+    velocity = (rng.random((params.swarm_size, k)) * 2.0 - 1.0) * vmax
     fits = store.counts(np.ceil(position - 0.5))
     pbest = position.copy()
     pbest_fitness = fits.copy()
@@ -213,29 +220,21 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     gbest_fitness = int(fits[gbest_index])
 
     traced = logger.isEnabledFor(logging.DEBUG)
-    if params.variant == "fpso":
-        rows = slice(None)
-    else:
-        # Without the controller only the trace reads the measures, and it logs
-        # the last particle's: d1 and d2 are computed only for it, but
-        # compute_ncf runs once per iteration, which perfbench counts.
-        rows = slice(-1, None)
-        ws = np.empty(size)
-        selections = np.full(size, np.nan)
+    # cpso's slide reads no measure, so there only the trace needs the distances.
+    weights, measured = ((controller.infer_w_batch, True) if params.variant == "fpso"
+                         else (_cpso_slide(params.max_iterations), traced))
+    d1 = d2 = None
     patience = math.inf if params.patience is None else params.patience
     stalled = iteration = 0
     # A one-point box (max_distance == 0) never enters: its one case hits every open combination.
     while (iteration < params.max_iterations and gbest_fitness < max_fitness
            and stalled < patience):
         iteration += 1
-        ncf = compute_ncf(fits[rows], 0, max_fitness)
-        if params.variant == "fpso" or traced:
-            d1 = compute_distance_pct(position[rows], pbest[rows], max_distance)
-            d2 = compute_distance_pct(position[rows], gbest_position, max_distance)
-        if params.variant == "fpso":
-            ws, selections = controller.infer_w_batch(ncf, d1, d2)
-        else:
-            ws.fill(_cpso_weight(iteration, params.max_iterations))
+        ncf = compute_ncf(fits, max_fitness)
+        if measured:
+            d1 = compute_distance_pct(position, pbest, max_distance)
+            d2 = compute_distance_pct(position, gbest_position, max_distance)
+        ws, selections = weights(ncf, d1, d2)
         # All moves this iteration see the same global best; bests update after.
         velocity = velocity_update(position, velocity, pbest, gbest_position, ws,
                                    vmax, C1, C2, rng)

@@ -374,6 +374,22 @@ class TestMfConfig:
         assert err.startswith("error:") and "'high' has zero width" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload,side", [
+        ({"inputs": {"ncf": {"low": [0, 5e-324, 50], "medium": [25, 50, 75],
+                             "high": [50, 100, 100]}}}, "rising"),
+        ({"output": {"low": [0, 0, 1e-320], "high": [50, 100, 100]}}, "falling"),
+    ], ids=["subnormal-rising-input-side", "subnormal-falling-output-side"])
+    def test_side_too_narrow_to_divide_by_exits_2(self, tmp_path, capsys, payload, side):
+        # 100 / width overflows, so the degrees would be inf where the side rises.
+        mf = tmp_path / "mf.json"
+        mf.write_text(json.dumps(payload))
+        out = tmp_path / "s.txt"
+        assert run_cli("generate", "--model", "3^4", "--t", "2", "--swarm-size", "4",
+                       "--iterations", "5", "--mf-config", str(mf), "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {side} side of") and "too narrow" in err
+        assert "RuntimeWarning" not in err and not out.exists()
+
     @pytest.mark.parametrize("payload,message", [
         ({"inputs": {"ncf": {}}}, "rule term (ncf, low) has no membership function"),
         ({"output": {}}, "rule consequent 'low' has no membership function"),
@@ -477,8 +493,7 @@ class TestMfConfig:
         assert sizes == single
 
 
-# Documents for the --mf-config property test. Breakpoints stay integers
-# (or 10**400, or non-numbers), so no side is too narrow to divide by.
+# Documents for the --mf-config property test.
 def mostly(likely, other):
     """Draws from likely nine times in ten, so that some documents pass every check."""
     return st.integers(0, 9).flatmap(lambda draw: likely if draw else other)
@@ -489,9 +504,14 @@ BOUNDS = mostly(st.floats(0.1, 1),
                 st.integers() | st.sampled_from([10**400, -10**400]) | st.floats()
                 | JSON_SCALARS | st.lists(st.integers(), max_size=2)
                 | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
-POINTS = (st.integers(-1, 101) | st.just(10**400) | JSON_SCALARS
+# Any float in [0, 100], subnormals included. The ends and two subnormals are
+# drawn often, so that some sides are too narrow to divide by: uniform draws
+# almost never give two breakpoints that close.
+BREAKPOINTS = (st.floats(0, 100, allow_subnormal=True)
+               | st.sampled_from([0.0, 5e-324, 1e-320, 100.0]))
+POINTS = (BREAKPOINTS | st.floats() | st.integers(-1, 101) | st.just(10**400) | JSON_SCALARS
           | st.lists(st.integers(), max_size=1))
-TRIANGLES = mostly(st.lists(st.integers(0, 100), min_size=3, max_size=3).map(sorted),
+TRIANGLES = mostly(st.lists(BREAKPOINTS, min_size=3, max_size=3).map(sorted),
                    st.lists(POINTS, max_size=4) | POINTS)
 FAMILIES = mostly(st.fixed_dictionaries({"low": TRIANGLES, "medium": TRIANGLES,
                                          "high": TRIANGLES})
@@ -509,6 +529,7 @@ DOCUMENTS = mostly(st.fixed_dictionaries({}, optional={"w_max": BOUNDS, "w_min":
 @given(DOCUMENTS)
 @example({"w_max": 10**400})
 @example({"w_max": 1.7976931348623157e308})  # w_max times a velocity would overflow
+@example({"output": {"low": [0, 0, 1e-320], "high": [50, 100, 100]}})  # 100 / width overflows
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_any_controller_file_runs_or_exits_2(tmp_path, document):

@@ -111,40 +111,57 @@ class TestMembershipFunction:
         with pytest.raises(ValueError):
             MembershipFunction(-5, 50, 75)
 
+    @pytest.mark.parametrize("points,side", [((0, 5e-324, 50), "rising"),
+                                             ((0, 0, 1e-320), "falling")])
+    def test_side_too_narrow_to_divide_by_raises(self, points, side):
+        with pytest.raises(ValueError, match=f"^{side} side of .* too narrow"):
+            MembershipFunction(*points)
+
+    def test_narrowest_legal_side_keeps_degrees_finite(self):
+        # The narrowest width w with a finite 100 / w, the largest ratio degrees() forms.
+        width = 100.0 / np.finfo(float).max
+        while not math.isfinite(100.0 / width):
+            width = float(np.nextafter(width, 1.0))
+        with pytest.raises(ValueError, match="too narrow"):
+            MembershipFunction(0, float(np.nextafter(width, 0.0)), 100)
+        got = _Triangles([MembershipFunction(0, width, 100)], 1).degrees(np.linspace(0, 100, 11))
+        assert np.isfinite(got).all() and got[0, 0] == 0.0 and got[0, -1] == 0.0
+
 
 class TestComputeNcf:
     def test_maximum_is_100(self):
-        assert compute_ncf(10, 0, 10) == 100.0
+        assert compute_ncf(np.array([10]), 10).tolist() == [100.0]
 
     def test_minimum_is_0(self):
-        assert compute_ncf(0, 0, 10) == 0.0
+        assert compute_ncf(np.array([0]), 10).tolist() == [0.0]
 
     def test_midpoint(self):
-        assert compute_ncf(5, 0, 10) == 50.0
+        assert compute_ncf(np.array([5]), 10).tolist() == [50.0]
 
-    def test_degenerate_range_is_100(self):
-        assert compute_ncf(3, 3, 3) == 100.0
+    def test_max_fitness_below_1_raises(self):
+        # The ceiling counts open combinations, so a search always has at least one.
+        for max_fitness in (0, 0.5, math.nan):
+            with pytest.raises(ValueError, match="max_fitness must be at least 1"):
+                compute_ncf(np.array([0]), max_fitness)
 
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            compute_ncf(11, 0, 10)
+            compute_ncf(np.array([11]), 10)
         with pytest.raises(ValueError):
-            compute_ncf(-1, 0, 10)
+            compute_ncf(np.array([-1]), 10)
 
     def test_array_form_matches_scalars(self):
-        got = compute_ncf(np.array([0, 5, 10]), 0, 10)
+        got = compute_ncf(np.array([0, 5, 10]), 10)
         np.testing.assert_allclose(got, [0.0, 50.0, 100.0])
 
     def test_nan_raises(self):
         with pytest.raises(ValueError):
-            compute_ncf(np.array([np.nan]), 0, 10)
+            compute_ncf(np.array([np.nan]), 10)
         with pytest.raises(ValueError):
-            compute_ncf(np.array([5.0, np.nan, 5.0]), 0, 10)
-        with pytest.raises(ValueError):
-            compute_ncf(math.nan, 3, 3)
+            compute_ncf(np.array([5.0, np.nan, 5.0]), 10)
 
     def test_empty_array_gives_empty(self):
-        got = compute_ncf(np.array([]), 0, 10)
+        got = compute_ncf(np.array([]), 10)
         assert isinstance(got, np.ndarray) and got.shape == (0,)
 
 

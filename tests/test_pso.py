@@ -354,29 +354,46 @@ class TestPatience:
 
 class TestBenchmarkHooks:
     """perfbench counts iterations through calls of vscit.pso.compute_ncf and
-    controller calls through FisController.infer_w_batch."""
+    controller calls through FisController.infer_w_batch. Both variants share
+    one search path: the measures cover the whole swarm, and the distances
+    are computed only where the controller or the trace reads them."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_one_ncf_call_per_iteration_and_inference_only_under_fpso(self, variant, monkeypatch):
-        calls = {"ncf": 0, "infer": 0}
-        ncf, infer = pso.compute_ncf, FisController.infer_w_batch
+    def test_one_ncf_call_per_iteration_and_inference_only_under_fpso(self, variant, monkeypatch,
+                                                                       caplog):
+        params = small_params(variant=variant, max_iterations=10)
+        calls = {}
+        ncf, distance = pso.compute_ncf, pso.compute_distance_pct
+        infer = FisController.infer_w_batch
 
-        def counted_ncf(*args):
+        def counted_ncf(fitness, *args):
             calls["ncf"] += 1
-            return ncf(*args)
+            calls["ncf_rows"].add(len(fitness))
+            return ncf(fitness, *args)
+
+        def counted_distance(*args):
+            calls["distance"] += 1
+            return distance(*args)
 
         def counted_infer(self, *args):
             calls["infer"] += 1
             return infer(self, *args)
 
         monkeypatch.setattr(pso, "compute_ncf", counted_ncf)
+        monkeypatch.setattr(pso, "compute_distance_pct", counted_distance)
         monkeypatch.setattr(FisController, "infer_w_batch", counted_infer)
-        result = generate_suite(parse_model("3^5"), VscaConfig(3),
-                                small_params(variant=variant, max_iterations=10), FisController())
-        iterations = sum(r.iterations for r in result.tests)
-        assert iterations > len(result.suite.cases)
-        assert calls["ncf"] == iterations
-        assert calls["infer"] == (iterations if variant == "fpso" else 0)
+        for level in (logging.INFO, logging.DEBUG):
+            calls.update(ncf=0, ncf_rows=set(), distance=0, infer=0)
+            with caplog.at_level(level, logger="vscit"):
+                result = generate_suite(parse_model("3^5"), VscaConfig(3), params,
+                                        FisController())
+            iterations = sum(r.iterations for r in result.tests)
+            assert iterations > len(result.suite.cases)
+            assert calls["ncf"] == iterations
+            assert calls["ncf_rows"] == {params.swarm_size}
+            measured = variant == "fpso" or level == logging.DEBUG
+            assert calls["distance"] == (2 * iterations if measured else 0)
+            assert calls["infer"] == (iterations if variant == "fpso" else 0)
 
     def test_the_trace_is_built_only_with_debug_on(self, monkeypatch, caplog, trace):
         calls = {"record": 0, "nubf": 0}
