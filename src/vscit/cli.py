@@ -1,10 +1,11 @@
 """Command-line harness: seeded single runs, benchmark campaigns, verification.
 
 Exit codes: 0 success / full coverage, 1 coverage shortfall, 2 usage,
-parse or file error, 3 internal consistency failure. The VSCIT_LOG environment
-variable (off, info, trace) sets the level of the ``vscit`` logger, which
-writes to stderr unless a handler the caller installed already receives its
-records; unset or empty, it leaves logging as the caller configured it.
+parse or file error or an allocation the host refused, 3 internal
+consistency failure. The VSCIT_LOG environment variable (off, info, trace)
+sets the level of the ``vscit`` logger, which writes to stderr unless a
+handler the caller installed already receives its records; unset or empty,
+it leaves logging as the caller configured it.
 """
 
 from __future__ import annotations
@@ -246,6 +247,10 @@ def main(argv=None) -> int:
         return cmd_benchmark(targets, params, controller, args.runs, args.out or "benchmark.csv")
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's names the array it could not allocate; a bare one is empty.
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_USAGE
     except InternalCoverageError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

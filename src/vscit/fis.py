@@ -307,19 +307,6 @@ def compute_distance_pct(x, ref, max_distance: float) -> np.ndarray:
     return np.minimum(pct, 100.0)
 
 
-def compute_nor_nubf(nubf_k: int, nubf_max: int) -> float | None:
-    """Stagnation index: (budget - stalled iterations) / stalled iterations.
-
-    Undefined (None) until at least one iteration has stalled. Logged as a
-    diagnostic only; it does not feed the rule base.
-    """
-    if nubf_k < 0 or nubf_k > nubf_max:
-        raise ValueError(f"stalled-iteration count {nubf_k} outside 0..{nubf_max}")
-    if nubf_k == 0:
-        return None
-    return (nubf_max - nubf_k) / nubf_k
-
-
 def controller_from_config(cfg: dict) -> FisController:
     """Build a controller from a JSON-style dict; omitted pieces keep defaults.
 

@@ -22,7 +22,6 @@ from .fis import (
     FisController,
     compute_distance_pct,
     compute_ncf,
-    compute_nor_nubf,
 )
 from .model import SutModel, TestCase, TestSuite, VscaConfig, validate_config
 from .tuples import TupleStore, build_tuple_store, remove_covered
@@ -88,8 +87,9 @@ class SwarmParams:
 @dataclass(frozen=True)
 class IterationRecord:
     """Per-iteration diagnostics: the measures fed to the controller (as seen
-    by the last particle processed) and the best fitness reached so far;
-    built only as the payload of a DEBUG message, when DEBUG is on."""
+    by the last particle processed), the best fitness reached so far and the
+    iterations in a row that left it where it was; built only as the payload
+    of a DEBUG message, when DEBUG is on."""
 
     test_index: int
     iteration: int
@@ -97,18 +97,17 @@ class IterationRecord:
     ncf: float
     d1: float
     d2: float
-    nor_nubf: float | None
+    stalled: int
     w_selection: float | None
     w: float
 
     def __str__(self) -> str:
         """The trace line: one per iteration in DEBUG logging."""
-        nubf = "undef" if self.nor_nubf is None else f"{self.nor_nubf:.2f}"
         wsel = "undef" if self.w_selection is None else f"{self.w_selection:.2f}"
         return (
             f"test={self.test_index} iter={self.iteration} fitness={self.gbest_fitness} "
             f"ncf={self.ncf:.2f} d1={self.d1:.2f} d2={self.d2:.2f} "
-            f"nornubf={nubf} w_selection={wsel} w={self.w:.3f}"
+            f"stalled={self.stalled} w_selection={wsel} w={self.w:.3f}"
         )
 
 
@@ -135,9 +134,8 @@ class RunResult:
 
 
 def velocity_update(position: np.ndarray, velocity: np.ndarray, pbest: np.ndarray,
-                    gbest: np.ndarray, w: np.ndarray, vmax: np.ndarray,
-                    c1: float, c2: float, rng) -> np.ndarray:
-    """Inertia plus cognitive and social pulls for every row, clamped per component.
+                    gbest: np.ndarray, w: np.ndarray, vmax: np.ndarray, rng) -> np.ndarray:
+    """Inertia plus cognitive (C1) and social (C2) pulls for every row, clamped per component.
 
     Rows are particles: position, velocity and pbest are (n, k), w is (n,).
     One uniform scalar per pull per row, not per dimension, drawn as an
@@ -147,8 +145,8 @@ def velocity_update(position: np.ndarray, velocity: np.ndarray, pbest: np.ndarra
     r = rng.random((len(position), 2))
     v = (
         w[:, None] * velocity
-        + (c1 * r[:, :1]) * (pbest - position)
-        + (c2 * r[:, 1:]) * (gbest - position)
+        + (C1 * r[:, :1]) * (pbest - position)
+        + (C2 * r[:, 1:]) * (gbest - position)
     )
     np.minimum(v, vmax, out=v)
     np.maximum(v, -vmax, out=v)
@@ -236,8 +234,7 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
             d2 = compute_distance_pct(position, gbest_position, max_distance)
         ws, selections = weights(ncf, d1, d2)
         # All moves this iteration see the same global best; bests update after.
-        velocity = velocity_update(position, velocity, pbest, gbest_position, ws,
-                                   vmax, C1, C2, rng)
+        velocity = velocity_update(position, velocity, pbest, gbest_position, ws, vmax, rng)
         position = position_update(position, velocity, vmax)
         fits = store.counts(np.ceil(position - 0.5))
         better = fits > pbest_fitness
@@ -253,8 +250,7 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
             sel = float(selections[-1])
             logger.debug("%s", IterationRecord(
                 test_index, iteration, gbest_fitness, float(ncf[-1]), float(d1[-1]),
-                float(d2[-1]), compute_nor_nubf(stalled, params.max_iterations),
-                None if math.isnan(sel) else sel, float(ws[-1])))
+                float(d2[-1]), stalled, None if math.isnan(sel) else sel, float(ws[-1])))
 
     if gbest_fitness >= max_fitness:
         stop = "all-covered"

@@ -79,7 +79,6 @@ class TupleStore:
                              f"the tuple store holds fewer than 2**52")
         sizes = np.array(sizes, dtype=np.int64)
         self._starts = np.cumsum(sizes) - sizes
-        self._remaining = self.initial_total
         self.uncovered = np.ones(self.initial_total, dtype=bool)
         # Per open combination: its stride column, biased first id and uncovered count.
         self._strides = np.zeros((model.k + 1, len(self._keys)))
@@ -98,7 +97,8 @@ class TupleStore:
 
     @property
     def remaining_count(self) -> int:
-        return self._remaining
+        """Uncovered tuples: the sum of the open combinations' counts."""
+        return int(self._left.sum())
 
     @property
     def open_combinations(self) -> int:
@@ -149,7 +149,7 @@ class TupleStore:
 
     def first_uncovered(self) -> tuple[ParamCombination, tuple[int, ...]]:
         """The smallest uncovered (combination, value tuple) pair."""
-        if not self._remaining:
+        if not len(self._left):
             raise ValueError("every tuple is covered")
         first = int(np.argmax(self.uncovered))
         n = int(np.searchsorted(self._starts, first, side="right")) - 1
@@ -185,10 +185,8 @@ def remove_covered(case: TestCase, store: TupleStore) -> int:
     hit = store.uncovered[ids]
     store.uncovered[ids[hit]] = False
     store._left -= hit
-    removed = int(np.count_nonzero(hit))
     if not store._left.all():
         keep = store._left > 0
         store._strides = store._strides[:, keep]
         store._left = store._left[keep]
-    store._remaining -= removed
-    return removed
+    return int(np.count_nonzero(hit))

@@ -91,6 +91,15 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith(f"error: {2**52} required tuples")
         assert not out.exists()
 
+    def test_a_swarm_the_host_cannot_allocate_exits_2(self, tmp_path, capsys):
+        # 10**15 particles of 4 floats is 28.4 PiB, beyond any user address
+        # space, so numpy refuses the first position block at once.
+        out = tmp_path / "s.txt"
+        assert run_cli("generate", "--model", "3^4", "--t", "2",
+                       "--swarm-size", str(10**15), "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
+        assert not out.exists()
+
     def test_output_directory_missing_exits_2(self, tmp_path, capsys):
         # Exit 1 means a coverage shortfall, so a file error must not end there.
         code = run_cli("generate", "--model", "3^4", "--t", "2",

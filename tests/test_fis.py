@@ -24,7 +24,6 @@ from vscit.fis import (
     _Triangles,
     compute_distance_pct,
     compute_ncf,
-    compute_nor_nubf,
     controller_from_config,
 )
 
@@ -200,21 +199,6 @@ class TestComputeDistancePct:
         batch = compute_distance_pct(x, ref, 4.0)
         singles = [compute_distance_pct(x[i], ref[i], 4.0) for i in range(6)]
         np.testing.assert_allclose(batch, singles)
-
-
-class TestComputeNorNubf:
-    def test_equal_counts_give_zero(self):
-        assert compute_nor_nubf(100, 100) == 0.0
-
-    def test_hand_value(self):
-        assert compute_nor_nubf(1, 100) == 99.0
-
-    def test_zero_stalled_is_undefined(self):
-        assert compute_nor_nubf(0, 100) is None
-
-    def test_count_above_budget_raises(self):
-        with pytest.raises(ValueError):
-            compute_nor_nubf(101, 100)
 
 
 class TestInferW:

@@ -33,32 +33,32 @@ from vscit.verify import render_report_csv, render_report_text, verify_suite, wr
 GOLDEN = [
     ("3^5", "t=2", dict(variant="fpso", rng_seed=5, patience=None),
      "07f5294b46c83a7012ed126778c75573080cd5636b7350393ba633ba29a0e33b",
-     "244e8b174cecb527bfdcc90cbd78f30df377917ecc79ef73c258f766262895f6"),
+     "2f30dbb8f57238b04c88986f560af7230246d161103c1d03e8c11ac0ef35ea41"),
     ("2^5", "t=3", dict(variant="cpso", rng_seed=5, patience=None),
      "afabbbe3f4ac0a03315d8f2a3c2915ecb996e738b3bcea46317fedaa1a5ec4f7",
-     "5397e49677b99652aa72ca90595e2f9fb1eb5925e91deb978d7ddb5b3740b3a2"),
+     "eba266f0cc9537fde1a64e76e901ffeaecc7bab0fa5322f9df116ee8c8868af9"),
     # A small swarm leaves tests that cover nothing new, so repair fires.
     ("3^3 2^3", "t=2; sub=0,1,2:3", dict(swarm_size=8, max_iterations=20, rng_seed=9, patience=None),
      "eb9227e8914f3a46ae60ab105c993d0c45981ea94aec82a6a12b153afa0b59c0",
-     "b80aafdb8b98c4ceee398b6dc165f65210d00e14b1ba0d41319087f59b3cc7fc"),
+     "03999fa65755cd7a0254cd837dce2d2e2e2ec128cac221b13e63d37eb25f7910"),
     # Combinations of lengths 2, 3 and 4 in one store, interleaved in sort order.
     ("3^3 4^3", "t=2; sub=0,1,2:3; sub=2,3,4,5:4",
      dict(variant="cpso", swarm_size=10, max_iterations=20, rng_seed=3,
           patience=None),
      "6d821b2143411ae78f834d127d480333455b3855027495051c4fe1583fbd5c1f",
-     "5faf2f963e63c9afeac6851870c202641f056124dc2fdcc4f70de6887a8b69fe"),
+     "4e7e35f5be34084c7b27021da0df8ecb44a59c4613e811649df4f4db4d532cd2"),
     # The fpso run above at its default patience: searches stop stalled.
     ("3^5", "t=2", dict(variant="fpso", rng_seed=5),
      "122984bddf707686c6a8237002db645c8fa18108feb47bef48079c03c296bd4c",
-     "58d812b835992482e8338c30b549e8e5ba975be4a8877a13ed01bebcec7f87f6"),
+     "aa9cabb1a0c638dd59f9990c6dc496322730d308656752385b2772967515b5de"),
     # Stores of 560 and 455 combinations, wide enough that the store scores
     # each distinct case once; recorded before it did.
     ("2^16", "t=3", dict(variant="cpso", swarm_size=10, max_iterations=30, rng_seed=2),
      "f5602c023132d569675a766098df1a72b88bdc442595cd81b499a974a8495f62",
-     "eb1b914988564771de4988edc682b4f2e25dda0ea705f14c95a6b09f48881ae3"),
+     "327f47606a70e67f1c83221509b7dc8816c28ccf533c32eb383d2d8605f7a444"),
     ("3^15", "t=3", dict(variant="fpso", swarm_size=10, max_iterations=20, rng_seed=2),
      "e1940cdb74bfed6cdf4eca545907724a7f77a244456fba38ef7ff7845e9bd7cf",
-     "6a48b6ffdda8cb93be7213881299517b84467d0d00e352a457b6673be597240e"),
+     "5c555536b38e2eb164615cd1501fa7ebd31424fe74e6658d9bc4466841570cf8"),
 ]
 
 
@@ -84,12 +84,13 @@ def trace_lines(records) -> bytes:
     return "".join(f"{rec}\n" for rec in records).encode()
 
 
-# Its trace holds undefined nornubf and w_selection fields as well as numbers.
+# Its trace holds undefined w_selection fields as well as numbers, and
+# iterations that raised the global best (stalled=0) as well as stalled ones.
 # The trace digests are of the lines an earlier `generate` wrote to its .log
 # file, after the header; the .log digests are of the per-test JSON lines.
 SEEDED_RUN = ["generate", "--model", "3^4", "--t", "2", "--seed", "3"]
 TRACED_RUN = [*SEEDED_RUN, "--patience", "none"]
-TRACE_DIGEST = "6afb058550952c470f1ad079956f3ce0c6909b484bc0992ee1cf3c4cc034ff40"
+TRACE_DIGEST = "1cc8984c63835a52ac578e5b2dd9dc49e3a238a42b141ab0be9f4da128629fc8"
 LOG_DIGEST = "fe55a8365bacbe906ed7b5c55b92ddec06604929d0df270b9396b9be6bc0138a"
 
 
@@ -98,7 +99,7 @@ def test_trace_file_bytes_are_pinned(tmp_path, trace):
     code, records = trace(main, [*TRACED_RUN, "--out", str(out)])
     assert code == EXIT_OK
     lines = trace_lines(records)
-    assert b"w_selection=undef" in lines and b"nornubf=undef" in lines
+    assert b"w_selection=undef" in lines and b" stalled=0 " in lines and b" stalled=1 " in lines
     assert hashlib.sha256(lines).hexdigest() == TRACE_DIGEST
     log = (tmp_path / "suite.txt.log").read_bytes()
     assert hashlib.sha256(log).hexdigest() == LOG_DIGEST
@@ -107,7 +108,7 @@ def test_trace_file_bytes_are_pinned(tmp_path, trace):
 # The same run at fpso's default patience: suite, trace and .log digests.
 DEFAULT_PATIENCE_DIGESTS = (
     "22aa30cc6d0431e7dc5bc4fd85fe75b90dbc22567fa565231164aae92bb0798a",
-    "9aa1d24d8ac426ff00e19070bff106f152b277a749212a75bd3de91ed0e13f46",
+    "52514ad9001114cb55801d677117d2d0331709d8b8132dbc4b58ffae69096a78",
     "0d86e7414b6084a02194402716c7760e3558f2eed2f1b1104a428ba38265c204")
 
 
@@ -127,7 +128,7 @@ def test_default_patience_run_is_pinned(tmp_path, trace):
 OVERLAP_MF = {"output": {"low": [0, 10, 60], "high": [40, 90, 100]}}
 # Suite, trace and .log digests.
 OVERLAP_DIGESTS = ("09c302a691efee5abb90281150ac16977116dc46ba1eb387f372e772975b0a58",
-                   "44d2f6f4c0c4407647ae69061c79394986a64b65f306351ccb62f7ea53338856",
+                   "f979592c5e58f979d854cf1433dbd01e83f9c3163449c1794f62a2ffb748bbb2",
                    "fe55a8365bacbe906ed7b5c55b92ddec06604929d0df270b9396b9be6bc0138a")
 
 
