@@ -92,10 +92,17 @@ class _Triangles:
         self.fall_floor = (fall == 0).astype(float)
 
     def degrees(self, x):
-        rising = (x - self.left) / self.rise + self.rise_floor
-        falling = (self.right - x) / self.fall + self.fall_floor
-        inside = (x >= self.left) & (x <= self.right)
-        return np.where(inside, np.minimum(rising, falling), 0.0)
+        """Degrees of finite x: for those, x - left >= 0 exactly when x >= left."""
+        rising = x - self.left
+        falling = self.right - x
+        inside = (rising >= 0.0) & (falling >= 0.0)
+        rising /= self.rise
+        rising += self.rise_floor
+        falling /= self.fall
+        falling += self.fall_floor
+        np.minimum(rising, falling, out=rising)
+        rising *= inside
+        return rising
 
 
 def _default_family() -> dict[str, MembershipFunction]:

@@ -12,6 +12,8 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 
 class ParseError(ValueError):
     """A model spec, configuration string, or suite file failed to parse."""
@@ -81,26 +83,66 @@ TestCase = tuple[int, ...]
 
 
 def check_case(model: SutModel, case: TestCase) -> None:
-    """Raise ValueError unless every entry is a legal level index for the model."""
+    """Raise ValueError unless the case holds one integer per parameter, each
+    a legal level index for the model. Python and numpy integers pass; a
+    bool, float or str does not, as int() would read it as another value."""
     if len(case) != model.k:
         raise ValueError(f"case has {len(case)} values, model has {model.k} parameters")
     for i, (x, v) in enumerate(zip(case, model.param_levels)):
+        if not _is_integer_type(type(x)):
+            raise ValueError(f"value {x!r} at index {i} is not an integer")
         if not 0 <= x < v:
             raise ValueError(f"value {x} at index {i} outside 0..{v - 1}")
 
 
+def _is_integer_type(kind: type) -> bool:
+    return kind is int or issubclass(kind, np.integer)
+
+
+class CaseError(ValueError):
+    """A suite case the model cannot hold, at position index in the suite."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"case {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class TestSuite:
-    """A generated array: every case validated against the owning model."""
+    """A generated array: every case validated against the owning model.
+
+    The cases are checked all at once, as one int64 array against the level
+    counts; only a suite that fails is scanned case by case with check_case,
+    which raises CaseError for the first case at fault.
+    """
 
     model: SutModel
     config: VscaConfig
     cases: tuple[TestCase, ...]
 
     def __post_init__(self):
-        cases = tuple(tuple(int(x) for x in case) for case in self.cases)
-        for case in cases:
-            check_case(self.model, case)
+        cases = tuple(self.cases)
+        k = self.model.k
+        values = None
+        # The types are checked first: the int64 array alone would read 1.7,
+        # True and "1" all as 1.
+        if set(map(len, cases)) <= {k} and all(
+                map(_is_integer_type, set(map(type, itertools.chain.from_iterable(cases))))):
+            try:
+                values = np.array(cases, dtype=np.int64).reshape(len(cases), k)
+            except OverflowError:
+                pass
+        if values is not None and not ((values < 0) | (values >= self.model.param_levels)).any():
+            cases = tuple(map(tuple, values.tolist()))
+        else:
+            for index, case in enumerate(cases):
+                try:
+                    check_case(self.model, case)
+                except ValueError as exc:
+                    raise CaseError(index, str(exc)) from None
+            # Every case passes only where a level count is past the int64 range.
+            cases = tuple(tuple(map(int, case)) for case in cases)
         object.__setattr__(self, "cases", cases)
 
     def __len__(self) -> int:

@@ -2,18 +2,26 @@
 
 The oracle recounts coverage from scratch, one combination at a time, and
 shares no enumeration or indexing code with the tuple store, so the two act
-as checks on each other.
+as checks on each other. It visits the combinations in sorted order and
+builds each one's row-major codes from those of the prefix it shares with
+the previous combination, one parameter at a time.
+
+A suite file is read in one pass, one map(int, ...) per case line after a
+character check that admits only the strict integer form, and its cases
+are validated together by TestSuite.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
+    CaseError,
     ParseError,
     SutModel,
     TestSuite,
@@ -25,6 +33,9 @@ from .model import (
 )
 
 MissingPair = tuple[tuple[int, ...], tuple[int, ...]]
+
+# Any character but ASCII digits, "-", "," and ASCII whitespace.
+_NOT_IN_A_CASE_LINE = re.compile(r"[^0-9,\- \t\n\r\v\f]")
 
 
 @dataclass(frozen=True)
@@ -58,23 +69,40 @@ def verify_suite(suite: TestSuite) -> CoverageReport:
     """Mark every value tuple each combination's projection of the suite hits.
 
     Each demanded combination gets one boolean hit array over the product
-    of its parameters' level counts, indexed by the row-major flat index of
-    the value tuple; its size is the combination's required count and its
-    set flags are the covered ones. Combinations are visited in sorted
-    order and flat index order is lexicographic tuple order, so the missing
-    pairs come out sorted by (combination, value tuple). A configuration
-    the model cannot hold raises ConfigError: strength 0 would demand the
-    empty combination, which every suite, even an empty one, would cover.
+    of its parameters' level counts, indexed by the row-major code of the
+    value tuple; its size is the combination's required count and its set
+    flags are the covered ones. Combinations are visited in sorted order
+    and code order is lexicographic tuple order, so the missing pairs come
+    out sorted by (combination, value tuple). A configuration the model
+    cannot hold raises ConfigError: strength 0 would demand the empty
+    combination, which every suite, even an empty one, would cover.
+
+    codes[d] holds every row's code over the first d + 1 parameters of the
+    current combination. Sorted combinations share prefixes, so each one
+    keeps the codes of the prefix it shares with the previous one and
+    extends them one parameter at a time. hit is allocated first: a
+    combination too large for it fails there, before any code could pass
+    the int64 range.
     """
     check_config(suite.model, suite.config)
     levels = suite.model.param_levels
-    cases = np.array(suite.cases, dtype=np.int64).reshape(len(suite.cases), suite.model.k)
+    rows = np.array(suite.cases, dtype=np.int64).reshape(len(suite.cases), suite.model.k)
+    columns = np.ascontiguousarray(rows.T)
     required = covered = 0
     missing: list[MissingPair] = []
+    codes: list[np.ndarray] = []
+    previous: tuple[int, ...] = ()
     for combo in _demanded_combinations(suite.model, suite.config):
         dims = tuple(levels[i] for i in combo)
         hit = np.zeros(math.prod(dims), dtype=bool)
-        hit[np.ravel_multi_index(tuple(cases[:, combo].T), dims)] = True
+        shared = 0
+        while shared < len(previous) and shared < len(combo) and previous[shared] == combo[shared]:
+            shared += 1
+        del codes[shared:]
+        for i in combo[shared:]:
+            codes.append(codes[-1] * levels[i] + columns[i] if codes else columns[i])
+        previous = combo
+        hit[codes[-1]] = True
         required += hit.size
         n_hit = int(np.count_nonzero(hit))
         covered += n_hit
@@ -109,13 +137,19 @@ def read_suite(path) -> TestSuite:
     a repeated header or bytes that do not decode included, naming the
     file and, where one is to blame, the line.
 
-    The configuration is validated against the model, so a file whose
-    configuration demands nothing (or names parameters the model lacks)
-    is refused instead of passing the oracle with an empty universe.
+    A case value is optional ASCII whitespace, an optional "-" and ASCII
+    digits; the other forms int() takes ("+1", "0_1", non-ASCII digits)
+    would read as a suite that is not the one in the file. A case of the
+    wrong length or with a value outside its parameter's levels names the
+    line of the first such case. The configuration is validated against
+    the model, so a file whose configuration demands nothing (or names
+    parameters the model lacks) is refused instead of passing the oracle
+    with an empty universe.
     """
     model: SutModel | None = None
     config: VscaConfig | None = None
     cases: list[tuple[int, ...]] = []
+    case_lines: list[int] = []
     with open(path) as fh:
         try:
             for line_no, raw in enumerate(fh, start=1):
@@ -137,9 +171,13 @@ def read_suite(path) -> TestSuite:
                         raise ParseError(f"{path}:{line_no}: {exc}") from None
                     continue
                 try:
-                    cases.append(tuple(int(x) for x in line.split(",")))
+                    if _NOT_IN_A_CASE_LINE.search(raw):
+                        raise ValueError
+                    cases.append(tuple(map(int, line.split(","))))
                 except ValueError:
-                    raise ParseError(f"{path}:{line_no}: bad case line {line!r}") from None
+                    text = raw.rstrip("\n")
+                    raise ParseError(f"{path}:{line_no}: bad case line {text!r}") from None
+                case_lines.append(line_no)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
     if model is None or config is None:
@@ -147,6 +185,8 @@ def read_suite(path) -> TestSuite:
     try:
         validate_config(model, config)
         return TestSuite(model, config, tuple(cases))
+    except CaseError as exc:
+        raise ParseError(f"{path}:{case_lines[exc.index]}: {exc.reason}") from None
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -162,11 +162,16 @@ REPORTS = [
     ("3^3 4^3", "t=2; sub=0,1,2,3:3; sub=2,3,4,5:4", 30,
      "a1841fabe24f99264999bafbf23f4b0d323163334458b5ff4e2d15b1afbb03eb",
      "84a2816ec2cf19bd5a4b6be47f2f2c569429b352dc9d311fce27299995b55680"),
+    # Hundreds of rows, and a strength-3 combination that is a prefix of the
+    # strength-4 one after it, so the oracle reuses a prefix's codes.
+    ("4^8", "t=3; sub=0,1,2,3:4", 300,
+     "8ef1ac93f07a83e86ed6dbb7f28bb995a7d64dadd9c792b20bf5b5ae68760446",
+     "6af1d3efa276d285509e755082ddf0f52e8385e93223fe4be46df5c96ad71caa"),
 ]
 
 
 @pytest.mark.parametrize("model_spec,config_text,n_cases,text_digest,csv_digest", REPORTS,
-                         ids=["uniform", "variable-strength"])
+                         ids=["uniform", "variable-strength", "shared-prefix"])
 def test_report_bytes_are_pinned(model_spec, config_text, n_cases, text_digest, csv_digest):
     model = parse_model(model_spec)
     rnd = random.Random(4)

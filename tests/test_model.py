@@ -1,9 +1,15 @@
 """Model parsing, rendering, and configuration validation."""
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import vscit
+
 from vscit.model import (
+    CaseError,
     ConfigError,
     ParseError,
     SubConfig,
@@ -75,6 +81,40 @@ class TestSutModelInvariants:
             check_case(m, (0, 3))
         with pytest.raises(ValueError):
             check_case(m, (0,))
+
+
+class TestSuiteValidation:
+    @pytest.mark.parametrize("value", [1.7, 1.0, True, "1", np.float64(1.0), np.bool_(True)],
+                             ids=["float", "integral-float", "bool", "str", "numpy-float",
+                                  "numpy-bool"])
+    def test_a_value_that_is_not_an_integer_is_refused(self, value):
+        # An int64 array would read each of these as 1.
+        message = f"case 1: value {value!r} at index 0 is not an integer"
+        with pytest.raises(CaseError, match=f"^{re.escape(message)}$"):
+            vscit.TestSuite(parse_model("3^2"), VscaConfig(2), ((0, 0), (value, 2), (1.7, 0)))
+
+    def test_numpy_integers_are_read_as_python_ints(self):
+        model = parse_model("3^2")
+        for cases in [((np.int64(1), np.uint8(2)), np.array([0, 1])), np.array([[1, 2], [0, 1]])]:
+            suite = vscit.TestSuite(model, VscaConfig(2), cases)
+            assert suite.cases == ((1, 2), (0, 1))
+            assert {type(x) for case in suite.cases for x in case} == {int}
+
+    def test_values_past_int64_are_held_where_the_model_allows_them(self):
+        suite = vscit.TestSuite(SutModel((2**70, 2)), VscaConfig(1), ((2**65, 1), (0, 0)))
+        assert suite.cases == ((2**65, 1), (0, 0))
+
+    @pytest.mark.parametrize("bad,message", [
+        ((0, 3), "value 3 at index 1 outside 0..2"),
+        ((-1, 0), "value -1 at index 0 outside 0..2"),
+        ((2**64, 0), f"value {2**64} at index 0 outside 0..2"),
+        ((0,), "case has 1 values, model has 2 parameters"),
+    ], ids=["above", "negative", "past-int64", "short"])
+    def test_the_first_case_the_model_cannot_hold_is_named(self, bad, message):
+        with pytest.raises(CaseError) as err:
+            vscit.TestSuite(parse_model("3^2"), VscaConfig(2), ((0, 0), bad, (5, 5)))
+        assert (err.value.index, err.value.reason) == (1, message)
+        assert str(err.value) == f"case 1: {message}"
 
 
 class TestParseConfig:

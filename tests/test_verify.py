@@ -7,6 +7,7 @@ any case's projection hits are removed.
 
 import ast
 import itertools
+import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,7 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vscit
-from vscit.model import ConfigError, ParseError, SubConfig, SutModel, VscaConfig, parse_model
+from vscit.model import (
+    ConfigError,
+    ParseError,
+    SubConfig,
+    SutModel,
+    VscaConfig,
+    parse_config,
+    parse_model,
+)
 from vscit.pso import SwarmParams, generate_suite
 from vscit.tuples import build_tuple_store
 from vscit.verify import (
@@ -154,6 +163,28 @@ class TestVerifySuite:
         assert len(report.missing) == len(expected.missing)
         for got, want in zip(report.missing, expected.missing):
             assert got == want
+
+    @pytest.mark.parametrize("spec,config_text,n_cases", [
+        # (0, 1) is a prefix of (0, 1, 2), the next combination in sort order.
+        ("3^4", "t=2; sub=0,1,2:3", 5),
+        ("2^6", "t=2; sub=0,2,5:3", 6),
+        ("1 3 1^2 2", "t=3; sub=0,1,2,3:4", 4),
+        ("3^3 2^2", "t=2; sub=1,2,3:3", 0),
+        ("3^7", "t=3; sub=2,3,4,5:4", 250),
+    ], ids=["prefix-of-the-next", "non-contiguous-pool", "one-level-parameters",
+            "empty-suite", "hundreds-of-rows"])
+    def test_shared_prefixes_match_brute_force(self, spec, config_text, n_cases):
+        model = parse_model(spec)
+        rnd = random.Random(7)
+        cases = [tuple(rnd.randrange(v) for v in model.param_levels) for _ in range(n_cases)]
+        suite = vscit.TestSuite(model, parse_config(config_text), tuple(cases))
+        assert verify_suite(suite) == brute_force_report(suite)
+
+    def test_combination_too_large_to_count_is_refused(self):
+        # Its codes would pass the int64 range; the hit array fails first.
+        suite = vscit.TestSuite(SutModel((2**32,) * 3), VscaConfig(3), ((1, 2, 3),))
+        with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+            verify_suite(suite)
 
     def test_missing_is_sorted_across_combination_lengths(self):
         config = VscaConfig(2, (SubConfig((2, 1, 0), 3),))
@@ -309,10 +340,35 @@ class TestSuiteFiles:
             read_suite(path)
 
     def test_out_of_range_value_raises(self, tmp_path):
+        # The first bad case is on line 4, after a good one; a later one is not named.
         path = tmp_path / "bad.txt"
-        path.write_text("# model: 2^2\n# config: t=2\n0,5\n")
-        with pytest.raises(ParseError):
+        path.write_text("# model: 2^2\n# config: t=2\n0,1\n0,5\n\n7,7\n")
+        with pytest.raises(ParseError) as err:
             read_suite(path)
+        assert str(err.value) == f"{path}:4: value 5 at index 1 outside 0..1"
+
+    def test_case_of_the_wrong_length_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# model: 2^2\n# config: t=2\n0,1\n\n0,1,1\n0\n")
+        with pytest.raises(ParseError) as err:
+            read_suite(path)
+        assert str(err.value) == f"{path}:5: case has 3 values, model has 2 parameters"
+
+    @pytest.mark.parametrize("field", [
+        "0_1", "+1", "\u0662", "1\x1c", "\u00a01", "\u00b9", " 0x1", "1.0", "1e0", "--1", "",
+    ], ids=["underscore", "plus", "arabic-indic-digit", "unit-separator", "no-break-space",
+            "superscript", "hex", "decimal-point", "exponent", "two-signs", "empty"])
+    def test_only_ascii_digits_with_a_minus_read_as_a_value(self, tmp_path, field):
+        # int() reads the first five as an integer.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# model: 2^2\n# config: t=2\n1,1\n0,{field}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r":4: bad case line "):
+            read_suite(path)
+
+    def test_ascii_whitespace_around_values_is_read(self, tmp_path):
+        path = tmp_path / "spaced.txt"
+        path.write_text("# model: 2^2\n# config: t=2\n 1 ,\t0\x0b\n0,\f1\r\n")
+        assert read_suite(path).cases == ((1, 0), (0, 1))
 
 
 class TestReportRendering:
