@@ -20,7 +20,8 @@ from dataclasses import replace
 from importlib import resources
 
 from .fis import FisController, controller_from_config
-from .model import ParseError, SutModel, VscaConfig, check_config, parse_config, parse_model
+from .model import (ParseError, SutModel, VscaConfig, check_config, parse_config, parse_int,
+                    parse_model)
 from .pso import (
     DEFAULT_PATIENCE,
     VARIANT_DEFAULT,
@@ -142,7 +143,7 @@ def _parse_patience(text: str) -> int | None:
     if text.strip().lower() == "none":
         return None
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer or 'none', got {text!r}") from None
 
@@ -150,25 +151,25 @@ def _parse_patience(text: str) -> int | None:
 def _add_run_options(parser: argparse.ArgumentParser, benchmark: bool) -> None:
     defaults = SwarmParams()
     parser.add_argument("--model", help="model spec, e.g. '3^15' or '4^3 5^3 6^2'")
-    parser.add_argument("--t", type=int, help="main interaction strength")
+    parser.add_argument("--t", type=parse_int, help="main interaction strength")
     parser.add_argument("--sub", action="append", default=[], metavar="I,J,..:S",
                         help="sub-configuration 'indices:strength'; repeatable")
     parser.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
-    parser.add_argument("--swarm-size", type=int, default=defaults.swarm_size)
-    parser.add_argument("--iterations", type=int, default=defaults.max_iterations)
+    parser.add_argument("--swarm-size", type=parse_int, default=defaults.swarm_size)
+    parser.add_argument("--iterations", type=parse_int, default=defaults.max_iterations)
     by_variant = ", ".join(f"{p or 'none'} under {v}" for v, p in DEFAULT_PATIENCE.items())
     parser.add_argument("--patience", type=_parse_patience, default=VARIANT_DEFAULT,
                         metavar="N|none",
                         help="stop a search after N iterations without a new global best; "
                              "'none' spends every iteration, as the paper does "
                              f"(default: {by_variant})")
-    parser.add_argument("--seed", type=int, default=defaults.rng_seed,
+    parser.add_argument("--seed", type=parse_int, default=defaults.rng_seed,
                         help="base RNG seed (run r uses seed + r)")
     parser.add_argument("--out", default="", help="output path (suite or CSV)")
     parser.add_argument("--mf-config", default="",
                         help="JSON file overriding membership functions / w bounds")
     if benchmark:
-        parser.add_argument("--runs", type=int, default=30)
+        parser.add_argument("--runs", type=parse_int, default=30)
         parser.add_argument("--preset", default="",
                             help="benchmark matrix: table1, table2, table3, or a file path")
 

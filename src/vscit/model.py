@@ -8,8 +8,10 @@ configurations the text form "t=2; sub=0,1,2:3; sub=3,4:2".
 from __future__ import annotations
 
 import itertools
+import re
 import warnings
 from dataclasses import dataclass
+from string import whitespace
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +25,37 @@ class ConfigError(ValueError):
     """A variable-strength configuration violates its bounds."""
 
 
+# Any character but ASCII digits, "-", "," and ASCII whitespace.
+_NOT_INTEGER_TEXT = re.compile(r"[^0-9,\- \t\n\r\v\f]")
+# No tuple store can hold the ids of a parameter with this many levels.
+_LEVEL_BOUND = 2**52
+
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated ASCII digits, each after an optional "-", with ASCII
+    whitespace around; int() would also read "+1", "0_1" or "\u0662"."""
+    if _NOT_INTEGER_TEXT.search(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return tuple(map(int, text.split(",")))
+
+
+def parse_int(text: str) -> int:
+    """One integer in the form parse_ints reads."""
+    (value,) = parse_ints(text)
+    return value
+
+
+def is_integer_type(kind: type) -> bool:
+    """An int or a numpy integer; never a bool, which int() reads as 0 or 1."""
+    return kind is int or issubclass(kind, np.integer)
+
+
+def _as_int(value, what: str) -> int:
+    if not is_integer_type(type(value)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SutModel:
     """The system under test: one entry per parameter giving its value count."""
@@ -30,11 +63,11 @@ class SutModel:
     param_levels: tuple[int, ...]
 
     def __post_init__(self):
-        levels = tuple(int(v) for v in self.param_levels)
+        levels = tuple(_as_int(v, "a level count") for v in self.param_levels)
         if not levels:
             raise ValueError("a model needs at least one parameter")
-        if any(v < 1 for v in levels):
-            raise ValueError(f"every parameter needs at least one value, got {levels}")
+        if any(not 1 <= v < _LEVEL_BOUND for v in levels):
+            raise ValueError(f"every parameter needs 1 to 2**52 - 1 values, got {levels}")
         object.__setattr__(self, "param_levels", levels)
 
     @property
@@ -64,10 +97,10 @@ class VscaConfig:
 
     def __post_init__(self):
         subs = tuple(
-            SubConfig(tuple(int(i) for i in indices), int(strength))
-            for indices, strength in self.sub_configs
+            SubConfig(tuple(_as_int(i, "sub index") for i in indices), _as_int(s, "sub strength"))
+            for indices, s in self.sub_configs
         )
-        object.__setattr__(self, "main_strength", int(self.main_strength))
+        object.__setattr__(self, "main_strength", _as_int(self.main_strength, "main strength"))
         object.__setattr__(self, "sub_configs", subs)
 
     def render(self) -> str:
@@ -83,20 +116,15 @@ TestCase = tuple[int, ...]
 
 
 def check_case(model: SutModel, case: TestCase) -> None:
-    """Raise ValueError unless the case holds one integer per parameter, each
-    a legal level index for the model. Python and numpy integers pass; a
-    bool, float or str does not, as int() would read it as another value."""
+    """Raise ValueError unless the case holds one integer (is_integer_type)
+    per parameter, each a legal level index for the model."""
     if len(case) != model.k:
         raise ValueError(f"case has {len(case)} values, model has {model.k} parameters")
     for i, (x, v) in enumerate(zip(case, model.param_levels)):
-        if not _is_integer_type(type(x)):
+        if not is_integer_type(type(x)):
             raise ValueError(f"value {x!r} at index {i} is not an integer")
         if not 0 <= x < v:
             raise ValueError(f"value {x} at index {i} outside 0..{v - 1}")
-
-
-def _is_integer_type(kind: type) -> bool:
-    return kind is int or issubclass(kind, np.integer)
 
 
 class CaseError(ValueError):
@@ -128,22 +156,19 @@ class TestSuite:
         # The types are checked first: the int64 array alone would read 1.7,
         # True and "1" all as 1.
         if set(map(len, cases)) <= {k} and all(
-                map(_is_integer_type, set(map(type, itertools.chain.from_iterable(cases))))):
+                map(is_integer_type, set(map(type, itertools.chain.from_iterable(cases))))):
             try:
                 values = np.array(cases, dtype=np.int64).reshape(len(cases), k)
             except OverflowError:
                 pass
-        if values is not None and not ((values < 0) | (values >= self.model.param_levels)).any():
-            cases = tuple(map(tuple, values.tolist()))
-        else:
+        if values is None or ((values < 0) | (values >= self.model.param_levels)).any():
+            # Some case fails here: a value past int64 is past every level count.
             for index, case in enumerate(cases):
                 try:
                     check_case(self.model, case)
                 except ValueError as exc:
                     raise CaseError(index, str(exc)) from None
-            # Every case passes only where a level count is past the int64 range.
-            cases = tuple(tuple(map(int, case)) for case in cases)
-        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "cases", tuple(map(tuple, values.tolist())))
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -152,22 +177,22 @@ class TestSuite:
 def parse_model(spec: str) -> SutModel:
     """Parse exponent notation: "3^15" means fifteen 3-level parameters.
 
-    Terms are whitespace separated; a bare integer is a single parameter.
-    "4^3 5^3 6^2" expands left to right to [4,4,4,5,5,5,6,6].
+    Terms are ASCII-whitespace separated; a bare integer is a single
+    parameter. "4^3 5^3 6^2" expands left to right to [4,4,4,5,5,5,6,6].
     """
-    terms = spec.split()
+    terms = re.findall(r"[^ \t\n\r\v\f]+", spec)  # str.split() also splits at "\xa0"
     if not terms:
         raise ParseError("empty model spec")
     levels: list[int] = []
     for term in terms:
         head, sep, tail = term.partition("^")
         try:
-            value = int(head)
-            count = int(tail) if sep else 1
+            value = parse_int(head)
+            count = parse_int(tail) if sep else 1
         except ValueError:
             raise ParseError(f"bad model term {term!r}") from None
-        if value < 1:
-            raise ParseError(f"bad model term {term!r}: value count must be >= 1")
+        if not 1 <= value < _LEVEL_BOUND:
+            raise ParseError(f"bad model term {term!r}: value count must be in 1..2**52 - 1")
         if count < 1:
             raise ParseError(f"bad model term {term!r}: repeat count must be >= 1")
         levels.extend([value] * count)
@@ -179,19 +204,18 @@ def parse_config(text: str) -> VscaConfig:
     main: int | None = None
     subs: list[SubConfig] = []
     for raw in text.split(";"):
-        part = raw.strip()
+        part = raw.strip(whitespace)
         if not part:
             continue
         key, sep, value = part.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key = key.strip(whitespace)
         if not sep:
             raise ParseError(f"bad config part {part!r}")
         if key == "t":
             if main is not None:
                 raise ParseError("duplicate 't=' in config")
             try:
-                main = int(value)
+                main = parse_int(value)
             except ValueError:
                 raise ParseError(f"bad main strength {value!r}") from None
         elif key == "sub":
@@ -199,8 +223,8 @@ def parse_config(text: str) -> VscaConfig:
             if not sep2:
                 raise ParseError(f"bad sub-config {part!r}, expected indices:strength")
             try:
-                indices = tuple(int(i) for i in idx_text.split(","))
-                strength = int(s_text)
+                indices = parse_ints(idx_text)
+                strength = parse_int(s_text)
             except ValueError:
                 raise ParseError(f"bad sub-config {part!r}") from None
             subs.append(SubConfig(indices, strength))

@@ -23,7 +23,7 @@ from .fis import (
     compute_distance_pct,
     compute_ncf,
 )
-from .model import SutModel, TestCase, TestSuite, VscaConfig, validate_config
+from .model import SutModel, TestCase, TestSuite, VscaConfig, is_integer_type, validate_config
 from .tuples import TupleStore, build_tuple_store, remove_covered
 from .verify import verify_suite
 
@@ -56,9 +56,9 @@ class SwarmParams:
     best after which a search stops; None runs the whole max_iterations
     budget, as the paper does. Left out, it is DEFAULT_PATIENCE[variant],
     fixed at construction (so dataclasses.replace of the variant keeps it).
-    swarm_size, max_iterations, rng_seed and patience take an int only, not
-    a bool or a float; a refused value raises a ValueError that names its
-    field.
+    swarm_size, max_iterations, rng_seed and patience take an integer
+    (vscit.model.is_integer_type) and hold an int; a refused value raises a
+    ValueError that names its field.
     """
 
     swarm_size: int = 80
@@ -77,11 +77,10 @@ class SwarmParams:
             value = getattr(self, name)
             if name == "patience" and value is None:
                 continue
-            # A bool would run as 0 or 1, and a float would run rounded up or
-            # fail inside numpy.
-            if type(value) is not int or value < least:
+            if not is_integer_type(type(value)) or value < least:
                 none = " or None" if name == "patience" else ""
                 raise ValueError(f"{name} must be an integer >= {least}{none}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,16 @@ as checks on each other. It visits the combinations in sorted order and
 builds each one's row-major codes from those of the prefix it shares with
 the previous combination, one parameter at a time.
 
-A suite file is read in one pass, one map(int, ...) per case line after a
-character check that admits only the strict integer form, and its cases
-are validated together by TestSuite.
+A suite file is read in one pass, one parse_ints per case line, and its
+cases are validated together by TestSuite.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
+from string import whitespace
 
 import numpy as np
 
@@ -28,14 +27,12 @@ from .model import (
     VscaConfig,
     check_config,
     parse_config,
+    parse_ints,
     parse_model,
     validate_config,
 )
 
 MissingPair = tuple[tuple[int, ...], tuple[int, ...]]
-
-# Any character but ASCII digits, "-", "," and ASCII whitespace.
-_NOT_IN_A_CASE_LINE = re.compile(r"[^0-9,\- \t\n\r\v\f]")
 
 
 @dataclass(frozen=True)
@@ -137,11 +134,9 @@ def read_suite(path) -> TestSuite:
     a repeated header or bytes that do not decode included, naming the
     file and, where one is to blame, the line.
 
-    A case value is optional ASCII whitespace, an optional "-" and ASCII
-    digits; the other forms int() takes ("+1", "0_1", non-ASCII digits)
-    would read as a suite that is not the one in the file. A case of the
-    wrong length or with a value outside its parameter's levels names the
-    line of the first such case. The configuration is validated against
+    Every integer in it takes the form vscit.model.parse_ints reads. A
+    case of the wrong length or with a value outside its parameter's
+    levels names the line of the first such case. The configuration is validated against
     the model, so a file whose configuration demands nothing (or names
     parameters the model lacks) is refused instead of passing the oracle
     with an empty universe.
@@ -153,27 +148,25 @@ def read_suite(path) -> TestSuite:
     with open(path) as fh:
         try:
             for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
+                line = raw.strip(whitespace)
                 if not line:
                     continue
                 if line.startswith("#"):
-                    body = line.lstrip("#").strip()
+                    body = line.lstrip("#").strip(whitespace)
                     try:
                         if body.startswith("model:"):
                             if model is not None:
                                 raise ParseError("repeated '# model:' header")
-                            model = parse_model(body[len("model:"):].strip())
+                            model = parse_model(body[len("model:"):])
                         elif body.startswith("config:"):
                             if config is not None:
                                 raise ParseError("repeated '# config:' header")
-                            config = parse_config(body[len("config:"):].strip())
+                            config = parse_config(body[len("config:"):])
                     except ParseError as exc:
                         raise ParseError(f"{path}:{line_no}: {exc}") from None
                     continue
                 try:
-                    if _NOT_IN_A_CASE_LINE.search(raw):
-                        raise ValueError
-                    cases.append(tuple(map(int, line.split(","))))
+                    cases.append(parse_ints(line))
                 except ValueError:
                     text = raw.rstrip("\n")
                     raise ParseError(f"{path}:{line_no}: bad case line {text!r}") from None

@@ -2,6 +2,15 @@ import logging
 
 import pytest
 
+# Text that is not an integer in the one form vscit reads (ASCII digits after an
+# optional "-", ASCII whitespace around). int() reads the first five as one.
+NOT_INTEGER_TEXT = [pytest.param(text, id=name) for text, name in [
+    ("0_1", "underscore"), ("+1", "plus"), ("\u0662", "arabic-indic-digit"),
+    ("1\x1c", "unit-separator"), ("\u00a01", "no-break-space"), ("\u00b9", "superscript"),
+    (" 0x1", "hex"), ("1.0", "decimal-point"), ("1e0", "exponent"), ("--1", "two-signs"),
+    ("", "empty"),
+]]
+
 
 @pytest.fixture(autouse=True)
 def vscit_logger():

@@ -13,6 +13,8 @@ from vscit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_SHORTFALL, EXIT_USAGE, load_p
 from vscit.model import parse_config, parse_model, validate_config
 from vscit.verify import read_suite
 
+from conftest import NOT_INTEGER_TEXT
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -158,12 +160,33 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("text,message", [
         ("# model: 3^x\n# config: t=2\n", ":1: bad model term '3^x'"),
         ("# model: 3^3\n# config: t=x\n0,0,0\n", ":2: bad main strength 'x'"),
-    ], ids=["model", "config"])
+        ("# model: \u0663^2 3_0\n# config: t=+2\n", ":1: bad model term '\u0663^2'"),
+        # No tuple store could hold the ids of a parameter with 2**52 levels or more.
+        ("# model: 99999999999999999999999\n# config: t=1\n36893488147419103232\n",
+         ":1: bad model term '99999999999999999999999': value count must be in 1..2**52 - 1"),
+    ], ids=["model", "config", "non-ascii-digit", "level-count-past-2-52"])
     def test_bad_header_names_file_and_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         assert run_cli("verify", str(path)) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+    @pytest.mark.parametrize("text,line_no", [
+        ("# model: {}^2 3\n# config: t=2\n", 1),
+        ("# model: 3^{} 2\n# config: t=2\n", 1),
+        ("# model: 3^3\n# config: t={}\n", 2),
+        ("# model: 3^3\n# config: t=1; sub={},0:2\n", 2),
+        ("# model: 3^3\n# config: t=1; sub=0,1:{}\n", 2),
+    ], ids=["model-value", "model-count", "t", "sub-index", "sub-strength"])
+    @pytest.mark.parametrize("field", NOT_INTEGER_TEXT)
+    def test_header_integers_take_the_case_value_form(self, tmp_path, capsys, text, line_no,
+                                                      field):
+        path = tmp_path / "bad.txt"
+        path.write_text(text.format(field) + "0,0,0\n", encoding="utf-8")
+        assert run_cli("verify", str(path)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}:{line_no}: ")
+        assert "Traceback" not in captured.err and "coverage" not in captured.out
 
     def test_undecodable_suite_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bytes.txt"
@@ -305,6 +328,31 @@ class TestRunOptionRefusals:
         assert err.startswith("error:") and f"{name} must be" in err and f"got {value}" in err
         assert list(tmp_path.iterdir()) == []
 
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--model", "{}^2 3", "--t", "2"),
+        ("generate", "--model", "3^{} 2", "--t", "2"),
+        ("generate", "--model", "3^3", "--t={}"),
+        ("generate", "--model", "3^3", "--t", "1", "--sub", "{},0:2"),
+        ("generate", "--model", "3^3", "--t", "1", "--sub", "0,1:{}"),
+        ("generate", "--model", "3^3", "--t", "2", "--swarm-size={}"),
+        ("generate", "--model", "3^3", "--t", "2", "--iterations={}"),
+        ("generate", "--model", "3^3", "--t", "2", "--seed={}"),
+        ("generate", "--model", "3^3", "--t", "2", "--patience={}"),
+        ("benchmark", "--model", "3^3", "--t", "2", "--runs={}"),
+    ], ids=["model-value", "model-count", "t", "sub-index", "sub-strength", "swarm-size",
+            "iterations", "seed", "patience", "runs"])
+    @pytest.mark.parametrize("field", NOT_INTEGER_TEXT)
+    def test_only_the_one_integer_form_is_read(self, tmp_path, capsys, argv, field):
+        argv = [arg.format(field) for arg in argv] + ["--out", str(tmp_path / "out.txt")]
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:  # argparse refuses a flag's value itself
+            code = exc.code
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["generate", "benchmark"])
     def test_non_integer_patience_exits_2(self, tmp_path, capsys, command):

@@ -21,6 +21,25 @@ from vscit.model import (
     validate_config,
 )
 
+# Values int() would read as an integer that is not the one given, or as one
+# where none was meant; every integer field a library caller sets refuses them.
+NOT_INTEGER_VALUES = [pytest.param(value, id=name) for value, name in [
+    (1.7, "float"), (1.0, "integral-float"), (True, "bool"), ("1", "str"),
+    (np.float64(1.0), "numpy-float"), (np.bool_(True), "numpy-bool"),
+]]
+
+# Each integer field a library caller sets, as a function of the value to put there.
+INTEGER_FIELDS = [pytest.param(build, id=name) for build, name in [
+    (lambda v: SutModel((3, v)), "level"),
+    (lambda v: VscaConfig(v), "main-strength"),
+    (lambda v: VscaConfig(1, (SubConfig((0, v), 2),)), "sub-index"),
+    (lambda v: VscaConfig(1, (SubConfig((0, 1), v),)), "sub-strength"),
+    (lambda v: vscit.SwarmParams(swarm_size=v), "swarm-size"),
+    (lambda v: vscit.SwarmParams(max_iterations=v), "max-iterations"),
+    (lambda v: vscit.SwarmParams(rng_seed=v), "rng-seed"),
+    (lambda v: vscit.SwarmParams(patience=v), "patience"),
+]]
+
 
 class TestParseModel:
     def test_uniform_exponent(self):
@@ -42,7 +61,7 @@ class TestParseModel:
         with pytest.raises(ParseError):
             parse_model(bad)
 
-    @pytest.mark.parametrize("bad", ["0^2", "-1", "3^0", "3^-1"])
+    @pytest.mark.parametrize("bad", ["0^2", "-1", "3^0", "3^-1", str(2**52), f"{2**70}^2"])
     def test_out_of_range_terms_raise(self, bad):
         with pytest.raises(ParseError, match="bad model term"):
             parse_model(bad)
@@ -74,6 +93,14 @@ class TestSutModelInvariants:
         with pytest.raises(ValueError):
             SutModel((3, 0))
 
+    def test_level_counts_from_2_52_on_are_refused(self):
+        # Each parameter is in some combination of any t >= 1 configuration,
+        # and no tuple store holds the ids of one with 2**52 levels or more.
+        assert SutModel((2**52 - 1, 2)).param_levels == (2**52 - 1, 2)
+        for levels in [(2**52, 2), (2**70, 2)]:
+            with pytest.raises(ValueError, match=r"^every parameter needs 1 to 2\*\*52 - 1 values"):
+                SutModel(levels)
+
     def test_check_case(self):
         m = parse_model("3^2")
         check_case(m, (0, 2))
@@ -84,14 +111,18 @@ class TestSutModelInvariants:
 
 
 class TestSuiteValidation:
-    @pytest.mark.parametrize("value", [1.7, 1.0, True, "1", np.float64(1.0), np.bool_(True)],
-                             ids=["float", "integral-float", "bool", "str", "numpy-float",
-                                  "numpy-bool"])
+    @pytest.mark.parametrize("value", NOT_INTEGER_VALUES)
     def test_a_value_that_is_not_an_integer_is_refused(self, value):
         # An int64 array would read each of these as 1.
         message = f"case 1: value {value!r} at index 0 is not an integer"
         with pytest.raises(CaseError, match=f"^{re.escape(message)}$"):
             vscit.TestSuite(parse_model("3^2"), VscaConfig(2), ((0, 0), (value, 2), (1.7, 0)))
+
+    @pytest.mark.parametrize("value", NOT_INTEGER_VALUES)
+    @pytest.mark.parametrize("build", INTEGER_FIELDS)
+    def test_every_integer_field_refuses_a_value_that_is_not_an_integer(self, build, value):
+        with pytest.raises(ValueError, match=f"must be an integer.*, got {re.escape(repr(value))}$"):
+            build(value)
 
     def test_numpy_integers_are_read_as_python_ints(self):
         model = parse_model("3^2")
@@ -99,10 +130,16 @@ class TestSuiteValidation:
             suite = vscit.TestSuite(model, VscaConfig(2), cases)
             assert suite.cases == ((1, 2), (0, 1))
             assert {type(x) for case in suite.cases for x in case} == {int}
-
-    def test_values_past_int64_are_held_where_the_model_allows_them(self):
-        suite = vscit.TestSuite(SutModel((2**70, 2)), VscaConfig(1), ((2**65, 1), (0, 0)))
-        assert suite.cases == ((2**65, 1), (0, 0))
+        assert SutModel((np.int64(3), np.uint8(2))).param_levels == (3, 2)
+        config = VscaConfig(np.int64(1), ((np.array([0, 1]), np.uint8(2)),))
+        assert config == VscaConfig(1, (SubConfig((0, 1), 2),))
+        params = vscit.SwarmParams(swarm_size=np.int64(10), max_iterations=np.int32(5),
+                                   rng_seed=np.uint64(3), patience=np.int8(2))
+        assert params == vscit.SwarmParams(swarm_size=10, max_iterations=5, rng_seed=3, patience=2)
+        held = [*SutModel((np.int64(3),)).param_levels, config.main_strength,
+                *config.sub_configs[0].indices, config.sub_configs[0].strength,
+                params.swarm_size, params.max_iterations, params.rng_seed, params.patience]
+        assert {type(x) for x in held} == {int}
 
     @pytest.mark.parametrize("bad,message", [
         ((0, 3), "value 3 at index 1 outside 0..2"),

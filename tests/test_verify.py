@@ -36,6 +36,8 @@ from vscit.verify import (
     write_suite,
 )
 
+from conftest import NOT_INTEGER_TEXT
+
 
 def make_suite(spec, config, cases):
     return vscit.TestSuite(parse_model(spec), config, tuple(cases))
@@ -354,12 +356,8 @@ class TestSuiteFiles:
             read_suite(path)
         assert str(err.value) == f"{path}:5: case has 3 values, model has 2 parameters"
 
-    @pytest.mark.parametrize("field", [
-        "0_1", "+1", "\u0662", "1\x1c", "\u00a01", "\u00b9", " 0x1", "1.0", "1e0", "--1", "",
-    ], ids=["underscore", "plus", "arabic-indic-digit", "unit-separator", "no-break-space",
-            "superscript", "hex", "decimal-point", "exponent", "two-signs", "empty"])
+    @pytest.mark.parametrize("field", NOT_INTEGER_TEXT)
     def test_only_ascii_digits_with_a_minus_read_as_a_value(self, tmp_path, field):
-        # int() reads the first five as an integer.
         path = tmp_path / "bad.txt"
         path.write_text(f"# model: 2^2\n# config: t=2\n1,1\n0,{field}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r":4: bad case line "):
