@@ -21,7 +21,7 @@ from importlib import resources
 
 from .fis import FisController, controller_from_config
 from .model import (ParseError, SutModel, VscaConfig, check_config, parse_config, parse_int,
-                    parse_model)
+                    parse_model, parse_sub)
 from .pso import (
     DEFAULT_PATIENCE,
     VARIANT_DEFAULT,
@@ -46,14 +46,14 @@ EXIT_SHORTFALL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-Target = tuple[str, str, str]  # (label, model spec, config text)
-ParsedTarget = tuple[str, SutModel, VscaConfig]  # (label, model, checked config)
+Target = tuple[str, SutModel, VscaConfig]  # (label, model, checked config)
 
 
 def load_preset(name_or_path: str) -> list[Target]:
     """Rows of a preset file: "label | model | config", '#' starts a comment.
 
     Accepts a shipped preset name ("table1", "table2", "table3") or a path.
+    Every row is parsed and checked here, so a bad row fails before any search.
     """
     if os.path.exists(name_or_path):
         with open(name_or_path) as fh:
@@ -73,24 +73,19 @@ def load_preset(name_or_path: str) -> list[Target]:
             raise ParseError(
                 f"preset line {line_no}: expected 'label | model | config', got {raw!r}"
             )
-        targets.append((parts[0], parts[1], parts[2]))
+        try:
+            model = parse_model(parts[1])
+            config = parse_config(parts[2])
+            check_config(model, config)
+        except ValueError as exc:
+            raise ParseError(f"preset line {line_no}: {exc}") from None
+        targets.append((parts[0], model, config))
     if not targets:
         raise ParseError(f"preset {name_or_path!r} has no benchmark rows")
     return targets
 
 
-def _parse_targets(targets: list[Target]) -> list[ParsedTarget]:
-    """Parse and check every target up front, so a bad row fails before any search."""
-    parsed = []
-    for label, model_spec, config_text in targets:
-        model = parse_model(model_spec)
-        config = parse_config(config_text)
-        check_config(model, config)
-        parsed.append((label, model, config))
-    return parsed
-
-
-def cmd_generate(target: ParsedTarget, params: SwarmParams, controller: FisController | None,
+def cmd_generate(target: Target, params: SwarmParams, controller: FisController | None,
                  out: str) -> int:
     """Single run: write the suite and its per-test log, print a summary line."""
     _, model, config = target
@@ -102,7 +97,7 @@ def cmd_generate(target: ParsedTarget, params: SwarmParams, controller: FisContr
     return EXIT_OK
 
 
-def cmd_benchmark(targets: list[ParsedTarget], params: SwarmParams,
+def cmd_benchmark(targets: list[Target], params: SwarmParams,
                   controller: FisController | None, runs: int, out: str) -> int:
     """Seeded campaign over one or more configs; per-run sizes plus best/mean rows.
 
@@ -148,7 +143,7 @@ def _parse_patience(text: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected an integer or 'none', got {text!r}") from None
 
 
-def _add_run_options(parser: argparse.ArgumentParser, benchmark: bool) -> None:
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
     defaults = SwarmParams()
     parser.add_argument("--model", help="model spec, e.g. '3^15' or '4^3 5^3 6^2'")
     parser.add_argument("--t", type=parse_int, help="main interaction strength")
@@ -168,10 +163,6 @@ def _add_run_options(parser: argparse.ArgumentParser, benchmark: bool) -> None:
     parser.add_argument("--out", default="", help="output path (suite or CSV)")
     parser.add_argument("--mf-config", default="",
                         help="JSON file overriding membership functions / w bounds")
-    if benchmark:
-        parser.add_argument("--runs", type=parse_int, default=30)
-        parser.add_argument("--preset", default="",
-                            help="benchmark matrix: table1, table2, table3, or a file path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,10 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="one seeded run, writes a suite file")
-    _add_run_options(gen, benchmark=False)
+    _add_run_options(gen)
 
     bench = sub.add_parser("benchmark", help="seeded campaign, writes a CSV of sizes")
-    _add_run_options(bench, benchmark=True)
+    _add_run_options(bench)
+    bench.add_argument("--runs", type=parse_int, default=30)
+    bench.add_argument("--preset", default="",
+                       help="benchmark matrix: table1, table2, table3, or a file path")
 
     ver = sub.add_parser("verify", help="check a suite file for full coverage")
     ver.add_argument("suite", help="path to a suite file")
@@ -200,8 +194,10 @@ def _targets_from_args(args) -> list[Target]:
         return load_preset(args.preset)
     if not args.model or args.t is None:
         raise ParseError("--model and --t are required (or --preset for benchmarks)")
-    config_text = f"t={args.t}" + "".join(f"; sub={s}" for s in args.sub)
-    return [(f"{args.model} {config_text}", args.model, config_text)]
+    model = parse_model(args.model)
+    config = VscaConfig(args.t, tuple(map(parse_sub, args.sub)))
+    check_config(model, config)
+    return [(f"{args.model} {config.render()}", model, config)]
 
 
 def _load_mf_config(path: str) -> FisController | None:
@@ -239,14 +235,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.suite, args.csv or None)
         controller = _load_mf_config(args.mf_config)
-        targets = _parse_targets(_targets_from_args(args))
+        targets = _targets_from_args(args)
         params = SwarmParams(swarm_size=args.swarm_size, max_iterations=args.iterations,
                              variant=args.variant, rng_seed=args.seed,
                              patience=args.patience)
         if args.command == "generate":
             return cmd_generate(targets[0], params, controller, args.out or "suite.txt")
         return cmd_benchmark(targets, params, controller, args.runs, args.out or "benchmark.csv")
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -199,6 +199,17 @@ def parse_model(spec: str) -> SutModel:
     return SutModel(tuple(levels))
 
 
+def parse_sub(text: str) -> SubConfig:
+    """Parse one sub-configuration "0,1,2:3": parameter indices, then strength."""
+    idx_text, sep, s_text = text.partition(":")
+    if not sep:
+        raise ParseError(f"bad sub-config {'sub=' + text!r}, expected indices:strength")
+    try:
+        return SubConfig(parse_ints(idx_text), parse_int(s_text))
+    except ValueError:
+        raise ParseError(f"bad sub-config {'sub=' + text!r}") from None
+
+
 def parse_config(text: str) -> VscaConfig:
     """Parse "t=2; sub=0,1,2:3; sub=3,4:2" into a VscaConfig."""
     main: int | None = None
@@ -219,15 +230,7 @@ def parse_config(text: str) -> VscaConfig:
             except ValueError:
                 raise ParseError(f"bad main strength {value!r}") from None
         elif key == "sub":
-            idx_text, sep2, s_text = value.partition(":")
-            if not sep2:
-                raise ParseError(f"bad sub-config {part!r}, expected indices:strength")
-            try:
-                indices = parse_ints(idx_text)
-                strength = parse_int(s_text)
-            except ValueError:
-                raise ParseError(f"bad sub-config {part!r}") from None
-            subs.append(SubConfig(indices, strength))
+            subs.append(parse_sub(value))
         else:
             raise ParseError(f"unknown config key {key!r}")
     if main is None:

@@ -33,6 +33,7 @@ from .model import (
 )
 
 MissingPair = tuple[tuple[int, ...], tuple[int, ...]]
+REPORT_MISSING_SHOWN = 20
 
 
 @dataclass(frozen=True)
@@ -184,17 +185,17 @@ def read_suite(path) -> TestSuite:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def render_report_text(report: CoverageReport, limit: int = 20) -> str:
+def render_report_text(report: CoverageReport) -> str:
     lines = [
         f"required: {report.required}",
         f"covered: {report.covered}",
         f"missing: {len(report.missing)}",
         f"coverage: {report.coverage_pct:.2f}%",
     ]
-    for combo, values in report.missing[:limit]:
+    for combo, values in report.missing[:REPORT_MISSING_SHOWN]:
         lines.append(f"  {','.join(map(str, combo))}: {'-'.join(map(str, values))}")
-    if len(report.missing) > limit:
-        lines.append(f"  ... {len(report.missing) - limit} more")
+    if len(report.missing) > REPORT_MISSING_SHOWN:
+        lines.append(f"  ... {len(report.missing) - REPORT_MISSING_SHOWN} more")
     return "\n".join(lines)
 
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import vscit.cli as cli
 from vscit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_SHORTFALL, EXIT_USAGE, load_preset, main
-from vscit.model import parse_config, parse_model, validate_config
+from vscit.model import SutModel, VscaConfig, validate_config
 from vscit.verify import read_suite
 
 from conftest import NOT_INTEGER_TEXT
@@ -70,6 +70,17 @@ class TestGenerate:
                        "--out", str(out))
         assert code == EXIT_OK
         assert read_suite(out).config.render() == "t=2; sub=0,1,2:3"
+
+    @pytest.mark.parametrize("value", ["0,1:2; sub=1,2,3:3", "0,1:2;"],
+                             ids=["second-sub", "trailing-semicolon"])
+    def test_one_sub_flag_is_one_sub_config(self, tmp_path, capsys, value):
+        code = run_cli("generate", "--model", "3^4", "--t", "2", "--sub", value,
+                       "--out", str(tmp_path / "s.txt"))
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad sub-config {'sub=' + value!r}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_model_exits_2(self, tmp_path, capsys):
         code = run_cli("generate", "--model", "3^", "--t", "2",
@@ -269,17 +280,26 @@ class TestBenchmark:
         assert len(rows) == 1 + 2 * (2 + 2)
         assert {r[0] for r in rows[1:]} == {"small", "tiny-vs"}
 
-    @pytest.mark.parametrize("bad_row", ["bad | 3^ | t=2", "big | 3^4 | t=5"],
-                             ids=["unparsable-model", "strength-above-k"])
-    def test_bad_preset_row_fails_before_any_run(self, tmp_path, capsys, bad_row):
+    @pytest.mark.parametrize("bad_row,message", [
+        ("bad | 3^ | t=2", "bad model term '3^'"),
+        ("big | 3^4 | t=5", "main strength 5 outside 1..4"),
+        ("bad | 3^4 | t=2; sub=0,1", "bad sub-config 'sub=0,1', expected indices:strength"),
+    ], ids=["unparsable-model", "strength-above-k", "unparsable-sub-config"])
+    def test_bad_preset_row_fails_before_any_run(self, tmp_path, capsys, bad_row, message):
         preset = tmp_path / "p.txt"
         preset.write_text(f"ok | 3^4 | t=2\n{bad_row}\n")
         out = tmp_path / "bench.csv"
         code = run_cli("benchmark", "--preset", str(preset), "--runs", "5", "--out", str(out))
         assert code == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:")
+        assert captured.out == "" and captured.err == f"error: preset line 2: {message}\n"
         assert not out.exists()
+
+    def test_sub_label_is_the_parsed_config(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run_cli("benchmark", "--model", "3^4", "--t", "2", "--sub", " 0, 1 ,2:3",
+                       "--runs", "1", "--out", str(out)) == EXIT_OK
+        assert {r[0] for r in self.read_rows(out)[1:]} == {"3^4 t=2; sub=0,1,2:3"}
 
     def test_preset_conflicts_with_model(self, tmp_path):
         assert run_cli("benchmark", "--preset", "table1", "--model", "3^3", "--t", "3",
@@ -372,15 +392,15 @@ class TestShippedPresets:
         assert len(targets) == rows
         labels = [label for label, _, _ in targets]
         assert len(set(labels)) == len(labels)
-        for _, model_spec, config_text in targets:
-            model = parse_model(model_spec)
-            validate_config(model, parse_config(config_text))
+        for _, model, config in targets:
+            assert isinstance(model, SutModel) and isinstance(config, VscaConfig)
+            validate_config(model, config)
 
     def test_first_rows_are_plain_arrays(self):
         for name in ("table1", "table2", "table3"):
-            label, _, config_text = load_preset(name)[0]
+            label, _, config = load_preset(name)[0]
             assert label == "phi"
-            assert parse_config(config_text).sub_configs == ()
+            assert config.sub_configs == ()
 
 
 class TestMfConfig:

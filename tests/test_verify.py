@@ -383,7 +383,7 @@ class TestReportRendering:
 
     def test_text_truncates_long_missing_lists(self):
         report = verify_suite(make_suite("3^5", VscaConfig(2), []))
-        assert "more" in render_report_text(report, limit=5)
+        assert "... 70 more" in render_report_text(report)
 
     def test_csv_rows(self):
         report = verify_suite(make_suite("2^2", VscaConfig(2), [(0, 0), (1, 1)]))
