@@ -1,25 +1,26 @@
 """Mamdani controller that adapts the swarm's inertia weight online.
 
-Three normalized performance measures on a 0..100 scale feed the paper's
-four fuzzy rules: the current fitness relative to the per-test ceiling
-(ncf) and the percentage distances from a particle to its personal best
-(d1) and to the global best (d2). The rules are written out as code in
-FisController.infer_w_batch. The defuzzified output, also on 0..100, is
-scaled onto the bounded inertia range.
+Three measures on a 0..100 scale feed the paper's four fuzzy rules: the
+current fitness relative to the per-test ceiling (ncf) and the percentage
+distances from a particle to its personal best (d1) and to the global best
+(d2). The rules are code in FisController.infer_w_batch. The defuzzified
+output, also on 0..100, is scaled onto the bounded inertia range.
 
-Defuzzification is the exact centroid of the clipped-max aggregate. Each
-fired output triangle is clipped at its rule strength and the aggregate is
-their pointwise max, so it is linear between sorted breakpoints: the sets'
-feet and peaks, the crossings of every pair of edges, and the points where
-every edge meets every fired label's clip level. Area and first moment are
-summed per segment by 2-point Gauss quadrature, which is exact for a linear
-piece and never samples a segment's ends, so a jump at an interior
-shoulder counts correctly.
+A membership function is held as its sloped sides, (foot, run) pairs whose
+level at x is (x - foot) / run; a degree is the least of its sides' levels,
+floored at 0. A shoulder has no side, so only a set whose shoulder lies
+strictly inside (0, 100), or one of zero width, keeps a support mask.
+Defuzzification is the exact centroid of the clipped-max aggregate, linear
+between sorted breakpoints: the sets' feet and peaks, the crossings of every
+pair of sides, and the points where every side meets every fired label's
+clip level. 2-point Gauss quadrature per segment is exact for a linear piece
+and never samples a segment's ends, so a jump at an interior shoulder counts.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -41,6 +42,16 @@ _RULE_OUTPUTS = ("low", "high")
 _GAUSS_NODES = np.array([[0.5 - 0.5 / math.sqrt(3.0)], [0.5 + 0.5 / math.sqrt(3.0)]])
 
 
+def _real(name: str, value) -> float:
+    """value as a float; a bool, a non-real or an int past the float range raises, naming name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer too large for a float") from None
+
+
 @dataclass(frozen=True)
 class MembershipFunction:
     """Triangular membership on [0, 100]: zero at the feet, 1.0 at the peak.
@@ -55,6 +66,8 @@ class MembershipFunction:
     right: float
 
     def __post_init__(self):
+        for name in ("left", "peak", "right"):
+            _real(name, getattr(self, name))
         if not 0 <= self.left <= self.peak <= self.right <= 100:
             raise ValueError(
                 "breakpoints must satisfy 0 <= left <= peak <= right <= 100, "
@@ -68,41 +81,46 @@ class MembershipFunction:
                 )
 
 
-class _Triangles:
-    """Several membership functions held as breakpoint columns.
+class _Sides:
+    """Membership functions as sloped sides, (foot, run) rows whose level at x is (x - foot) / run.
 
-    Function j sits on axis 0 at index j; an x with `trailing` axes
-    broadcasts against every function at once.
+    Row j holds function j's first side, a second side a row past those, as
+    `pairs` lists; owner names each row's function. A zero-width function (an
+    input set only) has a placeholder side, and its support mask sets its degree.
     """
 
     def __init__(self, mfs: list[MembershipFunction], trailing: int):
-        shape = (len(mfs),) + (1,) * trailing
+        first, second, self.masks = [], [], []
+        for j, mf in enumerate(mfs):
+            sides = [(foot, run) for foot, run in ((mf.left, mf.peak - mf.left),
+                                                   (mf.right, mf.peak - mf.right)) if run != 0]
+            first.append(sides[0] if sides else (mf.left, 1.0))
+            second += [(j, side) for side in sides[1:]]
+            if 0 < mf.left == mf.peak or mf.peak == mf.right < 100:
+                self.masks.append((j, mf.left, mf.right, not sides))
+        self.pairs = [(j, row) for row, (j, _) in enumerate(second, len(mfs))]
+        feet, runs = zip(*first, *(side for _, side in second))
+        shape = (2, len(feet)) + (1,) * trailing
+        self.feet, self.runs = np.array((feet, runs), dtype=float).reshape(shape)
+        self.owner = np.array(list(range(len(mfs))) + [j for j, _ in second])
 
-        def column(values) -> np.ndarray:
-            return np.array(values, dtype=float).reshape(shape)
-
-        self.left = column([mf.left for mf in mfs])
-        self.right = column([mf.right for mf in mfs])
-        rise = column([mf.peak - mf.left for mf in mfs])
-        fall = column([mf.right - mf.peak for mf in mfs])
-        # A zero-length side is a shoulder: x / inf is 0, and the floor of 1 holds it at 1.0.
-        self.rise = np.where(rise > 0, rise, np.inf)
-        self.rise_floor = (rise == 0).astype(float)
-        self.fall = np.where(fall > 0, fall, np.inf)
-        self.fall_floor = (fall == 0).astype(float)
-
-    def degrees(self, x):
-        """Degrees of finite x: for those, x - left >= 0 exactly when x >= left."""
-        rising = x - self.left
-        falling = self.right - x
-        inside = (rising >= 0.0) & (falling >= 0.0)
-        rising /= self.rise
-        rising += self.rise_floor
-        falling /= self.fall
-        falling += self.fall_floor
-        np.minimum(rising, falling, out=rising)
-        rising *= inside
-        return rising
+    def lowest(self, x: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Each function's least side level at x (`trailing` axes, or one row per
+        side first), masked where points[j], function j's points, leave its
+        support; a single row of points serves every function."""
+        level = x - self.feet
+        level /= self.runs
+        low = level[:len(level) - len(self.pairs)]
+        for j, row in self.pairs:
+            np.minimum(low[j], level[row], out=low[j])
+        for j, left, right, flat in self.masks:
+            at = points[j if len(points) > 1 else 0]
+            inside = (at >= left) & (at <= right)
+            if flat:
+                low[j] = inside
+            else:
+                low[j] *= inside
+        return low
 
 
 def _default_family() -> dict[str, MembershipFunction]:
@@ -118,21 +136,15 @@ def _default_family() -> dict[str, MembershipFunction]:
 class _ExactCentroid:
     """Centroid of output triangles, each clipped at a strength, aggregated by max.
 
-    The breakpoints that no strength moves are fixed here: the universe's
-    ends, every set's feet and peak, and every point in [0, 100] where the
-    lines of two sides cross. Each call adds the points where every side
-    meets every set's clip level. A vertical side needs no crossings of its
-    own, as it stands on a foot or a peak.
+    The breakpoints no strength moves are fixed here: the universe's ends,
+    the sets' feet and peaks, and the crossings in [0, 100] of two sides'
+    lines. Each call adds the points where every side meets every clip level.
+    A vertical side, standing on a foot or a peak, has no crossings of its own.
     """
 
     def __init__(self, mfs: list[MembershipFunction]):
-        # Each sloped side as (foot, run): it reaches level s at foot + s * run.
-        edges = []
-        for mf in mfs:
-            if mf.peak > mf.left:
-                edges.append((mf.left, mf.peak - mf.left))
-            if mf.right > mf.peak:
-                edges.append((mf.right, mf.peak - mf.right))
+        self.sides = _Sides(mfs, 3)
+        edges = list(zip(self.sides.feet.ravel().tolist(), self.sides.runs.ravel().tolist()))
         points = {0.0, 100.0}
         for mf in mfs:
             points.update((float(mf.left), float(mf.peak), float(mf.right)))
@@ -143,23 +155,16 @@ class _ExactCentroid:
                 if 0.0 <= x <= 100.0:
                     points.add(x)
         self.fixed = np.array(sorted(points))
-        feet, runs = zip(*edges)
-        self.feet = np.array(feet)[:, None, None]
-        self.runs = np.array(runs)[:, None, None]
-        self.sets = _Triangles(mfs, 3)
 
     def __call__(self, strength: np.ndarray) -> np.ndarray:
-        """Centroid per column of strength (sets x n), NaN where the aggregate has no area.
-
-        Every array runs along the batch, one column per triple.
-        """
+        """Centroid per column of strength (sets x n), NaN where the aggregate has no area."""
         sets, n = strength.shape
-        fixed = self.fixed.size
-        breaks = np.empty((fixed + self.feet.size * sets, n))
+        fixed, sides = self.fixed.size, len(self.sides.feet)
+        breaks = np.empty((fixed + sides * sets, n))
         breaks[:fixed] = self.fixed[:, None]
-        clips = breaks[fixed:].reshape(self.feet.size, sets, n)
-        np.multiply(strength, self.runs, out=clips)
-        clips += self.feet
+        clips = breaks[fixed:].reshape(sides, 1, sets, n)
+        np.multiply(strength, self.sides.runs, out=clips)
+        clips += self.sides.feet
         breaks.sort(axis=0)
         # The aggregate is linear between breakpoints; two Gauss nodes per
         # segment, each weighted by the segment's width, give twice its area
@@ -167,11 +172,13 @@ class _ExactCentroid:
         start = breaks[:-1, None]
         width = breaks[1:, None] - start
         nodes = start + width * _GAUSS_NODES
-        height = self.sets.degrees(nodes)
+        # A node's height in a set is its sides' least level, clipped at the
+        # set's strength; the aggregate is the highest set, floored at 0.
+        height = self.sides.lowest(nodes, nodes[None])
         np.minimum(height, strength[:, None, None, :], out=height)
         # (area, moment) along axis 0, then the segments, the two nodes and the batch.
         terms = np.empty((2,) + nodes.shape)
-        weighted = np.maximum.reduce(height, axis=0, out=terms[0])
+        weighted = np.maximum.reduce(height, axis=0, out=terms[0], initial=0.0)
         weighted *= width
         np.multiply(weighted, nodes, out=terms[1])
         # The segment axis is never the innermost, so each column adds its
@@ -206,10 +213,7 @@ class FisController:
         }
         self.output_mfs = _default_family() if output_mfs is None else dict(output_mfs)
         for name, bound in (("w_max", w_max), ("w_min", w_min)):
-            try:
-                bound = float(bound)
-            except OverflowError:
-                raise ValueError(f"{name} is an integer too large for a float") from None
+            bound = _real(name, bound)
             if not math.isfinite(bound):
                 raise ValueError(f"{name} must be finite, got {bound}")
             setattr(self, name, bound)
@@ -227,20 +231,18 @@ class FisController:
         for label, mf in self.output_mfs.items():
             if mf.left == mf.right:
                 raise ValueError(f"output set {label!r} has zero width: left == right == {mf.left}")
-        self._term_inputs = np.array([INPUT_NAMES.index(name) for name, _ in _RULE_TERMS])
-        self._terms = _Triangles([self.input_mfs[name][label] for name, label in _RULE_TERMS], 1)
+        term_inputs = np.array([INPUT_NAMES.index(name) for name, _ in _RULE_TERMS])
+        self._terms = _Sides([self.input_mfs[name][label] for name, label in _RULE_TERMS], 1)
+        self._side_inputs = term_inputs[self._terms.owner]
         self._centroid = _ExactCentroid([self.output_mfs[label] for label in _RULE_OUTPUTS])
 
     def infer_w_batch(self, ncf, d1, d2):
         """Vectorized inference, equivalent to one call per triple in index order.
 
-        Fuzzifies each triple, takes each rule's firing strength as the min
-        of its terms, clips each output label's membership function at the
-        strongest rule that sets it, aggregates by max, and defuzzifies by the
-        exact centroid of the aggregate. Triples that fire nothing inherit
-        the weight emitted for the previous index (or the stored last_w).
-        Returns the weights and the defuzzified selections, NaN where no
-        rule fired.
+        Each rule fires at the min of its terms' degrees; each output set is
+        clipped at its strongest rule, and the max aggregate is defuzzified by
+        its exact centroid. A triple that fires nothing inherits the previous
+        weight. Returns the weights and the selections, NaN where none fired.
         """
         if len({np.shape(ncf), np.shape(d1), np.shape(d2)}) != 1 or np.ndim(ncf) != 1:
             raise ValueError("FIS inputs must be equal-length 1-d arrays")
@@ -253,17 +255,21 @@ class FisController:
                 if not ((row >= 0.0) & (row <= 100.0)).all():
                     raise ValueError(f"{name} outside [0, 100]")
 
-        ncf_low, d1_low, d2_low, ncf_medium, ncf_high, d1_high, d2_high = (
-            self._terms.degrees(x[self._term_inputs]))
+        # Row j of the side inputs is function j's first side, so it is j's points too.
+        sides_x = x[self._side_inputs]
+        degree = self._terms.lowest(sides_x, sides_x)
+        np.maximum(degree, 0.0, out=degree)
+        ncf_low, d1_low, d2_low, ncf_medium, ncf_high, d1_high, d2_high = degree
         # The paper's four rules. "and" is the min of the terms' degrees,
         # "not-low" is 1 - low, and each output label takes the strongest
         # rule that sets it.
         strength = np.empty((2, n))
         low, high = strength
+        both_low = np.minimum(d1_low, d2_low)
         # 1. ncf low and d1 low and d2 low -> w low
-        np.minimum(np.minimum(ncf_low, d1_low), d2_low, out=low)
+        np.minimum(ncf_low, both_low, out=low)
         # 2. ncf not-low and d1 low and d2 low -> w high
-        np.minimum(np.minimum(1.0 - ncf_low, d1_low), d2_low, out=high)
+        np.minimum(1.0 - ncf_low, both_low, out=high)
         # 3. ncf medium and d1 low and d2 not-low -> w high
         np.maximum(high, np.minimum(np.minimum(ncf_medium, d1_low), 1.0 - d2_low), out=high)
         # 4. ncf high and d1 high and d2 high -> w high
@@ -317,16 +323,11 @@ def compute_distance_pct(x, ref, max_distance: float) -> np.ndarray:
 def controller_from_config(cfg: dict) -> FisController:
     """Build a controller from a JSON-style dict; omitted pieces keep defaults.
 
-    A family given, even an empty one, replaces its default whole, so it
-    must name every label the rules read.
-
     Recognized keys: "w_max", "w_min", "output" (label -> [left, peak, right])
-    and "inputs" (input name -> label -> [left, peak, right]). A value of the
-    wrong shape raises ValueError naming its key.
+    and "inputs" (input name -> label -> [left, peak, right]). A family given,
+    even an empty one, replaces its default whole. A value of the wrong shape
+    or type raises ValueError naming its key.
     """
-    def is_number(x) -> bool:
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
-
     def mapping(where: str, spec) -> dict:
         if not isinstance(spec, dict):
             raise ValueError(f"{where} must be a JSON object, got {type(spec).__name__}")
@@ -335,23 +336,18 @@ def controller_from_config(cfg: dict) -> FisController:
     def family(where: str, spec) -> dict[str, MembershipFunction]:
         mfs = {}
         for label, points in mapping(where, spec).items():
-            if not isinstance(points, list) or len(points) != 3 or not all(map(is_number, points)):
+            if not isinstance(points, list) or len(points) != 3:
                 raise ValueError(f"{where}.{label} must be [left, peak, right], got {points!r}")
+            for name, value in zip(("left", "peak", "right"), points):
+                _real(f"{where}.{label}.{name}", value)
             mfs[label] = MembershipFunction(*points)
         return mfs
 
     mapping("membership config top level", cfg)
-    for key in ("w_max", "w_min"):
-        if key in cfg and not is_number(cfg[key]):
-            raise ValueError(f"{key} must be a number, got {cfg[key]!r}")
     inputs = None if cfg.get("inputs") is None else {
         name: family(f"inputs.{name}", spec)
         for name, spec in mapping("inputs", cfg["inputs"]).items()
     }
     output = None if cfg.get("output") is None else family("output", cfg["output"])
-    return FisController(
-        input_mfs=inputs,
-        output_mfs=output,
-        w_max=cfg.get("w_max", W_MAX_DEFAULT),
-        w_min=cfg.get("w_min", W_MIN_DEFAULT),
-    )
+    return FisController(inputs, output, cfg.get("w_max", W_MAX_DEFAULT),
+                         cfg.get("w_min", W_MIN_DEFAULT))

@@ -10,6 +10,7 @@ general: a 10^5-point midpoint integral of the aggregate, built from
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from vscit.fis import (
     MembershipFunction,
     W_MAX_DEFAULT,
     W_MIN_DEFAULT,
-    _Triangles,
+    _Sides,
     compute_distance_pct,
     compute_ncf,
     controller_from_config,
@@ -59,12 +60,20 @@ def triangle(mf, x):
     return np.where((mf.left <= x) & (x <= mf.right), np.minimum(rising, falling), 0.0)
 
 
+def sides_degree(mf, x):
+    """Degree of x in mf by the controller's own evaluation: its sides' least
+    level, masked to its support where it keeps a mask, floored at 0."""
+    points = np.atleast_1d(x)
+    sides = _Sides([mf], 1)
+    return np.maximum(sides.lowest(points, points[None])[0], 0.0).reshape(x.shape)
+
+
 def degree(mf, x):
     """Degree of x in mf by the oracle, once the controller's own evaluation
     is checked to agree with it."""
     x = np.asarray(x, dtype=float)
     expected = triangle(mf, x)
-    np.testing.assert_allclose(_Triangles([mf], x.ndim).degrees(x)[0], expected, rtol=1e-12)
+    np.testing.assert_allclose(sides_degree(mf, x), expected, rtol=1e-12)
     return expected
 
 
@@ -110,6 +119,12 @@ class TestMembershipFunction:
         with pytest.raises(ValueError):
             MembershipFunction(-5, 50, 75)
 
+    @pytest.mark.parametrize("points", [(True, True, 50), ("0", 0, 50)], ids=["bool", "str"])
+    def test_breakpoint_that_is_not_a_real_number_raises(self, points):
+        # A bool once passed as 0 or 1, and a str met "<=" with a bare TypeError.
+        with pytest.raises(ValueError, match=f"^left must be a real number, got {points[0]!r}$"):
+            MembershipFunction(*points)
+
     @pytest.mark.parametrize("points,side", [((0, 5e-324, 50), "rising"),
                                              ((0, 0, 1e-320), "falling")])
     def test_side_too_narrow_to_divide_by_raises(self, points, side):
@@ -123,8 +138,8 @@ class TestMembershipFunction:
             width = float(np.nextafter(width, 1.0))
         with pytest.raises(ValueError, match="too narrow"):
             MembershipFunction(0, float(np.nextafter(width, 0.0)), 100)
-        got = _Triangles([MembershipFunction(0, width, 100)], 1).degrees(np.linspace(0, 100, 11))
-        assert np.isfinite(got).all() and got[0, 0] == 0.0 and got[0, -1] == 0.0
+        got = sides_degree(MembershipFunction(0, width, 100), np.linspace(0, 100, 11))
+        assert np.isfinite(got).all() and got[0] == 0.0 and got[-1] == 0.0
 
 
 class TestComputeNcf:
@@ -406,6 +421,16 @@ class TestControllerConfig:
             controller_from_config({"inputs": inputs})
         assert str(err.value) == f"inputs must be a JSON object, got {type(inputs).__name__}"
 
+    @pytest.mark.parametrize("bound", ["0.9", True], ids=["str", "bool"])
+    def test_w_bound_that_is_not_a_real_number_raises(self, bound):
+        # float() once read "0.9" as 0.9 and True as 1.0.
+        with pytest.raises(ValueError, match=f"^w_max must be a real number, got {bound!r}$"):
+            FisController(w_max=bound)
+
+    def test_config_breakpoint_that_is_not_a_real_number_is_named_by_key(self):
+        with pytest.raises(ValueError, match="^output.low.peak must be a real number, got True$"):
+            controller_from_config({"output": {"low": [0, True, 50], "high": [50, 100, 100]}})
+
     def test_bad_w_bounds_raise(self):
         with pytest.raises(ValueError):
             FisController(w_max=0.1, w_min=0.5)
@@ -498,11 +523,26 @@ CONTROLLER_DIGESTS = [
     (OVERLAP_MF, "5bf05f7467e0f5c600431825286ab8e86dea2871820e9c3af87847ba73e2fdc6"),
     ({"output": {"low": [20, 60, 60], "high": [40, 40, 90]}},
      "6e093d8cd9bd88ad60df028b103d875dbe48c591043bb144e6673db1b07667f6"),
+    # Input families that keep a support mask or that overlap, recorded
+    # before the degrees were taken from the sloped sides alone.
+    ({"inputs": {"ncf": {"low": [0, 0, 50], "medium": [20, 40, 40], "high": [50, 100, 100]},
+                 "d2": {"low": [0, 0, 50], "high": [60, 60, 100]}}},
+     "c7fbfcd7ace6a695f0369ca0a925645c57d8688cab44462e4fdb4e037535a59e"),
+    ({"inputs": {"ncf": {"low": [0, 0, 0], "medium": [25, 50, 75], "high": [50, 100, 100]},
+                 "d1": {"low": [0, 0, 50], "high": [100, 100, 100]},
+                 "d2": {"low": [40, 40, 40], "high": [50, 100, 100]}}},
+     "1ba68dfb59475f54ca77f53b79fb89b2502a7e50a41cf7808c2fd2867a06b83b"),
+    ({"inputs": {"ncf": {"low": [0, 10, 60], "medium": [5, 50, 95], "high": [40, 90, 100]},
+                 "d1": {"low": [0, 30, 70], "high": [20, 60, 100]},
+                 "d2": {"low": [0, 0, 80], "high": [10, 100, 100]}}},
+     "c7c07c43c214d5d6d78ba637f16bbb2e8d34cb2fc0616f6c7aee08e9b49ee1dd"),
 ]
 
 
 @pytest.mark.parametrize("cfg,digest", CONTROLLER_DIGESTS,
-                         ids=["default", "overlapping-sets", "interior-shoulders"])
+                         ids=["default", "overlapping-sets", "interior-shoulders",
+                              "interior-input-shoulders", "zero-width-inputs",
+                              "overlapping-inputs"])
 def test_controller_bits_are_pinned(cfg, digest):
     controller = controller_from_config(cfg)
     rng = np.random.default_rng(2024)
@@ -511,6 +551,92 @@ def test_controller_bits_are_pinned(cfg, digest):
         w, selection = controller.infer_w_batch(*(rng.random((3, 80)) * 100))
         h.update(w.tobytes() + selection.tobytes())
     assert h.hexdigest() == digest
+
+
+# The rule terms in the order the rules read them, as in vscit.fis.
+RULE_TERMS = (("ncf", "low"), ("d1", "low"), ("d2", "low"), ("ncf", "medium"),
+              ("ncf", "high"), ("d1", "high"), ("d2", "high"))
+
+
+def masked_degrees(mfs, x, trailing):
+    """Degrees of x (trailing axes) in each of mfs, stacked on axis 0, the way
+    the controller took them before it kept only sloped sides: every set
+    masked to its support, and a shoulder side held at 1 as x / inf + 1."""
+    def column(values):
+        return np.array(values, dtype=float).reshape((len(mfs),) + (1,) * trailing)
+
+    rise = column([mf.peak - mf.left for mf in mfs])
+    fall = column([mf.right - mf.peak for mf in mfs])
+    rising = x - column([mf.left for mf in mfs])
+    falling = column([mf.right for mf in mfs]) - x
+    inside = (rising >= 0.0) & (falling >= 0.0)
+    rising = rising / np.where(rise > 0, rise, np.inf) + (rise == 0)
+    falling = falling / np.where(fall > 0, fall, np.inf) + (fall == 0)
+    return np.minimum(rising, falling) * inside
+
+
+def masked_selection(controller, x):
+    """The selections for x (3 x n) by the masked evaluation, with the exact
+    centroid's breakpoints, node order and summation order unchanged."""
+    terms = [controller.input_mfs[name][label] for name, label in RULE_TERMS]
+    rows = np.array([("ncf", "d1", "d2").index(name) for name, _ in RULE_TERMS])
+    ncf_low, d1_low, d2_low, ncf_medium, ncf_high, d1_high, d2_high = masked_degrees(
+        terms, x[rows], 1)
+    low = np.minimum(np.minimum(ncf_low, d1_low), d2_low)
+    high = np.minimum(np.minimum(1.0 - ncf_low, d1_low), d2_low)
+    high = np.maximum(high, np.minimum(np.minimum(ncf_medium, d1_low), 1.0 - d2_low))
+    high = np.maximum(high, np.minimum(np.minimum(ncf_high, d1_high), d2_high))
+    strength = np.array([low, high])
+    mfs = [controller.output_mfs["low"], controller.output_mfs["high"]]
+    edges = [(mf.left, mf.peak - mf.left) for mf in mfs if mf.peak > mf.left]
+    edges += [(mf.right, mf.peak - mf.right) for mf in mfs if mf.right > mf.peak]
+    points = {0.0, 100.0} | {float(v) for mf in mfs for v in (mf.left, mf.peak, mf.right)}
+    for (foot_a, run_a), (foot_b, run_b) in itertools.combinations(edges, 2):
+        if run_a != run_b:
+            cross = (foot_a * run_b - foot_b * run_a) / (run_b - run_a)
+            if 0.0 <= cross <= 100.0:
+                points.add(cross)
+    feet, runs = (np.array(v, dtype=float)[:, None, None] for v in zip(*edges))
+    clips = (strength * runs + feet).reshape(2 * len(edges), x.shape[1])
+    breaks = np.sort(np.concatenate((np.repeat([sorted(points)], x.shape[1], axis=0).T, clips)),
+                     axis=0)
+    start = breaks[:-1, None]
+    width = breaks[1:, None] - start
+    nodes = start + width * np.array([[0.5 - 0.5 / math.sqrt(3.0)], [0.5 + 0.5 / math.sqrt(3.0)]])
+    height = np.minimum(masked_degrees(mfs, nodes, 3), strength[:, None, None, :]).max(axis=0)
+    terms = np.array([height * width, height * width * nodes])
+    totals = np.add.reduce(terms, axis=1)
+    area, moment = totals[:, 0] + totals[:, 1]
+    return np.divide(moment, area, out=np.full(x.shape[1], np.nan), where=area > 0.0)
+
+
+# An input set: any output set, or one of zero width. Integer breakpoints,
+# so that integer inputs land on feet, peaks and shoulders.
+input_sets = output_sets() | st.integers(0, 100).map(lambda a: MembershipFunction(a, a, a))
+input_family = st.fixed_dictionaries({"low": input_sets, "medium": input_sets,
+                                      "high": input_sets})
+inputs = st.one_of(st.integers(0, 100).map(float), pct)
+
+
+@given(st.fixed_dictionaries({name: input_family for name in ("ncf", "d1", "d2")}),
+       output_sets(), output_sets(), st.lists(st.tuples(inputs, inputs, inputs), max_size=40))
+@example({name: {"low": MembershipFunction(0, 0, 50), "medium": MembershipFunction(20, 40, 40),
+                 "high": MembershipFunction(60, 60, 100)} for name in ("ncf", "d1", "d2")},
+         MembershipFunction(20, 60, 60), MembershipFunction(40, 40, 90),
+         [(40.0, 0.0, 60.0), (41.0, 20.0, 100.0), (20.0, 60.0, 59.0)])
+@settings(max_examples=200, deadline=None)
+def test_sloped_sides_match_the_masked_evaluation(families, low, high, triples):
+    controller = FisController(input_mfs=families, output_mfs={"low": low, "high": high})
+    x = np.array(triples, dtype=float).reshape(len(triples), 3).T
+    w, selection = controller.infer_w_batch(*x)
+    expected = masked_selection(controller, x)
+    assert selection.tobytes() == expected.tobytes()
+    last_w, weights = W_MAX_DEFAULT, []
+    for sel in expected.tolist():
+        if not math.isnan(sel):
+            last_w = min(max(sel / 100.0 * W_MAX_DEFAULT, W_MIN_DEFAULT), W_MAX_DEFAULT)
+        weights.append(last_w)
+    assert w.tolist() == weights
 
 
 class TestExactCentroid:
