@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -189,6 +190,23 @@ class _ExactCentroid:
         return np.divide(moment, area, out=np.full(n, np.nan), where=area > 0.0)
 
 
+def _mapping(what: str, value, of: str) -> dict:
+    """value as a dict; anything but a mapping raises, naming what."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a mapping of {of}, got {type(value).__name__}")
+    return dict(value)
+
+
+def _family(name: str, family) -> dict[str, MembershipFunction]:
+    """A membership family as a dict; a value that is not a MembershipFunction
+    raises, naming the family and label."""
+    family = _mapping(f"{name} family", family, "label to MembershipFunction")
+    for label, mf in family.items():
+        if not isinstance(mf, MembershipFunction):
+            raise ValueError(f"{name} set {label!r} must be a MembershipFunction, got {mf!r}")
+    return family
+
+
 class FisController:
     """Membership families, the four rules, and centroid defuzzifier for the inertia weight.
 
@@ -202,16 +220,18 @@ class FisController:
     def __init__(self, input_mfs: dict[str, dict[str, MembershipFunction]] | None = None,
                  output_mfs: dict[str, MembershipFunction] | None = None,
                  w_max: float = W_MAX_DEFAULT, w_min: float = W_MIN_DEFAULT):
-        input_mfs = input_mfs or {}
+        input_mfs = {} if input_mfs is None else _mapping("input_mfs", input_mfs,
+                                                           "input name to family")
         unknown = set(input_mfs) - set(INPUT_NAMES)
         if unknown:
             raise ValueError(f"unknown FIS inputs {sorted(unknown)}; expected {INPUT_NAMES}")
         # A family given, even an empty one, replaces the default whole.
         self.input_mfs = {
-            name: dict(_default_family() if input_mfs.get(name) is None else input_mfs[name])
+            name: (_default_family() if input_mfs.get(name) is None
+                   else _family(name, input_mfs[name]))
             for name in INPUT_NAMES
         }
-        self.output_mfs = _default_family() if output_mfs is None else dict(output_mfs)
+        self.output_mfs = _default_family() if output_mfs is None else _family("output", output_mfs)
         for name, bound in (("w_max", w_max), ("w_min", w_min)):
             bound = _real(name, bound)
             if not math.isfinite(bound):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from string import whitespace
 from typing import NamedTuple
 
@@ -142,25 +142,33 @@ class TestSuite:
 
     The cases are checked all at once, as one int64 array against the level
     counts; only a suite that fails is scanned case by case with check_case,
-    which raises CaseError for the first case at fault.
+    which raises CaseError for the first case at fault. A 2-D integer
+    ndarray of the model's width has its dtype checked once instead of the
+    type of every value. The validated array is kept, read-only, as array.
     """
 
     model: SutModel
     config: VscaConfig
     cases: tuple[TestCase, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cases = tuple(self.cases)
+        cases = self.cases
         k = self.model.k
         values = None
-        # The types are checked first: the int64 array alone would read 1.7,
-        # True and "1" all as 1.
-        if set(map(len, cases)) <= {k} and all(
-                map(is_integer_type, set(map(type, itertools.chain.from_iterable(cases))))):
-            try:
-                values = np.array(cases, dtype=np.int64).reshape(len(cases), k)
-            except OverflowError:
-                pass
+        if (isinstance(cases, np.ndarray) and cases.ndim == 2 and cases.shape[1] == k
+                and cases.dtype.kind in "iu" and np.can_cast(cases.dtype, np.int64)):
+            values = cases.astype(np.int64)
+        else:
+            cases = tuple(cases)
+            # The types are checked first: the int64 array alone would read
+            # 1.7, True and "1" all as 1.
+            if set(map(len, cases)) <= {k} and all(
+                    map(is_integer_type, set(map(type, itertools.chain.from_iterable(cases))))):
+                try:
+                    values = np.array(cases, dtype=np.int64).reshape(len(cases), k)
+                except OverflowError:
+                    pass
         if values is None or ((values < 0) | (values >= self.model.param_levels)).any():
             # Some case fails here: a value past int64 is past every level count.
             for index, case in enumerate(cases):
@@ -168,7 +176,9 @@ class TestSuite:
                     check_case(self.model, case)
                 except ValueError as exc:
                     raise CaseError(index, str(exc)) from None
+        values.flags.writeable = False
         object.__setattr__(self, "cases", tuple(map(tuple, values.tolist())))
+        object.__setattr__(self, "array", values)
 
     def __len__(self) -> int:
         return len(self.cases)

@@ -6,14 +6,17 @@ as checks on each other. It visits the combinations in sorted order and
 builds each one's row-major codes from those of the prefix it shares with
 the previous combination, one parameter at a time.
 
-A suite file is read in one pass, one parse_ints per case line, and its
-cases are validated together by TestSuite.
+A suite file is read in one pass into one int64 array: one parse_ints
+call over every case line, validated together by TestSuite, which keeps
+the array the oracle reads. Only a file that fails is read again, line by
+line, to word the error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from string import whitespace
 
@@ -31,6 +34,14 @@ from .model import (
     parse_model,
     validate_config,
 )
+
+# A line's ASCII whitespace, which str.strip(whitespace) removes; "\n"
+# alone ends a line, as in file iteration.
+_BLANK = " \t\r\v\f"
+# "# model: ..." or "# config: ...", with any number of "#" and blanks.
+_HEADER = re.compile(rf"^[{_BLANK}]*#+[{_BLANK}]*(model|config):(.*)", re.MULTILINE)
+# A line neither blank nor a comment.
+_CASE_LINE = re.compile(rf"^[{_BLANK}]*[^#{_BLANK}\n].*", re.MULTILINE)
 
 MissingPair = tuple[tuple[int, ...], tuple[int, ...]]
 REPORT_MISSING_SHOWN = 20
@@ -84,8 +95,7 @@ def verify_suite(suite: TestSuite) -> CoverageReport:
     """
     check_config(suite.model, suite.config)
     levels = suite.model.param_levels
-    rows = np.array(suite.cases, dtype=np.int64).reshape(len(suite.cases), suite.model.k)
-    columns = np.ascontiguousarray(rows.T)
+    columns = np.ascontiguousarray(suite.array.T)
     required = covered = 0
     missing: list[MissingPair] = []
     codes: list[np.ndarray] = []
@@ -141,7 +151,37 @@ def read_suite(path) -> TestSuite:
     the model, so a file whose configuration demands nothing (or names
     parameters the model lacks) is refused instead of passing the oracle
     with an empty universe.
+
+    The text is read once. Regexes find the two headers and the case
+    lines; a comment or blank line is neither. Every case line must hold
+    k - 1 commas, and one parse_ints call reads the case lines joined by
+    commas into the int64 array TestSuite validates and keeps. A file
+    that fails any step is read again by _read_suite_lines, the only code
+    that words the error.
     """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        # One header of each kind, or the unpacking raises.
+        headers = _HEADER.findall(text)
+        (model_text,), (config_text,) = (
+            [body for key, body in headers if key == name] for name in ("model", "config"))
+        model = parse_model(model_text)
+        lines = _CASE_LINE.findall(text)
+        # k - 1 commas on every line make each line one row of the joined values.
+        if set(map(str.count, lines, itertools.repeat(","))) <= {model.k - 1}:
+            values = parse_ints(",".join(lines)) if lines else ()
+            suite = TestSuite(model, parse_config(config_text),
+                              np.array(values, dtype=np.int64).reshape(len(lines), model.k))
+            validate_config(model, suite.config)
+            return suite
+    except (ValueError, OverflowError):
+        pass
+    return _read_suite_lines(path)
+
+
+def _read_suite_lines(path) -> TestSuite:
+    """read_suite one line at a time, naming the file and line of any error."""
     model: SutModel | None = None
     config: VscaConfig | None = None
     cases: list[tuple[int, ...]] = []

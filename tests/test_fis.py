@@ -378,6 +378,30 @@ class TestControllerConfig:
         with pytest.raises(ValueError, match="unknown FIS inputs"):
             FisController(input_mfs={"speed": {}})
 
+    def test_breakpoint_tuples_as_output_sets_are_refused(self):
+        # They used to raise AttributeError: 'tuple' object has no attribute 'left'.
+        with pytest.raises(ValueError) as err:
+            FisController(output_mfs={"low": (0, 0, 50), "high": (50, 100, 100)})
+        assert str(err.value) == "output set 'low' must be a MembershipFunction, got (0, 0, 50)"
+
+    def test_input_family_that_is_not_a_mapping_is_refused(self):
+        # It used to raise TypeError from dict().
+        with pytest.raises(ValueError) as err:
+            FisController(input_mfs={"ncf": [1, 2]})
+        assert str(err.value) == "ncf family must be a mapping of label to MembershipFunction, got list"
+
+    def test_output_family_that_is_not_a_mapping_is_refused(self):
+        # It used to raise TypeError from dict().
+        with pytest.raises(ValueError) as err:
+            FisController(output_mfs=5)
+        assert str(err.value) == "output family must be a mapping of label to MembershipFunction, got int"
+
+    def test_input_families_that_are_not_a_mapping_are_refused(self):
+        # It used to raise TypeError: unhashable type.
+        with pytest.raises(ValueError) as err:
+            FisController(input_mfs=[("ncf", {})])
+        assert str(err.value) == "input_mfs must be a mapping of input name to family, got list"
+
     @pytest.mark.parametrize("family,label", [
         ("ncf", "low"), ("ncf", "medium"), ("ncf", "high"), ("d1", "low"), ("d1", "high"),
         ("d2", "low"), ("d2", "high"), ("output", "low"), ("output", "high"),

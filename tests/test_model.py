@@ -154,6 +154,50 @@ class TestSuiteValidation:
         assert str(err.value) == f"case 1: {message}"
 
 
+class TestSuiteFromAnArray:
+    def test_an_int64_array_gives_the_suite_its_tuples_give(self):
+        model = parse_model("3^2 2")
+        rows = ((0, 2, 1), (1, 0, 0), (2, 1, 1))
+        for dtype in (np.int64, np.int8, np.uint32):
+            from_array = vscit.TestSuite(model, VscaConfig(2), np.array(rows, dtype=dtype))
+            from_tuples = vscit.TestSuite(model, VscaConfig(2), rows)
+            assert from_array == from_tuples
+            assert from_array.cases == from_tuples.cases == rows
+            assert {type(x) for case in from_array.cases for x in case} == {int}
+            assert from_array.array.dtype == from_tuples.array.dtype == np.int64
+            assert (from_array.array == from_tuples.array).all()
+        empty = vscit.TestSuite(model, VscaConfig(2), np.zeros((0, 3), dtype=np.int64))
+        assert empty.cases == () and empty.array.shape == (0, 3)
+
+    @pytest.mark.parametrize("rows,message", [
+        (np.array([[0, 1], [1, 0]], dtype=bool),
+         f"case 0: value {np.False_!r} at index 0 is not an integer"),
+        (np.array([[0.0, 1.0]]), f"case 0: value {np.float64(0.0)!r} at index 0 is not an integer"),
+        (np.zeros((2, 3), dtype=np.int64), "case 0: case has 3 values, model has 2 parameters"),
+        (np.array([[0, 1], [1, 3]]), "case 1: value 3 at index 1 outside 0..2"),
+        (np.array([[0, 1], [1, 2**64 - 1]], dtype=np.uint64),
+         f"case 1: value {2**64 - 1} at index 1 outside 0..2"),
+    ], ids=["bool", "float", "wrong-width", "out-of-range", "uint64"])
+    def test_an_array_it_cannot_hold_raises_what_its_rows_raise(self, rows, message):
+        # The tuple of its rows is what TestSuite read an array as before arrays
+        # had a path of their own.
+        model = parse_model("3^2")
+        for cases in (rows, tuple(rows)):
+            with pytest.raises(CaseError) as err:
+                vscit.TestSuite(model, VscaConfig(2), cases)
+            assert str(err.value) == message
+
+    def test_the_kept_array_is_a_read_only_copy(self):
+        rows = np.array([[0, 1], [2, 0]])
+        suite = vscit.TestSuite(parse_model("3^2"), VscaConfig(2), rows)
+        assert not suite.array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            suite.array[0, 0] = 1
+        rows[0, 0] = 2
+        assert rows.flags.writeable
+        assert suite.array.tolist() == [[0, 1], [2, 0]] and suite.cases == ((0, 1), (2, 0))
+
+
 class TestParseConfig:
     def test_main_only(self):
         cfg = parse_config("t=2")

@@ -2,27 +2,34 @@
 
 The oracle is checked against a brute-force reference kept here: a Python
 set of every required (combination, value tuple) pair, from which the pairs
-any case's projection hits are removed.
+any case's projection hits are removed. The one-pass suite reader is checked
+the same way, against a line-by-line reader kept here.
 """
 
 import ast
 import itertools
 import random
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from string import whitespace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vscit
 from vscit.model import (
+    CaseError,
     ConfigError,
     ParseError,
     SubConfig,
     SutModel,
     VscaConfig,
     parse_config,
+    parse_ints,
     parse_model,
+    validate_config,
 )
 from vscit.pso import SwarmParams, generate_suite
 from vscit.tuples import build_tuple_store
@@ -86,6 +93,101 @@ def random_suites(draw):
     case = st.tuples(*(st.integers(0, v - 1) for v in levels))
     cases = draw(st.lists(case, max_size=12))
     return vscit.TestSuite(SutModel(tuple(levels)), config, tuple(cases))
+
+
+def line_by_line_read_suite(path):
+    """Reference reader, one line at a time with one parse_ints per case line:
+    read_suite as it was before it read a file in one pass."""
+    model = config = None
+    cases = []
+    case_lines = []
+    with open(path) as fh:
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip(whitespace)
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip(whitespace)
+                    try:
+                        if body.startswith("model:"):
+                            if model is not None:
+                                raise ParseError("repeated '# model:' header")
+                            model = parse_model(body[len("model:"):])
+                        elif body.startswith("config:"):
+                            if config is not None:
+                                raise ParseError("repeated '# config:' header")
+                            config = parse_config(body[len("config:"):])
+                    except ParseError as exc:
+                        raise ParseError(f"{path}:{line_no}: {exc}") from None
+                    continue
+                try:
+                    cases.append(parse_ints(line))
+                except ValueError:
+                    text = raw.rstrip("\n")
+                    raise ParseError(f"{path}:{line_no}: bad case line {text!r}") from None
+                case_lines.append(line_no)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if model is None or config is None:
+        raise ParseError(f"{path}: missing '# model:' or '# config:' header")
+    try:
+        validate_config(model, config)
+        return vscit.TestSuite(model, config, tuple(cases))
+    except CaseError as exc:
+        raise ParseError(f"{path}:{case_lines[exc.index]}: {exc.reason}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+# Fields parse_ints refuses, values past int64, and values outside every level count.
+BAD_FIELDS = ["+1", "1_0", "\u0662", "1 2", "", "--1", "0x1", str(2**63), str(-2**63 - 1),
+              str(2**64), "-1", "4"]
+HEADER_FORMS = ["# {}: {}", "#{}:{}", "## {}:  {} ", " \t# {}: {}\f", "#\v{}: {}"]
+OTHER_LINES = ["", " \t", "\f\v", "#", "# a comment", "#1,2,3", " # model 3^3", "#x model: 2"]
+FILE_FAULTS = ["bad-field", "short", "long", "short-and-long", "repeated-header",
+               "missing-header", "undecodable"]
+
+
+@st.composite
+def suite_files(draw):
+    """The bytes of a suite file: random_suites() written with headers,
+    comments and blank lines anywhere, ASCII whitespace around values, any
+    line ending, and up to two faults."""
+    suite = draw(random_suites())
+    rows = [[str(x) for x in case] for case in suite.cases]
+    headers = {"model": suite.model.render(), "config": suite.config.render()}
+    faults = draw(st.lists(st.sampled_from(FILE_FAULTS), max_size=2))
+    extra = []
+    for fault in faults:
+        filled = [row for row in rows if row]
+        if fault == "bad-field" and filled:
+            row = draw(st.sampled_from(filled))
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_FIELDS))
+        elif fault == "short" and filled:
+            draw(st.sampled_from(filled)).pop()
+        elif fault == "long" and rows:
+            draw(st.sampled_from(rows)).append("0")
+        elif fault == "short-and-long" and filled and len(rows) > 1:
+            # The file's comma count is what it would be without them.
+            short = draw(st.sampled_from(filled))
+            short.pop()
+            draw(st.sampled_from([row for row in rows if row is not short])).append("0")
+        elif fault == "repeated-header":
+            key = draw(st.sampled_from(sorted(headers)))
+            extra.append(draw(st.sampled_from(HEADER_FORMS)).format(key, headers[key]))
+        elif fault == "missing-header":
+            del headers[draw(st.sampled_from(sorted(headers)))]
+    pad = st.sampled_from(["", " ", "\t", "\v", "\f", " \t\f"])
+    lines = [",".join(draw(pad) + field + draw(pad) for field in row) for row in rows]
+    lines += [draw(st.sampled_from(HEADER_FORMS)).format(key, text) for key, text in headers.items()]
+    lines += extra + draw(st.lists(st.sampled_from(OTHER_LINES), max_size=4))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (eol.join(draw(st.permutations(lines))) + draw(st.sampled_from(["", eol]))).encode()
+    if "undecodable" in faults:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
 
 
 @dataclass
@@ -367,6 +469,43 @@ class TestSuiteFiles:
         path = tmp_path / "spaced.txt"
         path.write_text("# model: 2^2\n# config: t=2\n 1 ,\t0\x0b\n0,\f1\r\n")
         assert read_suite(path).cases == ((1, 0), (0, 1))
+
+
+class TestOnePassReader:
+    @given(suite_files())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reads_what_the_line_by_line_reader_reads(self, tmp_path, data):
+        # Every example rewrites the same file.
+        path = tmp_path / "suite.txt"
+        path.write_bytes(data)
+        results = []
+        for reader in (read_suite, line_by_line_read_suite):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # random sub-configs may be redundant
+                try:
+                    results.append(reader(path))
+                except ParseError as exc:
+                    results.append(str(exc))
+        got, want = results
+        assert got == want
+        if not isinstance(got, str):
+            assert np.array_equal(got.array, want.array)
+
+    def test_a_well_formed_file_is_read_without_the_line_by_line_reader(self, tmp_path,
+                                                                         monkeypatch):
+        def refuse(path):
+            raise AssertionError("read again line by line")
+
+        monkeypatch.setattr(vscit.verify, "_read_suite_lines", refuse)
+        path = tmp_path / "suite.txt"
+        path.write_bytes(b"\r\n# a comment\r\n#model: 3 2\r\n 2 ,\t1\x0b\r\n\r\n"
+                         b"## config: t=2\r\n0,\f0")
+        suite = read_suite(path)
+        assert (suite.model, suite.config) == (SutModel((3, 2)), VscaConfig(2))
+        assert suite.cases == ((2, 1), (0, 0))
+        path.write_text("# model: 3 2\n# config: t=1\n")
+        assert read_suite(path).cases == ()
 
 
 class TestReportRendering:
