@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import replace
 from importlib import resources
+from string import whitespace
 
 from .fis import FisController, controller_from_config
 from .model import (ParseError, SutModel, VscaConfig, check_config, parse_config, parse_int,
@@ -64,11 +65,12 @@ def load_preset(name_or_path: str) -> list[Target]:
             raise ParseError(f"unknown preset {name_or_path!r} (and no such file)")
         text = res.read_text()
     targets: list[Target] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    # "\n" alone ends a row, and only ASCII whitespace is stripped, as in a suite file.
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip(whitespace)
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split("|")]
+        parts = [p.strip(whitespace) for p in line.split("|")]
         if len(parts) != 3 or not all(parts):
             raise ParseError(
                 f"preset line {line_no}: expected 'label | model | config', got {raw!r}"
@@ -135,7 +137,7 @@ def cmd_verify(suite_path: str, csv_path: str | None = None) -> int:
 
 def _parse_patience(text: str) -> int | None:
     """'none' or an integer; SwarmParams checks the integer's range."""
-    if text.strip().lower() == "none":
+    if text.strip(whitespace).lower() == "none":
         return None
     try:
         return parse_int(text)

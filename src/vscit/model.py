@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from string import whitespace
 from typing import NamedTuple
 
@@ -136,21 +136,20 @@ class CaseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestSuite:
     """A generated array: every case validated against the owning model.
 
-    The cases are checked all at once, as one int64 array against the level
-    counts; only a suite that fails is scanned case by case with check_case,
-    which raises CaseError for the first case at fault. A 2-D integer
-    ndarray of the model's width has its dtype checked once instead of the
-    type of every value. The validated array is kept, read-only, as array.
+    The cases, integer sequences or a 2-D integer ndarray, are checked all
+    at once as one int64 array against the level counts; only a suite that
+    fails is scanned case by case with check_case, which raises CaseError
+    for the first case at fault. An ndarray has its dtype checked once, not
+    each value's type. cases keeps them as one read-only (n, k) int64 array.
     """
 
     model: SutModel
     config: VscaConfig
-    cases: tuple[TestCase, ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    cases: np.ndarray
 
     def __post_init__(self):
         cases = self.cases
@@ -177,8 +176,14 @@ class TestSuite:
                 except ValueError as exc:
                     raise CaseError(index, str(exc)) from None
         values.flags.writeable = False
-        object.__setattr__(self, "cases", tuple(map(tuple, values.tolist())))
-        object.__setattr__(self, "array", values)
+        object.__setattr__(self, "cases", values)
+
+    def __eq__(self, other):
+        # A dataclass __eq__ would ask numpy for the truth value of an array.
+        if not isinstance(other, TestSuite):
+            return NotImplemented
+        return ((self.model, self.config) == (other.model, other.config)
+                and np.array_equal(self.cases, other.cases))
 
     def __len__(self) -> int:
         return len(self.cases)

@@ -6,17 +6,15 @@ as checks on each other. It visits the combinations in sorted order and
 builds each one's row-major codes from those of the prefix it shares with
 the previous combination, one parameter at a time.
 
-A suite file is read in one pass into one int64 array: one parse_ints
-call over every case line, validated together by TestSuite, which keeps
-the array the oracle reads. Only a file that fails is read again, line by
-line, to word the error.
+A suite file is read in one pass into the one int64 array TestSuite keeps
+and the oracle reads. It is never read twice: the branch that meets a
+fault words the error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from string import whitespace
 
@@ -34,14 +32,6 @@ from .model import (
     parse_model,
     validate_config,
 )
-
-# A line's ASCII whitespace, which str.strip(whitespace) removes; "\n"
-# alone ends a line, as in file iteration.
-_BLANK = " \t\r\v\f"
-# "# model: ..." or "# config: ...", with any number of "#" and blanks.
-_HEADER = re.compile(rf"^[{_BLANK}]*#+[{_BLANK}]*(model|config):(.*)", re.MULTILINE)
-# A line neither blank nor a comment.
-_CASE_LINE = re.compile(rf"^[{_BLANK}]*[^#{_BLANK}\n].*", re.MULTILINE)
 
 MissingPair = tuple[tuple[int, ...], tuple[int, ...]]
 REPORT_MISSING_SHOWN = 20
@@ -95,7 +85,7 @@ def verify_suite(suite: TestSuite) -> CoverageReport:
     """
     check_config(suite.model, suite.config)
     levels = suite.model.param_levels
-    columns = np.ascontiguousarray(suite.array.T)
+    columns = np.ascontiguousarray(suite.cases.T)
     required = covered = 0
     missing: list[MissingPair] = []
     codes: list[np.ndarray] = []
@@ -125,7 +115,7 @@ def suite_stats(results) -> tuple[int, float, list[int]]:
 
     The mean is rounded to 2 decimals, matching the benchmark table format.
     """
-    sizes = [len(r.suite.cases) for r in results]
+    sizes = [len(r.suite) for r in results]
     if not sizes:
         raise ValueError("no run results to summarize")
     return min(sizes), round(sum(sizes) / len(sizes), 2), sizes
@@ -136,91 +126,74 @@ def write_suite(suite: TestSuite, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# model: {suite.model.render()}\n")
         fh.write(f"# config: {suite.config.render()}\n")
-        for case in suite.cases:
+        for case in suite.cases.tolist():
             fh.write(",".join(map(str, case)) + "\n")
 
 
 def read_suite(path) -> TestSuite:
-    """Inverse of write_suite; raises ParseError on any malformed content,
-    a repeated header or bytes that do not decode included, naming the
-    file and, where one is to blame, the line.
+    """Inverse of write_suite; raises ParseError naming the file and, where
+    one is to blame, the line of the first fault, bytes that do not decode
+    first wherever they stand. The configuration is validated against the
+    model, so one that demands nothing (or names parameters the model
+    lacks) is refused instead of passing the oracle with an empty universe.
 
-    Every integer in it takes the form vscit.model.parse_ints reads. A
-    case of the wrong length or with a value outside its parameter's
-    levels names the line of the first such case. The configuration is validated against
-    the model, so a file whose configuration demands nothing (or names
-    parameters the model lacks) is refused instead of passing the oracle
-    with an empty universe.
-
-    The text is read once. Regexes find the two headers and the case
-    lines; a comment or blank line is neither. Every case line must hold
-    k - 1 commas, and one parse_ints call reads the case lines joined by
-    commas into the int64 array TestSuite validates and keeps. A file
-    that fails any step is read again by _read_suite_lines, the only code
-    that words the error.
+    One pass parses each header where it stands and collects the case
+    lines. One parse_ints call reads them joined by commas; when every one
+    holds k - 1 commas, those values are the int64 array TestSuite checks.
     """
     try:
         with open(path) as fh:
             text = fh.read()
-        # One header of each kind, or the unpacking raises.
-        headers = _HEADER.findall(text)
-        (model_text,), (config_text,) = (
-            [body for key, body in headers if key == name] for name in ("model", "config"))
-        model = parse_model(model_text)
-        lines = _CASE_LINE.findall(text)
-        # k - 1 commas on every line make each line one row of the joined values.
-        if set(map(str.count, lines, itertools.repeat(","))) <= {model.k - 1}:
-            values = parse_ints(",".join(lines)) if lines else ()
-            suite = TestSuite(model, parse_config(config_text),
-                              np.array(values, dtype=np.int64).reshape(len(lines), model.k))
-            validate_config(model, suite.config)
-            return suite
-    except (ValueError, OverflowError):
-        pass
-    return _read_suite_lines(path)
-
-
-def _read_suite_lines(path) -> TestSuite:
-    """read_suite one line at a time, naming the file and line of any error."""
-    model: SutModel | None = None
-    config: VscaConfig | None = None
-    cases: list[tuple[int, ...]] = []
-    case_lines: list[int] = []
-    with open(path) as fh:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    parsers = {"model": parse_model, "config": parse_config}  # "# model: ..." and "# config: ..."
+    headers: dict[str, SutModel | VscaConfig] = {}
+    rows: dict[int, str] = {}  # case lines by line number
+    fault = None
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip(whitespace)
+        if not line.startswith("#"):
+            if line:
+                rows[line_no] = raw
+            continue
+        key, sep, body = line.lstrip("#").strip(whitespace).partition(":")
+        if sep and key in parsers:
+            try:
+                if key in headers:
+                    raise ParseError(f"repeated '# {key}:' header")
+                headers[key] = parsers[key](body)
+            except ParseError as exc:
+                fault = ParseError(f"{path}:{line_no}: {exc}")
+                break
+    if fault is None and len(headers) < len(parsers):
+        fault = ParseError(f"{path}: missing '# model:' or '# config:' header")
+    # A bad case line before a faulty header is the error. The join holds
+    # the fields of the case lines, so it parses unless one of them fails.
+    try:
+        values = parse_ints(",".join(rows.values())) if rows else ()
+    except ValueError:
+        for line_no, row in rows.items():
+            try:
+                parse_ints(row)
+            except ValueError:
+                raise ParseError(f"{path}:{line_no}: bad case line {row!r}") from None
+        raise
+    if fault is not None:
+        raise fault
+    model, config = headers["model"], headers["config"]
+    cases = None
+    # k - 1 commas on every line make each line one row of the joined values.
+    if set(map(str.count, rows.values(), itertools.repeat(","))) <= {model.k - 1}:
         try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip(whitespace)
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line.lstrip("#").strip(whitespace)
-                    try:
-                        if body.startswith("model:"):
-                            if model is not None:
-                                raise ParseError("repeated '# model:' header")
-                            model = parse_model(body[len("model:"):])
-                        elif body.startswith("config:"):
-                            if config is not None:
-                                raise ParseError("repeated '# config:' header")
-                            config = parse_config(body[len("config:"):])
-                    except ParseError as exc:
-                        raise ParseError(f"{path}:{line_no}: {exc}") from None
-                    continue
-                try:
-                    cases.append(parse_ints(line))
-                except ValueError:
-                    text = raw.rstrip("\n")
-                    raise ParseError(f"{path}:{line_no}: bad case line {text!r}") from None
-                case_lines.append(line_no)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-    if model is None or config is None:
-        raise ParseError(f"{path}: missing '# model:' or '# config:' header")
+            cases = np.array(values, dtype=np.int64).reshape(len(rows), model.k)
+        except OverflowError:  # a value past int64, which TestSuite words
+            pass
     try:
         validate_config(model, config)
-        return TestSuite(model, config, tuple(cases))
+        return TestSuite(model, config,
+                         tuple(map(parse_ints, rows.values())) if cases is None else cases)
     except CaseError as exc:
-        raise ParseError(f"{path}:{case_lines[exc.index]}: {exc.reason}") from None
+        raise ParseError(f"{path}:{list(rows)[exc.index]}: {exc.reason}") from None
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -236,4 +236,4 @@ def test_generated_suite_files_round_trip(tmp_path):
     result = generate_suite(parse_model("3^4"), VscaConfig(2), SwarmParams(rng_seed=6))
     path = tmp_path / "suite.txt"
     write_suite(result.suite, path)
-    assert read_suite(path).cases == result.suite.cases
+    assert read_suite(path).cases.tolist() == result.suite.cases.tolist()

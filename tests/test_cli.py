@@ -284,7 +284,12 @@ class TestBenchmark:
         ("bad | 3^ | t=2", "bad model term '3^'"),
         ("big | 3^4 | t=5", "main strength 5 outside 1..4"),
         ("bad | 3^4 | t=2; sub=0,1", "bad sub-config 'sub=0,1', expected indices:strength"),
-    ], ids=["unparsable-model", "strength-above-k", "unparsable-sub-config"])
+        # Only ASCII whitespace is stripped, and only "\n" ends a row.
+        ("nbsp | 3^4\xa0 | t=2\xa0", "bad model term '3^4\\xa0'"),
+        ("a | 3^4 | t=2\x1cb | 2^3 | t=2",
+         "expected 'label | model | config', got 'a | 3^4 | t=2\\x1cb | 2^3 | t=2'"),
+    ], ids=["unparsable-model", "strength-above-k", "unparsable-sub-config",
+            "no-break-space", "file-separator"])
     def test_bad_preset_row_fails_before_any_run(self, tmp_path, capsys, bad_row, message):
         preset = tmp_path / "p.txt"
         preset.write_text(f"ok | 3^4 | t=2\n{bad_row}\n")
@@ -374,14 +379,16 @@ class TestRunOptionRefusals:
         assert "error:" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    # "none" with a no-break space is no more "none" than "5" with one is 5.
+    @pytest.mark.parametrize("value", ["abc", "none\xa0"], ids=["word", "none-no-break-space"])
     @pytest.mark.parametrize("command", ["generate", "benchmark"])
-    def test_non_integer_patience_exits_2(self, tmp_path, capsys, command):
+    def test_non_integer_patience_exits_2(self, tmp_path, capsys, command, value):
         with pytest.raises(SystemExit) as exc:
-            run_cli(command, "--model", "3^4", "--t", "2", "--patience", "abc",
+            run_cli(command, "--model", "3^4", "--t", "2", "--patience", value,
                     "--out", str(tmp_path / "out.txt"))
         assert exc.value.code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "error:" in err and "'abc'" in err and "Traceback" not in err
+        assert "error:" in err and repr(value) in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
 

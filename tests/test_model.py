@@ -128,8 +128,8 @@ class TestSuiteValidation:
         model = parse_model("3^2")
         for cases in [((np.int64(1), np.uint8(2)), np.array([0, 1])), np.array([[1, 2], [0, 1]])]:
             suite = vscit.TestSuite(model, VscaConfig(2), cases)
-            assert suite.cases == ((1, 2), (0, 1))
-            assert {type(x) for case in suite.cases for x in case} == {int}
+            assert suite.cases.tolist() == [[1, 2], [0, 1]]
+            assert suite.cases.dtype == np.int64
         assert SutModel((np.int64(3), np.uint8(2))).param_levels == (3, 2)
         config = VscaConfig(np.int64(1), ((np.array([0, 1]), np.uint8(2)),))
         assert config == VscaConfig(1, (SubConfig((0, 1), 2),))
@@ -162,12 +162,13 @@ class TestSuiteFromAnArray:
             from_array = vscit.TestSuite(model, VscaConfig(2), np.array(rows, dtype=dtype))
             from_tuples = vscit.TestSuite(model, VscaConfig(2), rows)
             assert from_array == from_tuples
-            assert from_array.cases == from_tuples.cases == rows
-            assert {type(x) for case in from_array.cases for x in case} == {int}
-            assert from_array.array.dtype == from_tuples.array.dtype == np.int64
-            assert (from_array.array == from_tuples.array).all()
+            assert from_array.cases.tolist() == from_tuples.cases.tolist() == list(map(list, rows))
+            assert from_array.cases.dtype == from_tuples.cases.dtype == np.int64
+            assert from_array != vscit.TestSuite(model, VscaConfig(2), rows[:2])
+            assert from_array != vscit.TestSuite(model, VscaConfig(1), rows)
+            assert from_array != rows
         empty = vscit.TestSuite(model, VscaConfig(2), np.zeros((0, 3), dtype=np.int64))
-        assert empty.cases == () and empty.array.shape == (0, 3)
+        assert empty.cases.shape == (0, 3) and empty == vscit.TestSuite(model, VscaConfig(2), ())
 
     @pytest.mark.parametrize("rows,message", [
         (np.array([[0, 1], [1, 0]], dtype=bool),
@@ -190,12 +191,12 @@ class TestSuiteFromAnArray:
     def test_the_kept_array_is_a_read_only_copy(self):
         rows = np.array([[0, 1], [2, 0]])
         suite = vscit.TestSuite(parse_model("3^2"), VscaConfig(2), rows)
-        assert not suite.array.flags.writeable
+        assert not suite.cases.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            suite.array[0, 0] = 1
+            suite.cases[0, 0] = 1
         rows[0, 0] = 2
         assert rows.flags.writeable
-        assert suite.array.tolist() == [[0, 1], [2, 0]] and suite.cases == ((0, 1), (2, 0))
+        assert suite.cases.tolist() == [[0, 1], [2, 0]]
 
 
 class TestParseConfig:

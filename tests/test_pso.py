@@ -457,12 +457,12 @@ class TestRepairCase:
 class TestGenerateSuite:
     def test_single_parameter_enumerates_levels(self):
         result = generate_suite(parse_model("3"), VscaConfig(1), small_params())
-        assert sorted(result.suite.cases) == [(0,), (1,), (2,)]
+        assert sorted(result.suite.cases.tolist()) == [[0], [1], [2]]
 
     def test_full_strength_three_levels_is_exhaustive(self):
         result = generate_suite(parse_model("3^3"), VscaConfig(3), SwarmParams(rng_seed=1))
         assert len(result.suite) == 27
-        assert len(set(result.suite.cases)) == 27
+        assert len(np.unique(result.suite.cases, axis=0)) == 27
 
     def test_two_level_three_param_pairwise_bounds(self):
         # Exhaustive oracle: some 4-case suite covers all 12 value pairs, so
@@ -488,7 +488,7 @@ class TestGenerateSuite:
         for variant in VARIANTS:
             result, records = trace(generate_suite, parse_model("1^3"), VscaConfig(2),
                                     small_params(variant=variant))
-            assert result.suite.cases == ((0, 0, 0),)
+            assert result.suite.cases.tolist() == [[0, 0, 0]]
             assert records == ()
             assert result.tests == (pso.TestRecord(0, "all-covered", False, 3),)
 
@@ -522,7 +522,7 @@ class TestGenerateSuite:
         model = parse_model("3^5")
         a = generate_suite(model, VscaConfig(2), SwarmParams(rng_seed=1))
         b = generate_suite(model, VscaConfig(2), SwarmParams(rng_seed=2))
-        assert a.suite.cases != b.suite.cases
+        assert not np.array_equal(a.suite.cases, b.suite.cases)
 
     def test_gbest_fitness_monotone_within_each_test(self, trace):
         params = small_params(max_iterations=10, patience=3)
