@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from importlib import resources
 from string import whitespace
@@ -103,34 +104,37 @@ def cmd_benchmark(targets: list[Target], params: SwarmParams,
                   controller: FisController | None, runs: int, out: str) -> int:
     """Seeded campaign over one or more configs; per-run sizes plus best/mean rows.
 
-    Run r of each config uses params with the seed raised by r.
+    Run r of each config uses params with the seed raised by r. The CSV
+    opens before the first run, so a path it cannot take costs no run.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    rows: list[list[str]] = []
-    for label, model, config in targets:
-        results = [generate_suite(model, config, replace(params, rng_seed=params.rng_seed + r),
-                                  controller) for r in range(runs)]
-        best, mean, sizes = suite_stats(results)
-        for r, size in enumerate(sizes):
-            rows.append([label, params.variant, str(params.rng_seed + r), str(size)])
-        rows.append([label, params.variant, "best", str(best)])
-        rows.append([label, params.variant, "mean", f"{mean:.2f}"])
-        print(f"{label} variant={params.variant} runs={runs} best={best} mean={mean:.2f}")
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["config_label", "variant", "seed", "size"])
-        writer.writerows(rows)
+        for label, model, config in targets:
+            results = [generate_suite(model, config,
+                                      replace(params, rng_seed=params.rng_seed + r), controller)
+                       for r in range(runs)]
+            best, mean, sizes = suite_stats(results)
+            for r, size in enumerate(sizes):
+                writer.writerow([label, params.variant, str(params.rng_seed + r), str(size)])
+            writer.writerow([label, params.variant, "best", str(best)])
+            writer.writerow([label, params.variant, "mean", f"{mean:.2f}"])
+            print(f"{label} variant={params.variant} runs={runs} best={best} mean={mean:.2f}")
     return EXIT_OK
 
 
 def cmd_verify(suite_path: str, csv_path: str | None = None) -> int:
-    """Re-check a suite file against the coverage oracle and print the report."""
+    """Re-check a suite file against the coverage oracle and print the report.
+
+    The CSV opens before the oracle runs, so a path it cannot take prints no report.
+    """
     suite = read_suite(suite_path)
-    report = verify_suite(suite)
-    print(render_report_text(report))
-    if csv_path:
-        with open(csv_path, "w", newline="\n") as fh:
+    with open(csv_path, "w", newline="\n") if csv_path else nullcontext() as fh:
+        report = verify_suite(suite)
+        print(render_report_text(report))
+        if fh:
             fh.write(render_report_csv(report))
     return EXIT_OK if report.complete else EXIT_SHORTFALL
 

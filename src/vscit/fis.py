@@ -320,22 +320,19 @@ def compute_ncf(fitness, max_fitness: float) -> np.ndarray:
     return current / max_fitness * 100.0
 
 
-def compute_distance_pct(x, ref, max_distance: float) -> np.ndarray:
-    """Euclidean distance from x to ref as a percentage of max_distance.
+def compute_distance_pct(gap, max_distance: float) -> np.ndarray:
+    """Euclidean length of each gap row as a percentage of max_distance.
 
-    max_distance is normally the space diagonal of the discrete case box,
-    i.e. the norm of the per-parameter (v_i - 1) vector, which bounds any
-    in-box distance; the result is capped at 100 regardless. Rows of
-    a matrix are treated as a batch of positions (the distance is taken
-    along the last axis), with broadcasting between x and ref.
+    A gap is the difference between a position and a reference point, so
+    its length is their distance; it is taken along the last axis, and any
+    leading axes are a batch (the search passes its pulls, one (n, k) slab
+    per best). max_distance is normally the space diagonal of the discrete
+    case box, i.e. the norm of the per-parameter (v_i - 1) vector, which
+    bounds any in-box distance; the result is capped at 100 regardless.
     """
-    x = np.asarray(x, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    if x.shape[-1] != ref.shape[-1]:
-        raise ValueError(f"position vectors differ in length: {x.shape} vs {ref.shape}")
+    gap = np.asarray(gap, dtype=float)
     if not max_distance > 0:  # NaN too
         raise ValueError("max_distance must be positive")
-    gap = x - ref
     pct = np.sqrt((gap * gap).sum(axis=-1)) / max_distance * 100.0
     return np.minimum(pct, 100.0)
 

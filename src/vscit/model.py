@@ -39,6 +39,15 @@ def parse_ints(text: str) -> tuple[int, ...]:
     return tuple(map(int, text.split(",")))
 
 
+def parse_int_array(text: str) -> np.ndarray:
+    """parse_ints' values as an int64 array, read by int() on each field;
+    a value past int64 raises OverflowError, which may come before a
+    ValueError that a later field would raise."""
+    if _NOT_INTEGER_TEXT.search(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return np.array(text.split(","), dtype=np.int64)
+
+
 def parse_int(text: str) -> int:
     """One integer in the form parse_ints reads."""
     (value,) = parse_ints(text)

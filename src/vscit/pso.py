@@ -132,21 +132,20 @@ class RunResult:
     tests: tuple[TestRecord, ...]
 
 
-def velocity_update(position: np.ndarray, velocity: np.ndarray, pbest: np.ndarray,
-                    gbest: np.ndarray, w: np.ndarray, vmax: np.ndarray, rng) -> np.ndarray:
+def velocity_update(velocity: np.ndarray, pulls: np.ndarray, w: np.ndarray,
+                    vmax: np.ndarray, rng) -> np.ndarray:
     """Inertia plus cognitive (C1) and social (C2) pulls for every row, clamped per component.
 
-    Rows are particles: position, velocity and pbest are (n, k), w is (n,).
-    One uniform scalar per pull per row, not per dimension, drawn as an
-    (n, 2) block whose column 0 is the cognitive draw; row by row that is
-    the stream of 2n scalar draws, cognitive first, which pins seeded runs.
+    Rows are particles: velocity is (n, k), w is (n,), pulls (2, n, k) holds
+    each row's gap to its personal best, then to the global best. One uniform
+    scalar per pull per row, drawn as an (n, 2) block whose column 0 is the
+    cognitive draw: row by row, the stream of 2n draws that pins seeded runs.
     """
-    r = rng.random((len(position), 2))
-    v = (
-        w[:, None] * velocity
-        + (C1 * r[:, :1]) * (pbest - position)
-        + (C2 * r[:, 1:]) * (gbest - position)
-    )
+    r = rng.random((len(velocity), 2))
+    scaled = pulls * (r * (C1, C2)).T[:, :, None]
+    v = w[:, None] * velocity
+    v += scaled[0]
+    v += scaled[1]
     np.minimum(v, vmax, out=v)
     np.maximum(v, -vmax, out=v)
     return v
@@ -184,18 +183,20 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     Particles start uniformly over the box with velocities drawn uniformly
     from the clamp range [-(v_i - 1), v_i - 1] (one block of position draws,
     then one block of velocity draws); personal bests start at the initial
-    positions and the global best at the best of those. The swarm is held
-    as (n, k) arrays and every iteration moves all particles at once. After
-    the moves, a personal best moves wherever the new fitness strictly beats
-    it, and the global best moves to the first argmax of the iteration's
-    fitness only if that strictly beats the incumbent. The loop
-    stops early once the global best hits every combination that still has
-    an uncovered tuple, after which no iteration can change the outcome, or
-    once params.patience iterations in a row left the global best where it
-    was. The accepted case is the global best's rounding, which its fitness
-    already scored against this unchanged store; if that fitness is 0, the
-    case is replaced by one built around the smallest uncovered tuple so
-    the outer loop always makes progress.
+    positions and the global best at the best of those. The swarm is (n, k)
+    arrays, the bests one (2, n, k) block: personal bests, then the global
+    best on every row. Each iteration takes the block's difference from the
+    positions once; those pulls give the controller d1 and d2 and the moves
+    their cognitive and social terms. After the moves, a personal best moves
+    wherever the new fitness strictly beats it, and the global best moves to
+    the first argmax of the iteration's fitness only if that strictly beats
+    the incumbent. The loop stops early once the global best hits every
+    combination that still has an uncovered tuple, after which no iteration
+    can change the outcome, or once params.patience iterations in a row left
+    the global best where it was. The accepted case is the global best's
+    rounding, which its fitness already scored against this unchanged store;
+    if that fitness is 0, the case is replaced by one built around the
+    smallest uncovered tuple so the outer loop always makes progress.
     """
     if store.remaining_count == 0:
         raise ValueError("tuple store is empty; nothing left to cover")
@@ -210,10 +211,9 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     position = rng.random((params.swarm_size, k)) * vmax
     velocity = (rng.random((params.swarm_size, k)) * 2.0 - 1.0) * vmax
     fits = store.counts(np.ceil(position - 0.5))
-    pbest = position.copy()
     pbest_fitness = fits.copy()
     gbest_index = int(np.argmax(fits))  # first maximum wins; ties keep the incumbent
-    gbest_position = position[gbest_index].copy()
+    bests = np.stack((position, np.broadcast_to(position[gbest_index], position.shape)))
     gbest_fitness = int(fits[gbest_index])
 
     traced = logger.isEnabledFor(logging.DEBUG)
@@ -228,22 +228,22 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
            and stalled < patience):
         iteration += 1
         ncf = compute_ncf(fits, max_fitness)
+        pulls = bests - position
         if measured:
-            d1 = compute_distance_pct(position, pbest, max_distance)
-            d2 = compute_distance_pct(position, gbest_position, max_distance)
+            d1, d2 = compute_distance_pct(pulls, max_distance)
         ws, selections = weights(ncf, d1, d2)
         # All moves this iteration see the same global best; bests update after.
-        velocity = velocity_update(position, velocity, pbest, gbest_position, ws, vmax, rng)
+        velocity = velocity_update(velocity, pulls, ws, vmax, rng)
         position = position_update(position, velocity, vmax)
         fits = store.counts(np.ceil(position - 0.5))
         better = fits > pbest_fitness
-        pbest[better] = position[better]
-        pbest_fitness[better] = fits[better]
+        np.copyto(bests[0], position, where=better[:, None])
+        np.copyto(pbest_fitness, fits, where=better)
         best = int(np.argmax(fits))
         improved = bool(fits[best] > gbest_fitness)
         if improved:
             gbest_fitness = int(fits[best])
-            gbest_position = position[best].copy()
+            bests[1] = position[best]
         stalled = 0 if improved else stalled + 1
         if traced:
             sel = float(selections[-1])
@@ -261,7 +261,7 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     if repaired:
         case = _repair_case(store, rng)
     else:
-        case = tuple(int(x) for x in np.ceil(gbest_position - 0.5))
+        case = tuple(int(x) for x in np.ceil(bests[1, 0] - 0.5))
     return case, iteration, stop, repaired
 
 

@@ -28,6 +28,7 @@ from .model import (
     VscaConfig,
     check_config,
     parse_config,
+    parse_int_array,
     parse_ints,
     parse_model,
     validate_config,
@@ -138,8 +139,8 @@ def read_suite(path) -> TestSuite:
     lacks) is refused instead of passing the oracle with an empty universe.
 
     One pass parses each header where it stands and collects the case
-    lines. One parse_ints call reads them joined by commas; when every one
-    holds k - 1 commas, those values are the int64 array TestSuite checks.
+    lines. One parse_int_array call reads them joined by commas; when every
+    one holds k - 1 commas, those values are the int64 array TestSuite checks.
     """
     try:
         with open(path) as fh:
@@ -168,26 +169,27 @@ def read_suite(path) -> TestSuite:
     if fault is None and len(headers) < len(parsers):
         fault = ParseError(f"{path}: missing '# model:' or '# config:' header")
     # A bad case line before a faulty header is the error. The join holds
-    # the fields of the case lines, so it parses unless one of them fails.
+    # the fields of the case lines, so it parses unless one of them fails,
+    # or holds a value past int64, which may stop it before a bad field.
     try:
-        values = parse_ints(",".join(rows.values())) if rows else ()
-    except ValueError:
+        values = parse_int_array(",".join(rows.values())) if rows else np.zeros(0, np.int64)
+    except (ValueError, OverflowError) as exc:
         for line_no, row in rows.items():
             try:
                 parse_ints(row)
             except ValueError:
                 raise ParseError(f"{path}:{line_no}: bad case line {row!r}") from None
-        raise
+        if not isinstance(exc, OverflowError):
+            raise
+        values = None  # TestSuite words the value past int64
     if fault is not None:
         raise fault
     model, config = headers["model"], headers["config"]
     cases = None
     # k - 1 commas on every line make each line one row of the joined values.
-    if set(map(str.count, rows.values(), itertools.repeat(","))) <= {model.k - 1}:
-        try:
-            cases = np.array(values, dtype=np.int64).reshape(len(rows), model.k)
-        except OverflowError:  # a value past int64, which TestSuite words
-            pass
+    if values is not None and set(map(str.count, rows.values(),
+                                       itertools.repeat(","))) <= {model.k - 1}:
+        cases = values.reshape(len(rows), model.k)
     try:
         validate_config(model, config)
         return TestSuite(model, config,

@@ -219,6 +219,15 @@ class TestVerifyCommand:
         assert lines[0] == "combination,values"
         assert len(lines) == 4  # three uncovered value pairs
 
+    def test_csv_path_it_cannot_write_exits_2_before_the_report(self, tmp_path, capsys):
+        path = self.generate_suite_file(tmp_path)
+        capsys.readouterr()
+        assert run_cli("verify", str(path), "--csv",
+                       str(tmp_path / "nodir" / "x.csv")) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("config_text", ["t=5", "t=2; sub=0,1,7:3"])
     def test_config_the_model_cannot_hold_exits_2(self, tmp_path, capsys, config_text):
         # t=5 over three parameters demands nothing, so the oracle would report
@@ -328,6 +337,17 @@ class TestBenchmark:
         assert run_cli("benchmark", "--preset", str(tmp_path), "--runs", "1",
                        "--out", str(tmp_path / "b.csv")) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_path_it_cannot_write_exits_2_before_any_run(self, tmp_path, monkeypatch,
+                                                              capsys):
+        runs = []
+        monkeypatch.setattr(cli, "generate_suite", lambda *args: runs.append(args))
+        assert run_cli("benchmark", "--preset", "table1", "--runs", "2",
+                       "--out", str(tmp_path / "nodir" / "t.csv")) == EXIT_USAGE
+        assert runs == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
     def test_cpso_variant(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -180,40 +180,39 @@ class TestComputeNcf:
 
 
 class TestComputeDistancePct:
+    """The length of each gap row (a position minus a reference point)."""
+
     def test_zero_distance(self):
-        assert compute_distance_pct([1.0, 2.0], [1.0, 2.0], 5.0) == 0.0
+        assert compute_distance_pct([0.0, 0.0], 5.0) == 0.0
 
     def test_space_diagonal_is_100(self):
         vmax = [2.0, 2.0, 2.0, 2.0]
         diag = float(np.linalg.norm(vmax))
-        assert compute_distance_pct([0.0] * 4, vmax, diag) == pytest.approx(100.0)
+        assert compute_distance_pct(vmax, diag) == pytest.approx(100.0)
 
     def test_hand_value_four_params_three_levels(self):
         # box diagonal sqrt(4 * 2^2) = 4; distance 2 -> 50%
-        assert compute_distance_pct([0, 0, 0, 0], [2, 0, 0, 0], 4.0) == pytest.approx(50.0)
+        assert compute_distance_pct([-2, 0, 0, 0], 4.0) == pytest.approx(50.0)
 
     def test_clamped_to_100(self):
-        assert compute_distance_pct([0.0], [2.0], 1.0) == 100.0
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            compute_distance_pct([0.0, 1.0], [0.0, 1.0, 2.0], 4.0)
+        assert compute_distance_pct([2.0], 1.0) == 100.0
 
     def test_nonpositive_max_distance_raises(self):
         with pytest.raises(ValueError):
-            compute_distance_pct([0.0], [1.0], 0.0)
+            compute_distance_pct([1.0], 0.0)
 
     def test_nan_max_distance_raises(self):
         with pytest.raises(ValueError, match="positive"):
-            compute_distance_pct(np.zeros(3), np.ones(3), math.nan)
+            compute_distance_pct(np.ones(3), math.nan)
 
-    def test_batch_rows_match_scalar_calls(self):
-        rng = np.random.default_rng(5)
-        x = rng.random((6, 4)) * 2
-        ref = rng.random((6, 4)) * 2
-        batch = compute_distance_pct(x, ref, 4.0)
-        singles = [compute_distance_pct(x[i], ref[i], 4.0) for i in range(6)]
-        np.testing.assert_allclose(batch, singles)
+    def test_batch_rows_match_single_row_calls(self):
+        # Leading axes are a batch: a (2, 6, 4) block gives (2, 6) distances,
+        # each equal to its row's own call.
+        gap = (np.random.default_rng(5).random((2, 6, 4)) - 0.5) * 4
+        batch = compute_distance_pct(gap, 4.0)
+        assert batch.shape == (2, 6)
+        singles = [[compute_distance_pct(row, 4.0) for row in slab] for slab in gap]
+        np.testing.assert_array_equal(batch, singles)
 
 
 class TestInferW:

@@ -17,9 +17,13 @@ from vscit.model import (
     VscaConfig,
     check_case,
     parse_config,
+    parse_int_array,
+    parse_ints,
     parse_model,
     validate_config,
 )
+
+from conftest import NOT_INTEGER_TEXT
 
 # Values int() would read as an integer that is not the one given, or as one
 # where none was meant; every integer field a library caller sets refuses them.
@@ -39,6 +43,33 @@ INTEGER_FIELDS = [pytest.param(build, id=name) for build, name in [
     (lambda v: vscit.SwarmParams(rng_seed=v), "rng-seed"),
     (lambda v: vscit.SwarmParams(patience=v), "patience"),
 ]]
+
+
+INTEGER_TEXT = ["", "-", "--1", "- 1", "1 2", "\v7\f", "007", "-0", "7".zfill(25),
+                str(2**63 - 1), str(-2**63), " 3 ,\t-4,5", "1,,2"]
+
+
+class TestParseIntArray:
+    """The array form of parse_ints reads the same values, refuses the same
+    text, and raises OverflowError for a value past int64."""
+
+    @pytest.mark.parametrize("text", INTEGER_TEXT + NOT_INTEGER_TEXT)
+    def test_reads_what_parse_ints_reads(self, text):
+        try:
+            want = np.array(parse_ints(text), dtype=np.int64)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_int_array(text)
+        else:
+            got = parse_int_array(text)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1, 10**20])
+    def test_a_value_past_int64_overflows(self, value):
+        assert parse_ints(f"0,{value}") == (0, value)
+        with pytest.raises(OverflowError):
+            parse_int_array(f"0,{value}")
 
 
 class TestParseModel:

@@ -10,7 +10,7 @@ import pytest
 import vscit
 import vscit.cli
 import vscit.pso as pso
-from vscit.fis import FisController
+from vscit.fis import FisController, compute_distance_pct
 from vscit.model import SubConfig, SutModel, VscaConfig, parse_config, parse_model
 from vscit.pso import (
     VARIANTS,
@@ -45,11 +45,16 @@ def vmax(levels):
     return np.asarray(levels, dtype=float) - 1.0
 
 
+def pulls(position, pbest, gbest):
+    """The (2, n, k) gaps from each row to its personal best, then to the global best."""
+    position = np.asarray(position, dtype=float)
+    return np.stack((pbest, np.broadcast_to(gbest, position.shape))) - position
+
+
 def move(position, velocity, pbest, gbest, w, levels, draws):
     """velocity_update on a one-row swarm (c1 = c2 = 2)."""
-    return velocity_update(rows(position), rows(velocity), rows(pbest),
-                           np.asarray(gbest, dtype=float), np.array([w]), vmax(levels),
-                           StubRng(draws))
+    return velocity_update(rows(velocity), pulls(rows(position), rows(pbest), gbest),
+                           np.array([w]), vmax(levels), StubRng(draws))
 
 
 class ScriptedStore:
@@ -183,12 +188,58 @@ class TestVelocityUpdate:
         gbest = [0.0, 3.0]
         ws = [0.5, 0.8]
         draws = [0.25, 0.5, 0.9, 0.125]
-        both = velocity_update(np.array(position), np.array(velocity), np.array(pbest),
-                               np.array(gbest), np.array(ws), vmax([3, 4]), StubRng(draws))
+        both = velocity_update(np.array(velocity), pulls(position, pbest, gbest),
+                               np.array(ws), vmax([3, 4]), StubRng(draws))
         for i in range(2):
             one = move(position[i], velocity[i], pbest[i], gbest, ws[i], [3, 4],
                        draws[2 * i:2 * i + 2])
             np.testing.assert_array_equal(both[i:i + 1], one)
+
+
+def seeded_swarm(seed, n=40, levels=(3, 4, 5, 2, 7, 3)):
+    """A random swarm whose positions include components at 0 and at vmax,
+    and whose first rows equal their personal best and the global best, so
+    that those pulls are exactly 0."""
+    rng = np.random.default_rng(seed)
+    top = vmax(levels)
+    position = rng.random((n, len(levels))) * top
+    position[rng.random(position.shape) < 0.2] = 0.0
+    position = np.where(rng.random(position.shape) < 0.2, top, position)
+    velocity = (rng.random(position.shape) * 4.0 - 2.0) * top  # half of it past the clamp
+    pbest = rng.random(position.shape) * top
+    pbest[:n // 4] = position[:n // 4]
+    gbest = position[0].copy()
+    w = rng.random(n)
+    return position, velocity, pbest, gbest, w, top
+
+
+class TestFusedMoveBits:
+    """The moves and distances taken from one pull block keep, bit for bit,
+    the formulas that took each difference where it was used."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_velocity_equals_the_separate_differences(self, seed):
+        position, velocity, pbest, gbest, w, top = seeded_swarm(seed)
+        draws = np.random.default_rng(100 + seed).random((len(position), 2))
+        got = velocity_update(velocity, pulls(position, pbest, gbest), w, top,
+                              StubRng(draws.ravel()))
+        want = (w[:, None] * velocity
+                + (pso.C1 * draws[:, :1]) * (pbest - position)
+                + (pso.C2 * draws[:, 1:]) * (gbest - position))
+        want = np.maximum(np.minimum(want, top), -top)
+        np.testing.assert_array_equal(got, want)
+        assert (got == top).any() and (got == -top).any()  # the clamps were exercised
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distances_equal_the_separate_differences(self, seed):
+        position, _, pbest, gbest, _, top = seeded_swarm(seed)
+        diagonal = float(np.linalg.norm(top))
+        d1, d2 = compute_distance_pct(pulls(position, pbest, gbest), diagonal)
+        for got, ref in ((d1, pbest), (d2, gbest)):
+            gap = position - ref
+            want = np.minimum(np.sqrt((gap * gap).sum(axis=-1)) / diagonal * 100.0, 100.0)
+            np.testing.assert_array_equal(got, want)
+        assert (d1[:len(d1) // 4] == 0).all() and d2[0] == 0
 
 
 class TestPositionUpdate:
@@ -277,26 +328,38 @@ class TestBests:
         # bests 0 and 1 move; the tie moves the global best to particle 0.
         store = ScriptedStore(parse_model("5^3"),
                               [[1, 3, 3], [2, 1, 3], [4, 4, 0], [0, 0, 0]], 10)
-        seen = []
-        update = pso.velocity_update
+        # Each iteration's pulls, plus the positions they were taken from, give
+        # the bests back, up to rounding; a best that is its row's position
+        # pulls by exactly 0.
+        seen_pulls, seen_positions = [], []
+        update, advance = pso.velocity_update, pso.position_update
 
-        def record(position, velocity, pbest, gbest, *rest):
-            seen.append((position.copy(), pbest.copy(), gbest.copy()))
-            return update(position, velocity, pbest, gbest, *rest)
+        def record_pulls(velocity, pulls, *rest):
+            seen_pulls.append(pulls.copy())
+            return update(velocity, pulls, *rest)
 
-        monkeypatch.setattr(pso, "velocity_update", record)
+        def record_position(position, *rest):
+            seen_positions.append(position.copy())
+            return advance(position, *rest)
+
+        monkeypatch.setattr(pso, "velocity_update", record_pulls)
+        monkeypatch.setattr(pso, "position_update", record_position)
         (case, iterations, stop, repaired), records = trace(
             generate_one_test, store,
             small_params(swarm_size=3, max_iterations=3, variant="cpso"),
             None, np.random.default_rng(0))
-        (p0, pbest0, g0), (p1, pbest1, g1), (p2, pbest2, g2) = seen
+        (p0, p1, p2), (pulls0, pulls1, pulls2) = seen_positions, seen_pulls
         assert not (p0 == p1).all(axis=1).any() and not (p1 == p2).all(axis=1).any()
-        np.testing.assert_array_equal(pbest0, p0)
-        np.testing.assert_array_equal(g0, p0[1])
-        np.testing.assert_array_equal(pbest1, [p1[0], p0[1], p0[2]])
-        np.testing.assert_array_equal(g1, p0[1])
-        np.testing.assert_array_equal(pbest2, [p2[0], p2[1], p0[2]])
-        np.testing.assert_array_equal(g2, p2[0])
+        np.testing.assert_array_equal(pulls0[0], 0)
+        np.testing.assert_allclose(pulls0[1] + p0, [p0[1]] * 3)
+        np.testing.assert_array_equal(pulls0[1][1], 0)
+        np.testing.assert_allclose(pulls1[0] + p1, [p1[0], p0[1], p0[2]])
+        np.testing.assert_array_equal(pulls1[0][0], 0)
+        np.testing.assert_allclose(pulls1[1] + p1, [p0[1]] * 3)
+        np.testing.assert_allclose(pulls2[0] + p2, [p2[0], p2[1], p0[2]])
+        np.testing.assert_array_equal(pulls2[0][:2], 0)
+        np.testing.assert_allclose(pulls2[1] + p2, [p2[0]] * 3)
+        np.testing.assert_array_equal(pulls2[1][0], 0)
         assert [r.gbest_fitness for r in records] == [3, 4, 4]
         # The accepted case is the scorer's rounding of p2[0], from iteration 2.
         np.testing.assert_array_equal(store.scored[2][0], np.ceil(p2[0] - 0.5))
@@ -356,7 +419,8 @@ class TestBenchmarkHooks:
     """perfbench counts iterations through calls of vscit.pso.compute_ncf and
     controller calls through FisController.infer_w_batch. Both variants share
     one search path: the measures cover the whole swarm, and the distances
-    are computed only where the controller or the trace reads them."""
+    are computed, in one call per iteration, only where the controller or
+    the trace reads them."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_one_ncf_call_per_iteration_and_inference_only_under_fpso(self, variant, monkeypatch,
@@ -392,7 +456,7 @@ class TestBenchmarkHooks:
             assert calls["ncf"] == iterations
             assert calls["ncf_rows"] == {params.swarm_size}
             measured = variant == "fpso" or level == logging.DEBUG
-            assert calls["distance"] == (2 * iterations if measured else 0)
+            assert calls["distance"] == (iterations if measured else 0)
             assert calls["infer"] == (iterations if variant == "fpso" else 0)
 
     def test_the_trace_is_built_only_with_debug_on(self, monkeypatch, caplog, trace):

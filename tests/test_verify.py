@@ -470,6 +470,19 @@ class TestSuiteFiles:
             read_suite(path)
         assert str(err.value) == f"{path}:4: value 5 at index 1 outside 0..1"
 
+    def test_a_bad_case_line_after_a_value_past_int64_is_the_error(self, tmp_path):
+        # The int64 conversion stops at the first value it cannot hold, before
+        # it reaches the bad field on line 4.
+        path = tmp_path / "ovf.txt"
+        path.write_text("# model: 3^2\n# config: t=2\n99999999999999999999,0\n0,--1\n")
+        with pytest.raises(ParseError) as err:
+            read_suite(path)
+        assert str(err.value) == f"{path}:4: bad case line '0,--1'"
+        path.write_text("# model: 3^2\n# config: t=2\n99999999999999999999,0\n0,1\n")
+        with pytest.raises(ParseError) as err:
+            read_suite(path)
+        assert str(err.value) == f"{path}:3: value 99999999999999999999 at index 0 outside 0..2"
+
     def test_case_of_the_wrong_length_names_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# model: 2^2\n# config: t=2\n0,1\n\n0,1,1\n0\n")
