@@ -90,9 +90,25 @@ def load_preset(name_or_path: str) -> list[Target]:
 
 def cmd_generate(target: Target, params: SwarmParams, controller: FisController | None,
                  out: str) -> int:
-    """Single run: write the suite and its per-test log, print a summary line."""
+    """Single run: write the suite and its per-test log, print a summary line.
+
+    Both files open for appending before the search, so a path they cannot
+    take costs no run and an existing file keeps its bytes; a run that fails
+    removes the files it created.
+    """
     _, model, config = target
-    result = generate_suite(model, config, params, controller)
+    created = []
+    try:
+        for path in (out, out + ".log"):
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+        result = generate_suite(model, config, params, controller)
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
     write_suite(result.suite, out)
     with open(out + ".log", "w", newline="\n") as fh:
         fh.writelines(f"{rec}\n" for rec in result.tests)

@@ -187,7 +187,9 @@ class _ExactCentroid:
         # along the innermost axis.
         totals = np.add.reduce(terms, axis=1)
         area, moment = totals[:, 0] + totals[:, 1]
-        return np.divide(moment, area, out=np.full(n, np.nan), where=area > 0.0)
+        centroid = np.empty(n)
+        centroid.fill(np.nan)
+        return np.divide(moment, area, out=centroid, where=area > 0.0)
 
 
 def _mapping(what: str, value, of: str) -> dict:
@@ -261,12 +263,20 @@ class FisController:
 
         Each rule fires at the min of its terms' degrees; each output set is
         clipped at its strongest rule, and the max aggregate is defuzzified by
-        its exact centroid. A triple that fires nothing inherits the previous
-        weight. Returns the weights and the selections, NaN where none fired.
+        its exact centroid. A triple that fires nothing takes the weight of the
+        triple before it, the first one the controller's last_w. Returns the
+        weights and the selections, NaN where none fired.
         """
-        if len({np.shape(ncf), np.shape(d1), np.shape(d2)}) != 1 or np.ndim(ncf) != 1:
+        try:
+            x = np.array((ncf, d1, d2), dtype=float)
+        except (TypeError, ValueError):
+            # Only a batch that does not convert is checked input by input:
+            # inputs of one 1-d shape have a fault of their own to report.
+            if len({np.shape(ncf), np.shape(d1), np.shape(d2)}) == 1 and np.ndim(ncf) == 1:
+                raise
+            x = None
+        if x is None or x.ndim != 2:
             raise ValueError("FIS inputs must be equal-length 1-d arrays")
-        x = np.array((ncf, d1, d2), dtype=float)
         n = x.shape[1]
         # NaN fails both comparisons, so it is refused too. Only a refused
         # batch is scanned input by input, to name the first one at fault.
@@ -296,14 +306,12 @@ class FisController:
         np.maximum(high, np.minimum(np.minimum(ncf_high, d1_high), d2_high), out=high)
         selection = self._centroid(strength)
 
-        # A selection scales onto [0, w_max], clamped to [w_min, w_max]. Each
-        # unfired index takes the weight of the latest fired index before
-        # it; slot 0 of held is the weight from before this batch.
-        held = np.empty(n + 1)
-        held[0] = self.last_w
-        np.minimum(np.maximum(selection / 100.0 * self.w_max, self.w_min), self.w_max, out=held[1:])
-        latest = np.maximum.accumulate(np.where(np.isnan(selection), 0, np.arange(1, n + 1)))
-        w = held[latest]
+        # A selection scales onto [0, w_max], clamped to [w_min, w_max]; NaN
+        # stays NaN. In index order, each unfired index then copies the weight
+        # before it, and index 0 the weight from before this batch.
+        w = np.minimum(np.maximum(selection / 100.0 * self.w_max, self.w_min), self.w_max)
+        for i in np.isnan(selection).nonzero()[0].tolist():
+            w[i] = w[i - 1] if i else self.last_w
         if n:
             self.last_w = float(w[-1])
         return w, selection

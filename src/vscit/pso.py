@@ -38,6 +38,7 @@ class InternalCoverageError(RuntimeError):
 
 # Cognitive and social acceleration coefficients; only the inertia weight adapts.
 C1 = C2 = 2.0
+_ACCELERATIONS = np.array((C1, C2))
 
 # Each variant's default patience: the smallest value of the sweep in
 # BENCH_10.json whose 30-run best stays and whose mean grows by at most 1% on
@@ -142,7 +143,7 @@ def velocity_update(velocity: np.ndarray, pulls: np.ndarray, w: np.ndarray,
     cognitive draw: row by row, the stream of 2n draws that pins seeded runs.
     """
     r = rng.random((len(velocity), 2))
-    scaled = pulls * (r * (C1, C2)).T[:, :, None]
+    scaled = pulls * (r * _ACCELERATIONS).T[:, :, None]
     v = w[:, None] * velocity
     v += scaled[0]
     v += scaled[1]
@@ -160,17 +161,22 @@ def position_update(position: np.ndarray, velocity: np.ndarray,
     return pos
 
 
-def _cpso_slide(max_iterations: int):
+def _cpso_slide(max_iterations: int, n: int):
     """cpso's weights, called as FisController.infer_w_batch is; it reads no measure.
 
-    Call i gives every triple iteration i's weight on a linear slide from
-    W_MAX_DEFAULT down to W_MIN_DEFAULT across the budget, and a NaN selection.
+    Call i returns a fresh row of n copies of iteration i's weight on a linear
+    slide from W_MAX_DEFAULT down to W_MIN_DEFAULT across the budget, and the
+    one read-only all-NaN selection row of n that every call shares.
     """
     steps, span = itertools.count(), max(max_iterations - 1, 1)
+    selections = np.empty(n)
+    selections.fill(np.nan)
+    selections.flags.writeable = False
 
     def weights(ncf, d1, d2):
-        w = W_MAX_DEFAULT - (W_MAX_DEFAULT - W_MIN_DEFAULT) * (next(steps) / span)
-        return np.full(len(ncf), w), np.full(len(ncf), np.nan)
+        w = np.empty(n)
+        w.fill(W_MAX_DEFAULT - (W_MAX_DEFAULT - W_MIN_DEFAULT) * (next(steps) / span))
+        return w, selections
 
     return weights
 
@@ -206,20 +212,22 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     k = len(levels)
     vmax = np.array([v - 1 for v in levels], dtype=float)
     max_fitness = store.open_combinations
-    max_distance = float(np.linalg.norm(vmax))
+    max_distance = math.sqrt(vmax @ vmax)
 
     position = rng.random((params.swarm_size, k)) * vmax
     velocity = (rng.random((params.swarm_size, k)) * 2.0 - 1.0) * vmax
     fits = store.counts(np.ceil(position - 0.5))
     pbest_fitness = fits.copy()
-    gbest_index = int(np.argmax(fits))  # first maximum wins; ties keep the incumbent
-    bests = np.stack((position, np.broadcast_to(position[gbest_index], position.shape)))
+    gbest_index = int(fits.argmax())  # first maximum wins; ties keep the incumbent
+    bests = np.empty((2,) + position.shape)
+    bests[0] = position
+    bests[1] = position[gbest_index]
     gbest_fitness = int(fits[gbest_index])
 
     traced = logger.isEnabledFor(logging.DEBUG)
     # cpso's slide reads no measure, so there only the trace needs the distances.
     weights, measured = ((controller.infer_w_batch, True) if params.variant == "fpso"
-                         else (_cpso_slide(params.max_iterations), traced))
+                         else (_cpso_slide(params.max_iterations, params.swarm_size), traced))
     d1 = d2 = None
     patience = math.inf if params.patience is None else params.patience
     stalled = iteration = 0
@@ -239,7 +247,7 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
         better = fits > pbest_fitness
         np.copyto(bests[0], position, where=better[:, None])
         np.copyto(pbest_fitness, fits, where=better)
-        best = int(np.argmax(fits))
+        best = int(fits.argmax())
         improved = bool(fits[best] > gbest_fitness)
         if improved:
             gbest_fitness = int(fits[best])

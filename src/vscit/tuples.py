@@ -119,7 +119,7 @@ class TupleStore:
         return ids
 
     def _scores(self, cases: np.ndarray) -> np.ndarray:
-        return self.uncovered[self._ids(cases)].sum(axis=1)
+        return self.uncovered.take(self._ids(cases)).sum(axis=1)
 
     def counts(self, cases: np.ndarray) -> np.ndarray:
         """Uncovered tuples hit by each row of an (n, k) integer-valued case matrix.
@@ -138,7 +138,7 @@ class TupleStore:
         cases = np.asarray(cases)
         if len(self._left) < _DEDUP_MIN_COMBINATIONS:
             return self._scores(cases)
-        order = np.argsort(cases @ self._radix)
+        order = (cases @ self._radix).argsort()
         ordered = cases.take(order, axis=0)
         first = np.empty(len(cases), dtype=bool)
         first[:1] = True
@@ -151,7 +151,7 @@ class TupleStore:
         """The smallest uncovered (combination, value tuple) pair."""
         if not len(self._left):
             raise ValueError("every tuple is covered")
-        first = int(np.argmax(self.uncovered))
+        first = int(self.uncovered.argmax())
         n = int(np.searchsorted(self._starts, first, side="right")) - 1
         key = self._keys[n]
         shape = [self.model.param_levels[i] for i in key]

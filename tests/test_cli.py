@@ -113,12 +113,30 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
         assert not out.exists()
 
-    def test_output_directory_missing_exits_2(self, tmp_path, capsys):
-        # Exit 1 means a coverage shortfall, so a file error must not end there.
+    def test_output_directory_missing_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Exit 1 means a coverage shortfall, so a file error must not end there;
+        # and the path is refused before any search runs.
+        calls = []
+        monkeypatch.setattr(cli, "generate_suite", lambda *args: calls.append(args))
         code = run_cli("generate", "--model", "3^4", "--t", "2",
                        "--out", str(tmp_path / "nodir" / "x.txt"))
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error:")
+        captured = capsys.readouterr()
+        assert (code, calls, captured.out) == (EXIT_USAGE, [], "")
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("earlier", [{}, {"x.txt": b"# an earlier suite\n",
+                                              "x.txt.log": b'{"iterations": 1}\n'}],
+                             ids=["no-files", "existing-files"])
+    def test_failed_run_leaves_the_directory_as_it_was(self, tmp_path, monkeypatch, earlier):
+        def refuse(*args):
+            raise MemoryError
+
+        for name, data in earlier.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.setattr(cli, "generate_suite", refuse)
+        assert run_cli("generate", "--model", "3^4", "--t", "2",
+                       "--out", str(tmp_path / "x.txt")) == EXIT_USAGE
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
 
     def test_redundant_sub_warns_once(self, tmp_path):
         with warnings.catch_warnings(record=True) as caught:

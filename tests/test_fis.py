@@ -251,6 +251,39 @@ class TestInferW:
         low = controller.last_w
         assert infer(controller, 50, 50, 50) == low
 
+    def test_unfired_first_triple_takes_last_w(self):
+        # (50, 50, 50) fires no rule.
+        controller = FisController()
+        controller.last_w = 0.5
+        w, selection = controller.infer_w_batch([50.0, 0.0], [50.0, 0.0], [50.0, 0.0])
+        assert math.isnan(selection[0]) and not math.isnan(selection[1])
+        assert w[0] == 0.5
+        assert controller.last_w == w[1] != 0.5
+
+    def test_unfired_run_takes_the_fired_weight_before_it(self):
+        controller = FisController()
+        w, selection = controller.infer_w_batch([50.0, 0.0, 50.0, 50.0, 50.0],
+                                                [50.0, 0.0, 50.0, 50.0, 50.0],
+                                                [50.0, 0.0, 50.0, 50.0, 50.0])
+        assert np.isnan(selection).tolist() == [True, False, True, True, True]
+        assert w.tolist() == [W_MAX_DEFAULT] + [w[1]] * 4
+        assert w[1] != W_MAX_DEFAULT
+        assert controller.last_w == w[1]
+
+    def test_all_unfired_batch_holds_last_w(self):
+        controller = FisController()
+        controller.last_w = 0.5
+        w, selection = controller.infer_w_batch(*np.full((3, 4), 50.0))
+        assert np.isnan(selection).all()
+        assert w.tolist() == [0.5] * 4
+        assert controller.last_w == 0.5
+
+    def test_non_numeric_inputs_raise(self):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            FisController().infer_w_batch(["a"], ["b"], ["c"])
+        with pytest.raises(ValueError, match="equal-length 1-d arrays"):
+            FisController().infer_w_batch("a", "b", "c")
+
     def test_updates_last_w(self):
         controller = FisController()
         w = infer(controller, 0, 0, 0)

@@ -10,11 +10,12 @@ import pytest
 import vscit
 import vscit.cli
 import vscit.pso as pso
-from vscit.fis import FisController, compute_distance_pct
+from vscit.fis import W_MAX_DEFAULT, W_MIN_DEFAULT, FisController, compute_distance_pct
 from vscit.model import SubConfig, SutModel, VscaConfig, parse_config, parse_model
 from vscit.pso import (
     VARIANTS,
     SwarmParams,
+    _cpso_slide,
     _repair_case,
     generate_one_test,
     generate_suite,
@@ -240,6 +241,36 @@ class TestFusedMoveBits:
             want = np.minimum(np.sqrt((gap * gap).sum(axis=-1)) / diagonal * 100.0, 100.0)
             np.testing.assert_array_equal(got, want)
         assert (d1[:len(d1) // 4] == 0).all() and d2[0] == 0
+
+
+class TestCpsoSlide:
+    """cpso's weights: call i of a search gives every row the scalar slide's value."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 100])
+    def test_call_i_gives_every_row_the_scalar_formula(self, budget):
+        weights = _cpso_slide(budget, 5)
+        unused = np.full(5, 50.0)
+        for i in range(budget):
+            w, _ = weights(unused, None, None)
+            want = W_MAX_DEFAULT - (W_MAX_DEFAULT - W_MIN_DEFAULT) * (i / max(budget - 1, 1))
+            assert w.shape == (5,)
+            assert w.tolist() == [want] * 5  # float equality: bit for bit
+
+    def test_each_call_returns_a_fresh_weight_row(self):
+        weights = _cpso_slide(3, 4)
+        first, _ = weights(np.zeros(4), None, None)
+        second, _ = weights(np.zeros(4), None, None)
+        assert not np.shares_memory(first, second)
+        assert first[0] == W_MAX_DEFAULT and second[0] < W_MAX_DEFAULT
+
+    def test_the_selection_row_is_all_nan_and_read_only(self):
+        weights = _cpso_slide(3, 4)
+        _, selection = weights(np.zeros(4), None, None)
+        assert selection.shape == (4,) and np.isnan(selection).all()
+        with pytest.raises(ValueError, match="read-only"):
+            selection[0] = 0.5
+        _, again = weights(np.zeros(4), None, None)
+        assert np.isnan(again).all()
 
 
 class TestPositionUpdate:
