@@ -350,8 +350,8 @@ def controller_from_config(cfg: dict) -> FisController:
 
     Recognized keys: "w_max", "w_min", "output" (label -> [left, peak, right])
     and "inputs" (input name -> label -> [left, peak, right]). A family given,
-    even an empty one, replaces its default whole. A value of the wrong shape
-    or type raises ValueError naming its key.
+    even an empty one, replaces its default whole. Any other top-level key, or
+    a value of the wrong shape or type, raises ValueError naming its key.
     """
     def mapping(where: str, spec) -> dict:
         if not isinstance(spec, dict):
@@ -369,6 +369,10 @@ def controller_from_config(cfg: dict) -> FisController:
         return mfs
 
     mapping("membership config top level", cfg)
+    unknown = set(cfg) - {"w_max", "w_min", "inputs", "output"}
+    if unknown:
+        raise ValueError(f"unknown membership config keys {sorted(unknown, key=str)}; "
+                         f"expected w_max, w_min, inputs, output")
     inputs = None if cfg.get("inputs") is None else {
         name: family(f"inputs.{name}", spec)
         for name, spec in mapping("inputs", cfg["inputs"]).items()

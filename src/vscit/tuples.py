@@ -1,15 +1,14 @@
-"""Interaction-tuple bookkeeping: parameter combinations and the uncovered store."""
+"""Interaction-tuple bookkeeping: the store of uncovered tuples."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 
 import numpy as np
 
-from .model import SutModel, TestCase, VscaConfig, check_case
-
-ParamCombination = tuple[int, ...]
+from .model import SutModel, TestCase, VscaConfig, check_case, check_config
 
 # The bias that lifts every id into [2**52, 2**53), where float64 spacing is 1.
 _BIAS_ID = 2**52
@@ -21,32 +20,6 @@ _KEY_PRIME = 2**53 - 111
 # break-even sweep over 80 rows found the sort and the row comparison paying
 # for themselves from about here on, while up to 60% of the rows are distinct.
 _DEDUP_MIN_COMBINATIONS = 256
-
-
-def generate_param_combinations(k: int, t: int) -> list[ParamCombination]:
-    """All strictly increasing t-combinations of 0..k-1, in lexicographic order.
-
-    Iterative depth-first walk over an explicit stack of candidate values;
-    the stack never holds more than t entries, so large k cannot exhaust the
-    call stack. Each pop resumes the prefix written at shallower depths.
-    """
-    if t < 1 or t > k:
-        raise ValueError(f"strength t={t} outside 1..{k}")
-    combos: list[ParamCombination] = []
-    comb = [0] * t
-    stack = [0]
-    while stack:
-        i = len(stack) - 1
-        v = stack.pop()
-        while v < k:
-            comb[i] = v
-            i += 1
-            v += 1
-            stack.append(v)
-            if i == t:
-                combos.append(tuple(comb))
-                break
-    return combos
 
 
 class TupleStore:
@@ -69,7 +42,7 @@ class TupleStore:
     the store is wide, counts scores each distinct case once.
     """
 
-    def __init__(self, model: SutModel, combinations: Iterable[ParamCombination]):
+    def __init__(self, model: SutModel, combinations: Iterable[tuple[int, ...]]):
         self.model = model
         self._keys = sorted(set(map(tuple, combinations)))
         sizes = [math.prod(model.param_levels[i] for i in key) for key in self._keys]
@@ -147,7 +120,7 @@ class TupleStore:
         counts[order] = self._scores(ordered.compress(first, axis=0))[first.cumsum() - 1]
         return counts
 
-    def first_uncovered(self) -> tuple[ParamCombination, tuple[int, ...]]:
+    def first_uncovered(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The smallest uncovered (combination, value tuple) pair."""
         if not len(self._left):
             raise ValueError("every tuple is covered")
@@ -161,18 +134,16 @@ class TupleStore:
 def build_tuple_store(model: SutModel, config: VscaConfig) -> TupleStore:
     """Every required combination paired with its full product of value tuples.
 
-    The main strength contributes all t-combinations over every parameter;
-    each sub-configuration contributes the s-combinations drawn from its own
-    index pool. A combination demanded by more than one source is stored
-    once, so nothing is counted twice.
+    Once check_config passes, the main strength contributes all t-combinations
+    over every parameter and each sub-configuration the s-combinations of its
+    own index pool, by itertools.combinations. A combination demanded by more
+    than one source is stored once, so nothing is counted twice.
     """
-    demands = [(tuple(range(model.k)), config.main_strength)]
-    demands += [(tuple(sorted(sub.indices)), sub.strength) for sub in config.sub_configs]
-    combinations = []
-    for pool, strength in demands:
-        for local in generate_param_combinations(len(pool), strength):
-            combinations.append(tuple(pool[j] for j in local))
-    return TupleStore(model, combinations)
+    check_config(model, config)
+    demands = [(range(model.k), config.main_strength)]
+    demands += [(sorted(sub.indices), sub.strength) for sub in config.sub_configs]
+    return TupleStore(model, itertools.chain.from_iterable(
+        itertools.combinations(pool, strength) for pool, strength in demands))
 
 
 def remove_covered(case: TestCase, store: TupleStore) -> int:

@@ -475,8 +475,10 @@ class TestMfConfig:
         ({"output": []}, "output"),
         ({"inputs": []}, "inputs"),
         ({"inputs": 0}, "inputs"),
+        ({"w_mx": 0.5}, "'w_mx'"),
     ], ids=["top-level-list", "two-point-triangle", "list-valued-family", "list-valued-bound",
-            "list-valued-output", "list-valued-inputs", "number-valued-inputs"])
+            "list-valued-output", "list-valued-inputs", "number-valued-inputs",
+            "misspelt-top-level-key"])
     def test_mis_shaped_json_exits_2(self, tmp_path, capsys, payload, bad_key):
         mf = tmp_path / "mf.json"
         mf.write_text(json.dumps(payload))

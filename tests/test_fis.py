@@ -406,6 +406,11 @@ class TestControllerConfig:
         assert controller.w_max == 0.8
         assert infer(controller, 0, 0, 0) >= 0.2
 
+    def test_unknown_top_level_key_raises(self):
+        # A misspelt bound would otherwise leave the default in place.
+        with pytest.raises(ValueError, match="unknown membership config keys.*'w_mx'"):
+            controller_from_config({"w_mx": 0.5})
+
     def test_unknown_input_name_raises(self):
         with pytest.raises(ValueError, match="unknown FIS inputs"):
             FisController(input_mfs={"speed": {}})

@@ -1,7 +1,7 @@
-"""Combination generation and the uncovered-tuple store.
+"""The uncovered-tuple store.
 
-Brute-force oracles: itertools.combinations for the generator (canonical
-lexicographic enumeration), and plain nested recounts for store contents.
+Brute-force oracles: itertools enumerations and plain nested recounts of
+the required pairs, checked against the store's totals and counts.
 """
 
 import functools
@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vscit.model import SubConfig, SutModel, VscaConfig, parse_model
+from vscit.model import ConfigError, SubConfig, SutModel, VscaConfig, parse_model
 from vscit.tuples import (
     _DEDUP_MIN_COMBINATIONS,
     TupleStore,
     build_tuple_store,
-    generate_param_combinations,
     remove_covered,
 )
 
@@ -37,37 +36,6 @@ def brute_force_pairs(model, config):
 
 def brute_force_store_size(model, config):
     return len(brute_force_pairs(model, config))
-
-
-class TestGenerateParamCombinations:
-    def test_three_choose_two(self):
-        assert generate_param_combinations(3, 2) == [(0, 1), (0, 2), (1, 2)]
-
-    def test_t_equals_k_single_combination(self):
-        assert generate_param_combinations(4, 4) == [(0, 1, 2, 3)]
-
-    def test_fifteen_choose_two_matches_nested_loops(self):
-        oracle = [(i, j) for i in range(15) for j in range(i + 1, 15)]
-        got = generate_param_combinations(15, 2)
-        assert len(got) == 105
-        assert got == oracle
-
-    @pytest.mark.parametrize("k", range(1, 11))
-    def test_matches_lexicographic_enumeration(self, k):
-        for t in range(1, k + 1):
-            assert generate_param_combinations(k, t) == list(itertools.combinations(range(k), t))
-
-    def test_output_is_sorted_and_duplicate_free(self):
-        for k, t in [(6, 3), (8, 2), (7, 5)]:
-            got = generate_param_combinations(k, t)
-            assert len(set(got)) == len(got) == math.comb(k, t)
-            assert got == sorted(got)
-            assert all(list(c) == sorted(set(c)) for c in got)
-
-    @pytest.mark.parametrize("k,t", [(3, 0), (3, 4), (5, -1)])
-    def test_bad_strength_raises(self, k, t):
-        with pytest.raises(ValueError):
-            generate_param_combinations(k, t)
 
 
 class TestBuildTupleStore:
@@ -106,6 +74,20 @@ class TestBuildTupleStore:
                 for t in range(1, k + 1):
                     store = build_tuple_store(model, VscaConfig(t))
                     assert store.initial_total == math.comb(k, t) * v**t, (k, v, t)
+
+    @pytest.mark.parametrize("config", [
+        VscaConfig(2, (SubConfig((0, 0), 2),)),
+        VscaConfig(2, (SubConfig((-1, 0), 2),)),
+        VscaConfig(2, (SubConfig((0, 7), 2),)),
+        VscaConfig(0),
+        VscaConfig(4),
+        VscaConfig(2, (SubConfig((0, 1), 3),)),
+    ], ids=["repeated-index", "negative-index", "index-past-k", "t=0", "t>k", "s>pool"])
+    def test_config_the_model_cannot_hold_is_refused(self, config):
+        # A repeated index would key a combination (0, 0), and index -1 would
+        # write a stride into the bias row.
+        with pytest.raises(ConfigError):
+            build_tuple_store(parse_model("2^3"), config)
 
 
 def count(case, store):
