@@ -38,6 +38,65 @@ def brute_force_store_size(model, config):
     return len(brute_force_pairs(model, config))
 
 
+def store_keys(model, config):
+    return build_tuple_store(model, config)._keys
+
+
+class TestStoreCombinations:
+    """The combinations a store is keyed by, in the order ids are laid out."""
+
+    def test_three_choose_two(self):
+        assert store_keys(parse_model("2^3"), VscaConfig(2)) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_t_equals_k_single_combination(self):
+        assert store_keys(parse_model("2^4"), VscaConfig(4)) == [(0, 1, 2, 3)]
+
+    def test_fifteen_choose_two_matches_nested_loops(self):
+        oracle = [(i, j) for i in range(15) for j in range(i + 1, 15)]
+        got = store_keys(parse_model("3^15"), VscaConfig(2))
+        assert len(got) == 105
+        assert got == oracle
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_matches_lexicographic_enumeration(self, k):
+        for t in range(1, k + 1):
+            got = store_keys(SutModel((2,) * k), VscaConfig(t))
+            assert got == list(itertools.combinations(range(k), t))
+
+    def test_keys_are_sorted_and_duplicate_free(self):
+        for k, t in [(6, 3), (8, 2), (7, 5)]:
+            got = store_keys(SutModel((2,) * k), VscaConfig(t))
+            assert len(set(got)) == len(got) == math.comb(k, t)
+            assert got == sorted(got)
+            assert all(list(c) == sorted(set(c)) for c in got)
+
+    def test_sub_keys_are_pool_indices(self):
+        # The sub's combinations name model parameters, not places in its pool.
+        got = store_keys(parse_model("2^5"), VscaConfig(1, (SubConfig((1, 3, 4), 2),)))
+        assert got == [(0,), (1,), (1, 3), (1, 4), (2,), (3,), (3, 4), (4,)]
+
+    def test_sub_pool_order_does_not_matter(self):
+        m = parse_model("2^6")
+        in_order = store_keys(m, VscaConfig(2, (SubConfig((1, 3, 5), 3),)))
+        shuffled = store_keys(m, VscaConfig(2, (SubConfig((5, 1, 3), 3),)))
+        assert shuffled == in_order
+        assert (1, 3, 5) in in_order
+
+    def test_overlapping_subs_key_each_combination_once(self):
+        cfg = VscaConfig(2, (SubConfig((0, 1, 2), 3), SubConfig((0, 1, 2, 3), 3)))
+        got = store_keys(parse_model("2^4"), cfg)
+        oracle = sorted(set(itertools.combinations(range(4), 2))
+                        | set(itertools.combinations(range(4), 3)))
+        assert got == oracle
+
+    def test_first_uncovered_follows_key_order(self):
+        store = build_tuple_store(parse_model("2^3"), VscaConfig(1, (SubConfig((0, 2), 2),)))
+        assert store.first_uncovered() == ((0,), (0,))
+        remove_covered((0, 0, 0), store)
+        remove_covered((1, 1, 1), store)
+        assert store.first_uncovered() == ((0, 2), (0, 1))
+
+
 class TestBuildTupleStore:
     def test_pairwise_three_level_five_param(self):
         store = build_tuple_store(parse_model("3^5"), VscaConfig(2))
