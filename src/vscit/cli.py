@@ -36,7 +36,6 @@ from .verify import (
     read_suite,
     render_report_csv,
     render_report_text,
-    suite_stats,
     verify_suite,
     write_suite,
 )
@@ -129,15 +128,15 @@ def cmd_benchmark(targets: list[Target], params: SwarmParams,
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["config_label", "variant", "seed", "size"])
         for label, model, config in targets:
-            results = [generate_suite(model, config,
-                                      replace(params, rng_seed=params.rng_seed + r), controller)
-                       for r in range(runs)]
-            best, mean, sizes = suite_stats(results)
+            sizes = [len(generate_suite(model, config, replace(params, rng_seed=seed),
+                                        controller).suite)
+                     for seed in range(params.rng_seed, params.rng_seed + runs)]
+            best, mean = min(sizes), f"{sum(sizes) / runs:.2f}"
             for r, size in enumerate(sizes):
                 writer.writerow([label, params.variant, str(params.rng_seed + r), str(size)])
             writer.writerow([label, params.variant, "best", str(best)])
-            writer.writerow([label, params.variant, "mean", f"{mean:.2f}"])
-            print(f"{label} variant={params.variant} runs={runs} best={best} mean={mean:.2f}")
+            writer.writerow([label, params.variant, "mean", mean])
+            print(f"{label} variant={params.variant} runs={runs} best={best} mean={mean}")
     return EXIT_OK
 
 

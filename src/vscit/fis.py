@@ -351,31 +351,29 @@ def controller_from_config(cfg: dict) -> FisController:
     Recognized keys: "w_max", "w_min", "output" (label -> [left, peak, right])
     and "inputs" (input name -> label -> [left, peak, right]). A family given,
     even an empty one, replaces its default whole. Any other top-level key, or
-    a value of the wrong shape or type, raises ValueError naming its key.
+    a value of the wrong shape or type, raises ValueError naming its key; a
+    set that MembershipFunction refuses raises its error after the set's key,
+    as in "output.low: breakpoints must satisfy ...".
     """
-    def mapping(where: str, spec) -> dict:
-        if not isinstance(spec, dict):
-            raise ValueError(f"{where} must be a JSON object, got {type(spec).__name__}")
-        return spec
-
     def family(where: str, spec) -> dict[str, MembershipFunction]:
         mfs = {}
-        for label, points in mapping(where, spec).items():
+        for label, points in _mapping(where, spec, "label to [left, peak, right]").items():
             if not isinstance(points, list) or len(points) != 3:
                 raise ValueError(f"{where}.{label} must be [left, peak, right], got {points!r}")
-            for name, value in zip(("left", "peak", "right"), points):
-                _real(f"{where}.{label}.{name}", value)
-            mfs[label] = MembershipFunction(*points)
+            try:
+                mfs[label] = MembershipFunction(*points)
+            except ValueError as exc:
+                raise ValueError(f"{where}.{label}: {exc}") from None
         return mfs
 
-    mapping("membership config top level", cfg)
+    cfg = _mapping("membership config top level", cfg, "key to value")
     unknown = set(cfg) - {"w_max", "w_min", "inputs", "output"}
     if unknown:
         raise ValueError(f"unknown membership config keys {sorted(unknown, key=str)}; "
                          f"expected w_max, w_min, inputs, output")
     inputs = None if cfg.get("inputs") is None else {
         name: family(f"inputs.{name}", spec)
-        for name, spec in mapping("inputs", cfg["inputs"]).items()
+        for name, spec in _mapping("inputs", cfg["inputs"], "input name to family").items()
     }
     output = None if cfg.get("output") is None else family("output", cfg["output"])
     return FisController(inputs, output, cfg.get("w_max", W_MAX_DEFAULT),

@@ -8,7 +8,6 @@ variant) picks the inertia weight each particle uses each iteration.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -137,10 +136,11 @@ def velocity_update(velocity: np.ndarray, pulls: np.ndarray, w: np.ndarray,
                     vmax: np.ndarray, rng) -> np.ndarray:
     """Inertia plus cognitive (C1) and social (C2) pulls for every row, clamped per component.
 
-    Rows are particles: velocity is (n, k), w is (n,), pulls (2, n, k) holds
-    each row's gap to its personal best, then to the global best. One uniform
-    scalar per pull per row, drawn as an (n, 2) block whose column 0 is the
-    cognitive draw: row by row, the stream of 2n draws that pins seeded runs.
+    Rows are particles: velocity is (n, k), w is (n,), or (1,) for one weight
+    on every row, pulls (2, n, k) holds each row's gap to its personal best,
+    then to the global best. One uniform scalar per pull per row, drawn as an
+    (n, 2) block whose column 0 is the cognitive draw: row by row, the stream
+    of 2n draws that pins seeded runs.
     """
     r = rng.random((len(velocity), 2))
     scaled = pulls * (r * _ACCELERATIONS).T[:, :, None]
@@ -161,26 +161,6 @@ def position_update(position: np.ndarray, velocity: np.ndarray,
     return pos
 
 
-def _cpso_slide(max_iterations: int, n: int):
-    """cpso's weights, called as FisController.infer_w_batch is; it reads no measure.
-
-    Call i returns a fresh row of n copies of iteration i's weight on a linear
-    slide from W_MAX_DEFAULT down to W_MIN_DEFAULT across the budget, and the
-    one read-only all-NaN selection row of n that every call shares.
-    """
-    steps, span = itertools.count(), max(max_iterations - 1, 1)
-    selections = np.empty(n)
-    selections.fill(np.nan)
-    selections.flags.writeable = False
-
-    def weights(ncf, d1, d2):
-        w = np.empty(n)
-        w.fill(W_MAX_DEFAULT - (W_MAX_DEFAULT - W_MIN_DEFAULT) * (next(steps) / span))
-        return w, selections
-
-    return weights
-
-
 def generate_one_test(store: TupleStore, params: SwarmParams,
                       controller: FisController | None, rng, *,
                       test_index: int = 0) -> tuple[TestCase, int, str, bool]:
@@ -196,7 +176,10 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     their cognitive and social terms. After the moves, a personal best moves
     wherever the new fitness strictly beats it, and the global best moves to
     the first argmax of the iteration's fitness only if that strictly beats
-    the incumbent. The loop stops early once the global best hits every
+    the incumbent. Under fpso the controller gives each particle its inertia
+    weight; under cpso the iteration count gives the whole swarm one, on a
+    linear slide from W_MAX_DEFAULT at iteration 1 down to W_MIN_DEFAULT at
+    max_iterations. The loop stops early once the global best hits every
     combination that still has an uncovered tuple, after which no iteration
     can change the outcome, or once params.patience iterations in a row left
     the global best where it was. The accepted case is the global best's
@@ -225,9 +208,10 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
     gbest_fitness = int(fits[gbest_index])
 
     traced = logger.isEnabledFor(logging.DEBUG)
+    fuzzy = params.variant == "fpso"
     # cpso's slide reads no measure, so there only the trace needs the distances.
-    weights, measured = ((controller.infer_w_batch, True) if params.variant == "fpso"
-                         else (_cpso_slide(params.max_iterations, params.swarm_size), traced))
+    measured = fuzzy or traced
+    span = max(params.max_iterations - 1, 1)
     d1 = d2 = None
     patience = math.inf if params.patience is None else params.patience
     stalled = iteration = 0
@@ -239,7 +223,11 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
         pulls = bests - position
         if measured:
             d1, d2 = compute_distance_pct(pulls, max_distance)
-        ws, selections = weights(ncf, d1, d2)
+        if fuzzy:
+            ws, selections = controller.infer_w_batch(ncf, d1, d2)
+        else:
+            ws = np.array([W_MAX_DEFAULT - (W_MAX_DEFAULT - W_MIN_DEFAULT)
+                           * ((iteration - 1) / span)])
         # All moves this iteration see the same global best; bests update after.
         velocity = velocity_update(velocity, pulls, ws, vmax, rng)
         position = position_update(position, velocity, vmax)
@@ -254,10 +242,10 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
             bests[1] = position[best]
         stalled = 0 if improved else stalled + 1
         if traced:
-            sel = float(selections[-1])
+            sel = None if not fuzzy or math.isnan(selections[-1]) else float(selections[-1])
             logger.debug("%s", IterationRecord(
                 test_index, iteration, gbest_fitness, float(ncf[-1]), float(d1[-1]),
-                float(d2[-1]), stalled, None if math.isnan(sel) else sel, float(ws[-1])))
+                float(d2[-1]), stalled, sel, float(ws[-1])))
 
     if gbest_fitness >= max_fitness:
         stop = "all-covered"

@@ -1,4 +1,4 @@
-"""Independent coverage oracle, suite statistics, and the suite file format.
+"""Independent coverage oracle and the suite file format.
 
 The oracle recounts coverage from scratch, one combination at a time, and
 shares no enumeration or indexing code with the tuple store, so the two act
@@ -111,17 +111,6 @@ def verify_suite(suite: TestSuite) -> CoverageReport:
     return CoverageReport(required=required, covered=covered, missing=tuple(missing))
 
 
-def suite_stats(results) -> tuple[int, float, list[int]]:
-    """Best (minimum) and mean suite size over a batch of run results.
-
-    The mean is rounded to 2 decimals, matching the benchmark table format.
-    """
-    sizes = [len(r.suite) for r in results]
-    if not sizes:
-        raise ValueError("no run results to summarize")
-    return min(sizes), round(sum(sizes) / len(sizes), 2), sizes
-
-
 def write_suite(suite: TestSuite, path) -> None:
     """Two header comments (model, config), then one case per line as CSV ints."""
     with open(path, "w", newline="\n") as fh:
@@ -173,14 +162,12 @@ def read_suite(path) -> TestSuite:
     # or holds a value past int64, which may stop it before a bad field.
     try:
         values = parse_int_array(",".join(rows.values())) if rows else np.zeros(0, np.int64)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError):
         for line_no, row in rows.items():
             try:
                 parse_ints(row)
             except ValueError:
                 raise ParseError(f"{path}:{line_no}: bad case line {row!r}") from None
-        if not isinstance(exc, OverflowError):
-            raise
         values = None  # TestSuite words the value past int64
     if fault is not None:
         raise fault

@@ -1,17 +1,21 @@
 """Command-line behavior: flows, formats, exit codes, presets."""
 
 import csv
+import dataclasses
 import json
 import logging
 import warnings
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import vscit.cli as cli
+import vscit.pso as pso
 from vscit.cli import EXIT_INTERNAL, EXIT_OK, EXIT_SHORTFALL, EXIT_USAGE, load_preset, main
-from vscit.model import SutModel, VscaConfig, validate_config
-from vscit.verify import read_suite
+from vscit.model import ParseError, SutModel, VscaConfig, parse_model, validate_config
+from vscit.pso import InternalCoverageError, SwarmParams, generate_suite
+from vscit.verify import read_suite, verify_suite
 
 from conftest import NOT_INTEGER_TEXT
 
@@ -279,6 +283,17 @@ class TestBenchmark:
         assert float(mean_row[3]) == pytest.approx(sum(sizes) / 3, abs=0.005)
         assert "best=" in capsys.readouterr().out
 
+    def test_best_and_mean_of_the_run_sizes(self, tmp_path, monkeypatch, capsys):
+        sizes = iter([18, 19, 21])
+        monkeypatch.setattr(cli, "generate_suite",
+                            lambda *args: SimpleNamespace(suite=[()] * next(sizes)))
+        out = tmp_path / "bench.csv"
+        assert run_cli("benchmark", "--model", "2^2", "--t", "2", "--runs", "3",
+                       "--out", str(out)) == EXIT_OK
+        assert [r[2:] for r in self.read_rows(out)[1:]] == [
+            ["0", "18"], ["1", "19"], ["2", "21"], ["best", "18"], ["mean", "19.33"]]
+        assert capsys.readouterr().out == "2^2 t=2 variant=fpso runs=3 best=18 mean=19.33\n"
+
     def test_single_run_summary_equals_size(self, tmp_path):
         out = tmp_path / "bench.csv"
         run_cli("benchmark", "--model", "2^3", "--t", "2", "--runs", "1", "--out", str(out))
@@ -345,6 +360,17 @@ class TestBenchmark:
                        "--runs", "1", "--out", str(out)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--sub" in err
+        assert not out.exists()
+
+    def test_preset_with_no_rows_exits_2(self, tmp_path, capsys):
+        preset = tmp_path / "p.txt"
+        preset.write_text("# label | model | config\n\n  # no row follows\n")
+        with pytest.raises(ParseError) as err:
+            load_preset(str(preset))
+        assert str(err.value) == f"preset {str(preset)!r} has no benchmark rows"
+        out = tmp_path / "b.csv"
+        assert run_cli("benchmark", "--preset", str(preset), "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {err.value}\n"
         assert not out.exists()
 
     def test_unknown_preset_exits_2(self, tmp_path):
@@ -498,12 +524,16 @@ class TestMfConfig:
         assert err.startswith("error:") and "'high' has zero width" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("payload,side", [
+    @pytest.mark.parametrize("payload,message", [
         ({"inputs": {"ncf": {"low": [0, 5e-324, 50], "medium": [25, 50, 75],
-                             "high": [50, 100, 100]}}}, "rising"),
-        ({"output": {"low": [0, 0, 1e-320], "high": [50, 100, 100]}}, "falling"),
+                             "high": [50, 100, 100]}}},
+         "inputs.ncf.low: rising side of (0, 5e-324, 50) is too narrow: "
+         "width 5e-324 makes 100 / width overflow"),
+        ({"output": {"low": [0, 0, 1e-320], "high": [50, 100, 100]}},
+         "output.low: falling side of (0, 0, 1e-320) is too narrow: "
+         "width 1e-320 makes 100 / width overflow"),
     ], ids=["subnormal-rising-input-side", "subnormal-falling-output-side"])
-    def test_side_too_narrow_to_divide_by_exits_2(self, tmp_path, capsys, payload, side):
+    def test_side_too_narrow_to_divide_by_exits_2(self, tmp_path, capsys, payload, message):
         # 100 / width overflows, so the degrees would be inf where the side rises.
         mf = tmp_path / "mf.json"
         mf.write_text(json.dumps(payload))
@@ -511,7 +541,7 @@ class TestMfConfig:
         assert run_cli("generate", "--model", "3^4", "--t", "2", "--swarm-size", "4",
                        "--iterations", "5", "--mf-config", str(mf), "--out", str(out)) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {side} side of") and "too narrow" in err
+        assert err == f"error: {message}\n"
         assert "RuntimeWarning" not in err and not out.exists()
 
     @pytest.mark.parametrize("payload,message", [
@@ -725,6 +755,23 @@ class TestInternalFailurePath:
                        "--out", str(tmp_path / "s.txt"))
         assert code == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err
+
+    def test_a_suite_the_oracle_finds_short_exits_3_and_writes_nothing(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        def short(suite):
+            report = verify_suite(suite)
+            return dataclasses.replace(report, covered=report.covered - 1,
+                                       missing=(((0, 1), (0, 0)),))
+
+        monkeypatch.setattr(pso, "verify_suite", short)
+        with pytest.raises(InternalCoverageError) as err:
+            generate_suite(parse_model("3^3"), VscaConfig(2), SwarmParams())
+        assert str(err.value) == "suite misses 1 of 27 required tuples"
+        out = tmp_path / "s.txt"
+        assert run_cli("generate", "--model", "3^3", "--t", "2",
+                       "--out", str(out)) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: suite misses 1 of 27 required tuples\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInstalledEntryPoints:

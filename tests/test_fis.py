@@ -480,7 +480,8 @@ class TestControllerConfig:
         # Only null or an omitted key means "no inputs"; any other falsy value is refused.
         with pytest.raises(ValueError) as err:
             controller_from_config({"inputs": inputs})
-        assert str(err.value) == f"inputs must be a JSON object, got {type(inputs).__name__}"
+        assert str(err.value) == ("inputs must be a mapping of input name to family, "
+                                  f"got {type(inputs).__name__}")
 
     @pytest.mark.parametrize("bound", ["0.9", True], ids=["str", "bool"])
     def test_w_bound_that_is_not_a_real_number_raises(self, bound):
@@ -489,8 +490,21 @@ class TestControllerConfig:
             FisController(w_max=bound)
 
     def test_config_breakpoint_that_is_not_a_real_number_is_named_by_key(self):
-        with pytest.raises(ValueError, match="^output.low.peak must be a real number, got True$"):
+        with pytest.raises(ValueError) as err:
             controller_from_config({"output": {"low": [0, True, 50], "high": [50, 100, 100]}})
+        assert str(err.value) == "output.low: peak must be a real number, got True"
+
+    @pytest.mark.parametrize("cfg,where,points", [
+        ({"output": {"low": [50, 10, 60], "high": [50, 100, 100]}}, "output.low", "(50, 10, 60)"),
+        ({"output": {"low": [0, 0, 50], "high": [50, 100, 101]}}, "output.high", "(50, 100, 101)"),
+        ({"inputs": {"ncf": {"low": [0, 0, 150]}}}, "inputs.ncf.low", "(0, 0, 150)"),
+        ({"inputs": {"d1": {"high": [60, 50, 100]}}}, "inputs.d1.high", "(60, 50, 100)"),
+    ], ids=["output-order", "output-range", "input-range", "input-order"])
+    def test_config_set_out_of_order_or_range_is_named_by_key(self, cfg, where, points):
+        with pytest.raises(ValueError) as err:
+            controller_from_config(cfg)
+        assert str(err.value) == (f"{where}: breakpoints must satisfy "
+                                  f"0 <= left <= peak <= right <= 100, got {points}")
 
     def test_bad_w_bounds_raise(self):
         with pytest.raises(ValueError):

@@ -251,6 +251,10 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config(bad)
 
+    def test_a_part_without_an_equals_sign_is_named(self):
+        with pytest.raises(ParseError, match="^bad config part '0,1:3'$"):
+            parse_config("t=2; 0,1:3")
+
 
 class TestValidateConfig:
     def test_plain_pairwise_config_is_valid(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from vscit.model import SubConfig, SutModel, VscaConfig, parse_config, parse_mod
 from vscit.pso import (
     VARIANTS,
     SwarmParams,
-    _cpso_slide,
     _repair_case,
     generate_one_test,
     generate_suite,
@@ -232,6 +232,15 @@ class TestFusedMoveBits:
         assert (got == top).any() and (got == -top).any()  # the clamps were exercised
 
     @pytest.mark.parametrize("seed", range(5))
+    def test_one_weight_row_equals_a_row_of_copies(self, seed):
+        position, velocity, pbest, gbest, w, top = seeded_swarm(seed)
+        draws = np.random.default_rng(100 + seed).random((len(position), 2)).ravel()
+        gaps = pulls(position, pbest, gbest)
+        one = velocity_update(velocity, gaps, w[:1], top, StubRng(draws))
+        copies = velocity_update(velocity, gaps, np.full(len(w), w[0]), top, StubRng(draws))
+        np.testing.assert_array_equal(one, copies)
+
+    @pytest.mark.parametrize("seed", range(5))
     def test_distances_equal_the_separate_differences(self, seed):
         position, _, pbest, gbest, _, top = seeded_swarm(seed)
         diagonal = float(np.linalg.norm(top))
@@ -244,33 +253,46 @@ class TestFusedMoveBits:
 
 
 class TestCpsoSlide:
-    """cpso's weights: call i of a search gives every row the scalar slide's value."""
+    """cpso's weight: iteration i of every search gives the whole swarm the
+    scalar slide's value as one (1,) row."""
 
     @pytest.mark.parametrize("budget", [1, 2, 100])
-    def test_call_i_gives_every_row_the_scalar_formula(self, budget):
-        weights = _cpso_slide(budget, 5)
-        unused = np.full(5, 50.0)
-        for i in range(budget):
-            w, _ = weights(unused, None, None)
-            want = W_MAX_DEFAULT - (W_MAX_DEFAULT - W_MIN_DEFAULT) * (i / max(budget - 1, 1))
-            assert w.shape == (5,)
-            assert w.tolist() == [want] * 5  # float equality: bit for bit
+    def test_each_iteration_uses_the_scalar_formula(self, budget, monkeypatch, trace):
+        shapes = set()
+        update = pso.velocity_update
 
-    def test_each_call_returns_a_fresh_weight_row(self):
-        weights = _cpso_slide(3, 4)
-        first, _ = weights(np.zeros(4), None, None)
-        second, _ = weights(np.zeros(4), None, None)
-        assert not np.shares_memory(first, second)
-        assert first[0] == W_MAX_DEFAULT and second[0] < W_MAX_DEFAULT
+        def record_shape(velocity, pulls, w, *rest):
+            shapes.add(w.shape)
+            return update(velocity, pulls, w, *rest)
 
-    def test_the_selection_row_is_all_nan_and_read_only(self):
-        weights = _cpso_slide(3, 4)
-        _, selection = weights(np.zeros(4), None, None)
-        assert selection.shape == (4,) and np.isnan(selection).all()
-        with pytest.raises(ValueError, match="read-only"):
-            selection[0] = 0.5
-        _, again = weights(np.zeros(4), None, None)
-        assert np.isnan(again).all()
+        monkeypatch.setattr(pso, "velocity_update", record_shape)
+        result, records = trace(generate_suite, parse_model("3^4"), VscaConfig(2),
+                                small_params(variant="cpso", max_iterations=budget))
+        assert shapes == {(1,)}
+        span = max(budget - 1, 1)
+        for r in records:
+            want = W_MAX_DEFAULT - (W_MAX_DEFAULT - W_MIN_DEFAULT) * ((r.iteration - 1) / span)
+            assert r.w == want  # float equality: bit for bit
+        # Every test's search starts the slide again at W_MAX_DEFAULT.
+        firsts = [r for r in records if r.iteration == 1]
+        searched = [i for i, t in enumerate(result.tests) if t.iterations]
+        assert [r.test_index for r in firsts] == searched and len(searched) > 1
+        assert all(r.w == W_MAX_DEFAULT for r in firsts)
+        assert max(r.iteration for r in records) == budget
+
+    def test_an_unbounded_budget_allocates_nothing_per_iteration_of_it(self):
+        # The slide is computed per iteration, never laid out over the budget.
+        store = build_tuple_store(parse_model("3^4"), VscaConfig(2))
+        params = small_params(variant="cpso", max_iterations=10**9, patience=3)
+        tracemalloc.start()
+        try:
+            _, iterations, stop, _ = generate_one_test(store, params, None,
+                                                       np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stop in ("stalled", "all-covered") and iterations < 100
+        assert peak < 2**20
 
 
 class TestPositionUpdate:
@@ -349,6 +371,11 @@ class TestGenerateOneTest:
         store = TupleStore(parse_model("2^2"), [])
         with pytest.raises(ValueError, match="empty"):
             generate_one_test(store, small_params(), FisController(), np.random.default_rng(0))
+
+    def test_fpso_without_a_controller_raises(self):
+        store = build_tuple_store(parse_model("2^2"), VscaConfig(2))
+        with pytest.raises(ValueError, match="^the fpso variant needs a FisController$"):
+            generate_one_test(store, small_params(), None, np.random.default_rng(0))
 
 
 class TestBests:

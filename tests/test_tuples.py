@@ -96,6 +96,13 @@ class TestStoreCombinations:
         remove_covered((1, 1, 1), store)
         assert store.first_uncovered() == ((0, 2), (0, 1))
 
+    def test_first_uncovered_of_a_fully_covered_store_raises(self):
+        store = build_tuple_store(parse_model("2^2"), VscaConfig(2))
+        for case in itertools.product((0, 1), repeat=2):
+            remove_covered(case, store)
+        with pytest.raises(ValueError, match="^every tuple is covered$"):
+            store.first_uncovered()
+
 
 class TestBuildTupleStore:
     def test_pairwise_three_level_five_param(self):

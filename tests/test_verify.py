@@ -10,7 +10,6 @@ import ast
 import itertools
 import random
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from string import whitespace
 
@@ -38,7 +37,6 @@ from vscit.verify import (
     read_suite,
     render_report_csv,
     render_report_text,
-    suite_stats,
     verify_suite,
     write_suite,
 )
@@ -195,11 +193,6 @@ def suite_files(draw):
     return data
 
 
-@dataclass
-class FakeResult:
-    suite: object
-
-
 class TestVerifySuite:
     def test_generated_pairwise_suite_covers_everything(self):
         # Five 3-level parameters need at most the classic 15 pairwise cases;
@@ -349,35 +342,6 @@ class TestLowerBoundMutation:
         for drop in range(len(cases)):
             mutated = vscit.TestSuite(model, result.suite.config, np.delete(cases, drop, axis=0))
             assert not verify_suite(mutated).complete
-
-
-class TestSuiteStats:
-    def test_best_and_mean(self):
-        results = [FakeResult(make_suite("2", VscaConfig(1), [(0,), (1,)][:n])) for n in (1, 2)]
-        # sizes 1 and 2
-        best, mean, sizes = suite_stats(results)
-        assert (best, mean, sizes) == (1, 1.5, [1, 2])
-
-    def test_hand_mean_rounding(self):
-        sizes = [18, 19, 21]
-        results = [FakeResult(make_suite("2^5", VscaConfig(1), [(0, 0, 0, 0, 0)] * n)) for n in sizes]
-        best, mean, got = suite_stats(results)
-        assert best == 18
-        assert mean == 19.33
-        assert got == sizes
-
-    def test_single_run(self):
-        results = [FakeResult(make_suite("2", VscaConfig(1), [(0,)] * 27))]
-        assert suite_stats(results)[:2] == (27, 27.0)
-
-    def test_identical_sizes(self):
-        results = [FakeResult(make_suite("2", VscaConfig(1), [(0,)] * 64)) for _ in range(30)]
-        best, mean, _ = suite_stats(results)
-        assert (best, mean) == (64, 64.0)
-
-    def test_empty_input_raises(self):
-        with pytest.raises(ValueError):
-            suite_stats([])
 
 
 class TestSuiteFiles:
