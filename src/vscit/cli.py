@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 from importlib import resources
@@ -251,28 +252,30 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        _configure_logging()
-        if args.command == "verify":
-            return cmd_verify(args.suite, args.csv or None)
-        controller = _load_mf_config(args.mf_config)
-        targets = _targets_from_args(args)
-        params = SwarmParams(swarm_size=args.swarm_size, max_iterations=args.iterations,
-                             variant=args.variant, rng_seed=args.seed,
-                             patience=args.patience)
-        if args.command == "generate":
-            return cmd_generate(targets[0], params, controller, args.out or "suite.txt")
-        return cmd_benchmark(targets, params, controller, args.runs, args.out or "benchmark.csv")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        # numpy's names the array it could not allocate; a bare one is empty.
-        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
-        return EXIT_USAGE
-    except InternalCoverageError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            _configure_logging()
+            if args.command == "verify":
+                return cmd_verify(args.suite, args.csv or None)
+            controller = _load_mf_config(args.mf_config)
+            targets = _targets_from_args(args)
+            params = SwarmParams(swarm_size=args.swarm_size, max_iterations=args.iterations,
+                                 variant=args.variant, rng_seed=args.seed, patience=args.patience)
+            if args.command == "generate":
+                return cmd_generate(targets[0], params, controller, args.out or "suite.txt")
+            return cmd_benchmark(targets, params, controller, args.runs,
+                                 args.out or "benchmark.csv")
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except MemoryError as exc:
+            # numpy's names the array it could not allocate; a bare one is empty.
+            print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+            return EXIT_USAGE
+        except InternalCoverageError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -39,13 +39,16 @@ def parse_ints(text: str) -> tuple[int, ...]:
     return tuple(map(int, text.split(",")))
 
 
-def parse_int_array(text: str) -> np.ndarray:
-    """parse_ints' values as an int64 array, read by int() on each field;
-    a value past int64 raises OverflowError, which may come before a
-    ValueError that a later field would raise."""
-    if _NOT_INTEGER_TEXT.search(text):
-        raise ValueError(f"not an integer: {text!r}")
-    return np.array(text.split(","), dtype=np.int64)
+def parse_int_rows(lines: list[str]) -> np.ndarray:
+    """parse_ints' values of non-blank lines (loadtxt skips a blank one) as
+    an (n, fields) int64 array, read by numpy's C reader; ragged lines or a
+    value past int64 raise ValueError or, by numpy version, OverflowError.
+    No comment character: loadtxt's default would cut a line at "#"."""
+    if isinstance(lines, str):
+        raise TypeError("parse_int_rows takes a list of lines; loadtxt would open a str as a path")
+    if _NOT_INTEGER_TEXT.search(",".join(lines)):
+        raise ValueError(f"not an integer: {lines!r}")
+    return np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
 
 
 def parse_int(text: str) -> int:

@@ -28,7 +28,7 @@ from .model import (
     VscaConfig,
     check_config,
     parse_config,
-    parse_int_array,
+    parse_int_rows,
     parse_ints,
     parse_model,
     validate_config,
@@ -128,8 +128,9 @@ def read_suite(path) -> TestSuite:
     lacks) is refused instead of passing the oracle with an empty universe.
 
     One pass parses each header where it stands and collects the case
-    lines. One parse_int_array call reads them joined by commas; when every
-    one holds k - 1 commas, those values are the int64 array TestSuite checks.
+    lines. parse_int_rows reads them all with numpy's C reader into the
+    int64 array TestSuite checks, its width included. Only when it fails
+    are the lines read one at a time by parse_ints, which words the fault.
     """
     try:
         with open(path) as fh:
@@ -157,30 +158,23 @@ def read_suite(path) -> TestSuite:
                 break
     if fault is None and len(headers) < len(parsers):
         fault = ParseError(f"{path}: missing '# model:' or '# config:' header")
-    # A bad case line before a faulty header is the error. The join holds
-    # the fields of the case lines, so it parses unless one of them fails,
-    # or holds a value past int64, which may stop it before a bad field.
+    # A bad case line before a faulty header is the error. The C reader
+    # fails on one, on ragged lines or on a value past int64.
     try:
-        values = parse_int_array(",".join(rows.values())) if rows else np.zeros(0, np.int64)
+        values = parse_int_rows(list(rows.values())) if rows else ()
     except (ValueError, OverflowError):
         for line_no, row in rows.items():
             try:
                 parse_ints(row)
             except ValueError:
                 raise ParseError(f"{path}:{line_no}: bad case line {row!r}") from None
-        values = None  # TestSuite words the value past int64
+        values = tuple(map(parse_ints, rows.values()))  # TestSuite words any fault left
     if fault is not None:
         raise fault
     model, config = headers["model"], headers["config"]
-    cases = None
-    # k - 1 commas on every line make each line one row of the joined values.
-    if values is not None and set(map(str.count, rows.values(),
-                                       itertools.repeat(","))) <= {model.k - 1}:
-        cases = values.reshape(len(rows), model.k)
     try:
         validate_config(model, config)
-        return TestSuite(model, config,
-                         tuple(map(parse_ints, rows.values())) if cases is None else cases)
+        return TestSuite(model, config, values)
     except CaseError as exc:
         raise ParseError(f"{path}:{list(rows)[exc.index]}: {exc.reason}") from None
     except ValueError as exc:

@@ -1,6 +1,7 @@
 """Model parsing, rendering, and configuration validation."""
 
 import re
+from string import whitespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from vscit.model import (
     VscaConfig,
     check_case,
     parse_config,
-    parse_int_array,
+    parse_int_rows,
     parse_ints,
     parse_model,
     validate_config,
@@ -49,27 +50,69 @@ INTEGER_TEXT = ["", "-", "--1", "- 1", "1 2", "\v7\f", "007", "-0", "7".zfill(25
                 str(2**63 - 1), str(-2**63), " 3 ,\t-4,5", "1,,2"]
 
 
+# Fields the suite reader meets: digits, signs, empty and lone-sign fields,
+# values past int64 and the ASCII whitespace a case line may hold.
+CASE_FIELDS = st.one_of(
+    st.text(alphabet="0123456789,- \t\v\f", max_size=8),
+    st.sampled_from(["-", "", "--1", " -0", "\v7\f"]),
+    st.tuples(st.sampled_from(["", "-", " -"]), st.text("0123456789", min_size=19, max_size=25))
+    .map("".join),
+    st.sampled_from([str(v) for v in (2**63 - 1, 2**63, -2**63, -2**63 - 1)]),
+)
+CASE_LINES = st.lists(
+    st.lists(CASE_FIELDS, min_size=1, max_size=4).map(",".join)
+    .filter(lambda line: line.strip(whitespace)),
+    min_size=1, max_size=5)
+
+
 class TestParseIntArray:
-    """The array form of parse_ints reads the same values, refuses the same
-    text, and raises OverflowError for a value past int64."""
+    """parse_int_rows, the array form of parse_ints, reads the same values,
+    refuses the same text, and raises ValueError or OverflowError for a
+    value past int64."""
 
     @pytest.mark.parametrize("text", INTEGER_TEXT + NOT_INTEGER_TEXT)
     def test_reads_what_parse_ints_reads(self, text):
+        if not text.strip(whitespace):
+            # Outside its domain: loadtxt skips the blank line parse_ints refuses.
+            np.testing.assert_array_equal(parse_int_rows(["0", text]), [[0]])
+            return
         try:
-            want = np.array(parse_ints(text), dtype=np.int64)
+            want = np.array([parse_ints(text)], dtype=np.int64)
         except ValueError:
             with pytest.raises(ValueError):
-                parse_int_array(text)
+                parse_int_rows([text])
         else:
-            got = parse_int_array(text)
+            got = parse_int_rows([text])
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("value", [2**63, -2**63 - 1, 10**20])
     def test_a_value_past_int64_overflows(self, value):
         assert parse_ints(f"0,{value}") == (0, value)
-        with pytest.raises(OverflowError):
-            parse_int_array(f"0,{value}")
+        with pytest.raises((ValueError, OverflowError)):
+            parse_int_rows([f"0,{value}"])
+
+    @given(CASE_LINES)
+    def test_reads_what_parse_ints_reads_line_by_line(self, lines):
+        try:
+            rows = [parse_ints(line) for line in lines]
+            want = np.array(rows, dtype=np.int64) if len(set(map(len, rows))) == 1 else None
+        except (ValueError, OverflowError):
+            want = None
+        if want is None:
+            with pytest.raises((ValueError, OverflowError)):
+                parse_int_rows(lines)
+        else:
+            got = parse_int_rows(lines)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_str_is_refused_even_when_a_file_of_that_name_exists(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "1,2").write_text("1,2\n")
+        for text in ("1,2", str(tmp_path / "1,2")):
+            with pytest.raises(TypeError):
+                parse_int_rows(text)
 
 
 class TestParseModel:

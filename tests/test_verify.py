@@ -454,6 +454,31 @@ class TestSuiteFiles:
             read_suite(path)
         assert str(err.value) == f"{path}:5: case has 3 values, model has 2 parameters"
 
+    def test_lines_all_of_the_wrong_length_name_the_first(self, tmp_path):
+        # The C reader reads them as one array; TestSuite words its width.
+        path = tmp_path / "bad.txt"
+        for body, want in [("0,1,1\n0,0,0\n", "case has 3 values"), ("0\n1\n", "case has 1 values")]:
+            path.write_text(f"# model: 2^2\n# config: t=2\n\n{body}")
+            with pytest.raises(ParseError) as err:
+                read_suite(path)
+            assert str(err.value) == f"{path}:4: {want}, model has 2 parameters"
+
+    def test_a_well_formed_file_is_read_without_a_per_line_parse(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        suite = vscit.TestSuite(SutModel((4,) * 14), VscaConfig(4), rng.integers(0, 4, (2000, 14)))
+        path = tmp_path / "suite.txt"
+        write_suite(suite, path)
+        calls = []
+        monkeypatch.setattr(vscit.verify, "parse_ints",
+                            lambda text: calls.append(text) or parse_ints(text))
+        assert read_suite(path) == suite
+        assert calls == []
+        # The spy does see the per-line reader: one bad line sends every line through it.
+        path.write_text(path.read_text() + "0,x\n")
+        with pytest.raises(ParseError, match=":2003: bad case line"):
+            read_suite(path)
+        assert len(calls) == 2001
+
     @pytest.mark.parametrize("field", NOT_INTEGER_TEXT)
     def test_only_ascii_digits_with_a_minus_read_as_a_value(self, tmp_path, field):
         path = tmp_path / "bad.txt"
