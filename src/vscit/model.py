@@ -40,15 +40,20 @@ def parse_ints(text: str) -> tuple[int, ...]:
 
 
 def parse_int_rows(lines: list[str]) -> np.ndarray:
-    """parse_ints' values of non-blank lines (loadtxt skips a blank one) as
-    an (n, fields) int64 array, read by numpy's C reader; ragged lines or a
-    value past int64 raise ValueError or, by numpy version, OverflowError.
-    No comment character: loadtxt's default would cut a line at "#"."""
+    """parse_ints' values of non-blank lines (loadtxt skips a blank one) as an
+    (n, fields) int64 array, read by numpy's C reader, no comment character.
+    Ragged lines or a value past int64 raise ValueError (or OverflowError);
+    numpy 1.24 warns as it casts the latter, so a warning raises too."""
     if isinstance(lines, str):
         raise TypeError("parse_int_rows takes a list of lines; loadtxt would open a str as a path")
     if _NOT_INTEGER_TEXT.search(",".join(lines)):
         raise ValueError(f"not an integer: {lines!r}")
-    return np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    if caught:
+        raise ValueError(f"not read exactly: {caught[0].message}")
+    return rows
 
 
 def parse_int(text: str) -> int:

@@ -126,11 +126,8 @@ def read_suite(path) -> TestSuite:
     first wherever they stand. The configuration is validated against the
     model, so one that demands nothing (or names parameters the model
     lacks) is refused instead of passing the oracle with an empty universe.
-
-    One pass parses each header where it stands and collects the case
-    lines. parse_int_rows reads them all with numpy's C reader into the
-    int64 array TestSuite checks, its width included. Only when it fails
-    are the lines read one at a time by parse_ints, which words the fault.
+    One pass collects the case lines for parse_int_rows; only if it fails
+    does parse_ints read them one by one, to word the fault.
     """
     try:
         with open(path) as fh:
@@ -158,17 +155,15 @@ def read_suite(path) -> TestSuite:
                 break
     if fault is None and len(headers) < len(parsers):
         fault = ParseError(f"{path}: missing '# model:' or '# config:' header")
-    # A bad case line before a faulty header is the error. The C reader
-    # fails on one, on ragged lines or on a value past int64.
     try:
         values = parse_int_rows(list(rows.values())) if rows else ()
     except (ValueError, OverflowError):
+        values = []  # TestSuite words any fault the lines leave
         for line_no, row in rows.items():
             try:
-                parse_ints(row)
+                values.append(parse_ints(row))
             except ValueError:
                 raise ParseError(f"{path}:{line_no}: bad case line {row!r}") from None
-        values = tuple(map(parse_ints, rows.values()))  # TestSuite words any fault left
     if fault is not None:
         raise fault
     model, config = headers["model"], headers["config"]

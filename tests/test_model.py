@@ -1,6 +1,7 @@
 """Model parsing, rendering, and configuration validation."""
 
 import re
+import warnings
 from string import whitespace
 
 import numpy as np
@@ -106,6 +107,19 @@ class TestParseIntArray:
             got = parse_int_rows(lines)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
+
+    def test_a_value_loadtxt_casts_with_a_warning_is_refused(self, monkeypatch):
+        # numpy 1.24 reads a field past int64 through a float, warns, and
+        # casts it; the stand-in does the same to every field.
+        def loadtxt_via_float(lines, **_):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return np.full((len(lines), 2), -2**63, np.int64)
+        monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # not even an ignored warning passes
+            with pytest.raises(ValueError, match="via a float"):
+                parse_int_rows(["0,99999999999999999999"])
 
     def test_a_str_is_refused_even_when_a_file_of_that_name_exists(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

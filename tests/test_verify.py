@@ -447,6 +447,26 @@ class TestSuiteFiles:
             read_suite(path)
         assert str(err.value) == f"{path}:3: value 99999999999999999999 at index 0 outside 0..2"
 
+    def test_a_value_past_int64_is_named_where_loadtxt_casts_it(self, tmp_path, monkeypatch):
+        # numpy 1.24's loadtxt reads a field past int64 through a float, warns
+        # and casts it; this stand-in does so, and reads the rest with int().
+        def loadtxt_via_float(lines, **_):
+            rows = [[int(field) for field in line.split(",")] for line in lines]
+            if max(map(abs, itertools.chain(*rows))) >= 2**63:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            return np.array([[v if abs(v) < 2**63 else -2**63 for v in row] for row in rows])
+        monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+        path = tmp_path / "ovf.txt"
+        path.write_text(f"# model: 3^2\n# config: t=2\n{2**63 - 2},0\n")
+        with pytest.raises(ParseError) as err:
+            read_suite(path)  # the stand-in's own read, no warning
+        assert str(err.value) == f"{path}:3: value {2**63 - 2} at index 0 outside 0..2"
+        path.write_text("# model: 3^2\n# config: t=2\n0,0\n99999999999999999999,0\n")
+        with pytest.raises(ParseError) as err:
+            read_suite(path)
+        assert str(err.value) == f"{path}:4: value 99999999999999999999 at index 0 outside 0..2"
+
     def test_case_of_the_wrong_length_names_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# model: 2^2\n# config: t=2\n0,1\n\n0,1,1\n0\n")
