@@ -262,12 +262,9 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
 
 
 def _repair_case(store: TupleStore, rng) -> TestCase:
-    """Build a case around the smallest uncovered tuple, free values random."""
-    key, tup = store.first_uncovered()
-    values = [int(rng.integers(v)) for v in store.model.param_levels]
-    for idx, val in zip(key, tup):
-        values[idx] = val
-    return tuple(values)
+    """The store's first uncovered row, its free (-1) values from one draw per parameter."""
+    draws = [int(rng.integers(v)) for v in store.model.param_levels]
+    return tuple(d if v < 0 else int(v) for d, v in zip(draws, store.uncovered_rows()[0]))
 
 
 def generate_suite(model: SutModel, config: VscaConfig, params: SwarmParams,

@@ -34,12 +34,12 @@ class TupleStore:
     combination's first id plus 2**52. A case with a 1 appended, times the
     matrix, is its id in each combination plus that bias, and a float64 in
     [2**52, 2**53) carries its integer part in the low bits, so viewing the
-    product as int64 and subtracting the bias's bits leaves the ids. A
-    combination's column leaves the matrix with its last tuple, so the
-    per-case work shrinks as coverage progresses. Ids must stay below 2**52
-    for this to be exact; a larger model is refused. The mask changes only
-    through remove_covered, so equal cases always score the same, and while
-    the store is wide, counts scores each distinct case once.
+    product as int64 and subtracting the bias's bits leaves the ids; the last row
+    also finds an id's column, whose strides decode its values. A column leaves with
+    its combination's last tuple, so per-case work shrinks. Ids must stay below 2**52
+    for this to be exact; a larger model is refused. The mask changes only through
+    remove_covered, so equal cases always score the same, and while the store is
+    wide, counts scores each distinct case once.
     """
 
     def __init__(self, model: SutModel, combinations: Iterable[tuple[int, ...]]):
@@ -47,11 +47,9 @@ class TupleStore:
         self._keys = sorted(set(map(tuple, combinations)))
         sizes = [math.prod(model.param_levels[i] for i in key) for key in self._keys]
         self.initial_total = sum(sizes)
-        if self.initial_total >= _BIAS_ID:
-            raise ValueError(f"{self.initial_total} required tuples; "
-                             f"the tuple store holds fewer than 2**52")
+        _refuse_past_bias(self.initial_total)
         sizes = np.array(sizes, dtype=np.int64)
-        self._starts = np.cumsum(sizes) - sizes
+        starts = np.cumsum(sizes) - sizes
         self.uncovered = np.ones(self.initial_total, dtype=bool)
         # Per open combination: its stride column, biased first id and uncovered count.
         self._strides = np.zeros((model.k + 1, len(self._keys)))
@@ -60,7 +58,7 @@ class TupleStore:
             for i in reversed(key):
                 self._strides[i, j] = stride
                 stride *= model.param_levels[i]
-        self._strides[-1] = self._starts + _BIAS_ID
+        self._strides[-1] = starts + _BIAS_ID
         self._left = sizes
         place, radix = 1, []
         for v in reversed(model.param_levels):
@@ -120,15 +118,19 @@ class TupleStore:
         counts[order] = self._scores(ordered.compress(first, axis=0))[first.cumsum() - 1]
         return counts
 
-    def first_uncovered(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The smallest uncovered (combination, value tuple) pair."""
-        if not len(self._left):
-            raise ValueError("every tuple is covered")
-        first = int(self.uncovered.argmax())
-        n = int(np.searchsorted(self._starts, first, side="right")) - 1
-        key = self._keys[n]
-        shape = [self.model.param_levels[i] for i in key]
-        return key, tuple(int(x) for x in np.unravel_index(first - self._starts[n], shape))
+    def uncovered_rows(self) -> np.ndarray:
+        """Uncovered tuples in id order, (n, k) int64, -1 where a tuple's combination is free."""
+        ids = np.flatnonzero(self.uncovered)
+        biased = self._strides[-1].astype(np.int64)  # exact below 2**53, and in id order
+        col = np.searchsorted(biased, ids + _BIAS_ID, side="right") - 1
+        strides = self._strides[:-1, col].T.astype(np.int64)
+        values = (ids + _BIAS_ID - biased[col])[:, None] // np.maximum(strides, 1)
+        return np.where(strides > 0, values % self.model.param_levels, -1)
+
+
+def _refuse_past_bias(total: int) -> None:
+    if total >= _BIAS_ID:
+        raise ValueError(f"{total} required tuples; the tuple store holds fewer than 2**52")
 
 
 def build_tuple_store(model: SutModel, config: VscaConfig) -> TupleStore:
@@ -138,10 +140,21 @@ def build_tuple_store(model: SutModel, config: VscaConfig) -> TupleStore:
     over every parameter and each sub-configuration the s-combinations of its
     own index pool, by itertools.combinations. A combination demanded by more
     than one source is stored once, so nothing is counted twice.
+
+    Before any enumeration, each demand's tuple count is taken in closed
+    form, as the elementary symmetric sum of its pool's levels at its
+    strength. The store holds at least the largest one, so a demand past the
+    store's bound is refused as the store itself would refuse it.
     """
     check_config(model, config)
     demands = [(range(model.k), config.main_strength)]
     demands += [(sorted(sub.indices), sub.strength) for sub in config.sub_configs]
+    for pool, strength in demands:
+        sums = [1] + [0] * strength
+        for i in pool:
+            for j in range(strength, 0, -1):
+                sums[j] += sums[j - 1] * model.param_levels[i]
+        _refuse_past_bias(sums[-1])
     return TupleStore(model, itertools.chain.from_iterable(
         itertools.combinations(pool, strength) for pool, strength in demands))
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -107,6 +108,14 @@ class TestGenerate:
                        "--out", str(out)) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: {2**52} required tuples")
         assert not out.exists()
+
+    def test_a_demand_past_the_store_bound_exits_2_before_enumerating(self, tmp_path, capsys):
+        # C(100, 50) combinations: the closed-form count refuses them without listing one.
+        assert run_cli("generate", "--model", "2^100", "--t", "50",
+                       "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {math.comb(100, 50) * 2**50} required tuples; ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_swarm_the_host_cannot_allocate_exits_2(self, tmp_path, capsys):
         # 10**15 particles of 4 floats is 28.4 PiB, beyond any user address

@@ -74,8 +74,8 @@ class ScriptedStore:
         self.scored.append(np.array(cases))
         return self.rows.pop(0) if self.rows else np.ones(len(cases), dtype=np.int64)
 
-    def first_uncovered(self):
-        return (0,), (1,)
+    def uncovered_rows(self):
+        return np.array([[1] + [-1] * (self.model.k - 1)])
 
 
 class RecordingStore:

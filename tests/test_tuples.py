@@ -89,19 +89,19 @@ class TestStoreCombinations:
                         | set(itertools.combinations(range(4), 3)))
         assert got == oracle
 
-    def test_first_uncovered_follows_key_order(self):
+    def test_uncovered_rows_follow_key_order(self):
         store = build_tuple_store(parse_model("2^3"), VscaConfig(1, (SubConfig((0, 2), 2),)))
-        assert store.first_uncovered() == ((0,), (0,))
+        assert store.uncovered_rows()[0].tolist() == [0, -1, -1]
         remove_covered((0, 0, 0), store)
         remove_covered((1, 1, 1), store)
-        assert store.first_uncovered() == ((0, 2), (0, 1))
+        assert store.uncovered_rows().tolist() == [[0, -1, 1], [1, -1, 0]]
 
-    def test_first_uncovered_of_a_fully_covered_store_raises(self):
+    def test_uncovered_rows_of_a_fully_covered_store_are_empty(self):
         store = build_tuple_store(parse_model("2^2"), VscaConfig(2))
         for case in itertools.product((0, 1), repeat=2):
             remove_covered(case, store)
-        with pytest.raises(ValueError, match="^every tuple is covered$"):
-            store.first_uncovered()
+        rows = store.uncovered_rows()
+        assert (rows.shape, rows.dtype) == ((0, 2), np.int64)
 
 
 class TestBuildTupleStore:
@@ -197,7 +197,10 @@ class TestCoverageCountAndRemoval:
         assert count(case, store) == 0
         assert count((4999, 4998), store) == 1
         assert not store.uncovered[-1] and store.uncovered[:-1].all()
-        assert store.first_uncovered() == ((0, 1), (0, 0))
+        # Decoding the full mask would take over 1 GB; a mask of three ids, one past 2**24, will do.
+        store.uncovered = np.zeros_like(store.uncovered)
+        store.uncovered[[0, 2**24 + 1, 24_999_998]] = True
+        assert store.uncovered_rows().tolist() == [[0, 0], [3355, 2217], [4999, 4998]]
 
     def test_ids_from_two_to_the_52_are_refused_before_any_allocation(self):
         # Ids ride in float64s biased by 2**52, exact only below 2**53; this
@@ -210,6 +213,23 @@ class TestCoverageCountAndRemoval:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_a_demand_past_the_bound_is_refused_before_enumeration(self, monkeypatch):
+        # C(100, 50) combinations would never finish enumerating; the count is closed-form.
+        def enumerate_nothing(*args):
+            raise AssertionError("combinations enumerated")
+
+        monkeypatch.setattr(itertools, "combinations", enumerate_nothing)
+        total = math.comb(100, 50) * 2**50
+        with pytest.raises(ValueError, match=f"^{total} required tuples; "):
+            build_tuple_store(SutModel((2,) * 100), VscaConfig(50))
+
+    def test_a_union_past_the_bound_is_refused_though_no_demand_is(self):
+        # Each sub demands 2**52 - 2**26 tuples; with the main strength's they pass the bound.
+        cfg = VscaConfig(1, (SubConfig((0, 1), 2), SubConfig((0, 2), 2)))
+        total = 2 * (2**52 - 2**26) + 2**26 + 2 * (2**26 - 1)
+        with pytest.raises(ValueError, match=f"^{total} required tuples; "):
+            build_tuple_store(SutModel((2**26, 2**26 - 1, 2**26 - 1)), cfg)
 
     @pytest.mark.parametrize("case", [(2, 0, 0), (0, -1, 0), (0, 0)])
     def test_case_outside_the_model_raises(self, case):
@@ -258,6 +278,36 @@ class TestCoverageCountAndRemoval:
         remove_covered((0, 1, 2, 0), store)
         remove_covered((1, 1, 1, 1), store)
         assert store.remaining_count == int(store.uncovered.sum()) == 54 - 12
+
+
+class TestUncoveredRows:
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_rows_match_a_brute_force_decode(self, data):
+        k = data.draw(st.integers(1, 5))
+        levels = data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+        pools = data.draw(st.lists(st.sets(st.integers(0, k - 1), min_size=1), max_size=4))
+        keys = sorted({tuple(sorted(pool)) for pool in pools})
+        store = TupleStore(SutModel(tuple(levels)), keys)
+        uncovered = {(key, values) for key in keys
+                     for values in itertools.product(*(range(levels[i]) for i in key))}
+        for _ in range(data.draw(st.integers(0, 6))):
+            case = tuple(data.draw(st.integers(0, v - 1)) for v in levels)
+            remove_covered(case, store)
+            uncovered -= {(key, tuple(case[i] for i in key)) for key in keys}
+        want = []
+        for key, values in sorted(uncovered):
+            row = [-1] * k
+            for i, value in zip(key, values):
+                row[i] = value
+            want.append(row)
+        rows = store.uncovered_rows()
+        assert (rows.shape, rows.dtype) == ((len(want), k), np.int64)
+        assert rows.tolist() == want
+        # Filled at its free parameters, each row is a case whose ids include its own.
+        fill = np.array([data.draw(st.integers(0, v - 1)) for v in levels])
+        ids = store._ids(np.where(rows < 0, fill, rows))
+        np.testing.assert_array_equal((ids == np.flatnonzero(store.uncovered)[:, None]).sum(axis=1), 1)
 
 
 class TestBatchCounts:
