@@ -264,7 +264,8 @@ def generate_one_test(store: TupleStore, params: SwarmParams,
 def _repair_case(store: TupleStore, rng) -> TestCase:
     """The store's first uncovered row, its free (-1) values from one draw per parameter."""
     draws = [int(rng.integers(v)) for v in store.model.param_levels]
-    return tuple(d if v < 0 else int(v) for d, v in zip(draws, store.uncovered_rows()[0]))
+    row = store.uncovered_rows(np.argmax(store.uncovered, keepdims=True))[0]
+    return tuple(d if v < 0 else int(v) for d, v in zip(draws, row))
 
 
 def generate_suite(model: SutModel, config: VscaConfig, params: SwarmParams,

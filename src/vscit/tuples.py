@@ -118,9 +118,13 @@ class TupleStore:
         counts[order] = self._scores(ordered.compress(first, axis=0))[first.cumsum() - 1]
         return counts
 
-    def uncovered_rows(self) -> np.ndarray:
-        """Uncovered tuples in id order, (n, k) int64, -1 where a tuple's combination is free."""
-        ids = np.flatnonzero(self.uncovered)
+    def uncovered_rows(self, ids: np.ndarray | None = None) -> np.ndarray:
+        """Uncovered tuples in id order, (n, k) int64, -1 where a tuple's combination is free.
+
+        Given ids of uncovered tuples, only those are decoded, in the order given.
+        """
+        if ids is None:
+            ids = np.flatnonzero(self.uncovered)
         biased = self._strides[-1].astype(np.int64)  # exact below 2**53, and in id order
         col = np.searchsorted(biased, ids + _BIAS_ID, side="right") - 1
         strides = self._strides[:-1, col].T.astype(np.int64)

@@ -1,10 +1,13 @@
 """Independent coverage oracle and the suite file format.
 
-The oracle recounts coverage from scratch, one combination at a time, and
-shares no enumeration or indexing code with the tuple store, so the two act
-as checks on each other. It visits the combinations in sorted order and
-builds each one's row-major codes from those of the prefix it shares with
-the previous combination, one parameter at a time.
+The oracle recounts coverage from scratch and shares no enumeration or
+indexing code with the tuple store, so the two act as checks on each other.
+It counts each demand's tuples in closed form and refuses 2**52 or more
+before listing any combination. It then allocates one flag array for every
+required (combination, value tuple) pair, visits the combinations in sorted
+order, builds each one's row-major codes from those of its (t - 1)-prefix
+plus one cached product per last level count, and decodes the clear flags,
+the missing pairs, once at the end.
 
 A suite file is read in one pass into the one int64 array TestSuite keeps
 and the oracle reads. It is never read twice: the branch that meets a
@@ -55,10 +58,29 @@ class CoverageReport:
         return not self.missing
 
 
-def _demanded_combinations(model: SutModel, config: VscaConfig) -> list[tuple[int, ...]]:
-    """Every parameter combination the configuration demands, each once, sorted."""
-    demands = [(range(model.k), config.main_strength)]
-    demands += [(sorted(sub.indices), sub.strength) for sub in config.sub_configs]
+def _demands(model: SutModel, config: VscaConfig) -> list[tuple[list[int], int]]:
+    """Each demand's sorted index pool and strength, the main strength's first."""
+    demands = [(list(range(model.k)), config.main_strength)]
+    return demands + [(sorted(sub.indices), sub.strength) for sub in config.sub_configs]
+
+
+def _refuse_uncountable(model: SutModel, demands: list[tuple[list[int], int]]) -> None:
+    """Refuse a demand of 2**52 tuples or more, the tuple store's bound.
+
+    A demand's tuple count is the elementary symmetric sum of its pool's
+    level counts at its strength, so no combination is listed to take it.
+    """
+    for pool, strength in demands:
+        sums = [1] + [0] * strength
+        for i in pool:
+            for j in range(strength, 0, -1):
+                sums[j] += sums[j - 1] * model.param_levels[i]
+        if sums[-1] >= 2**52:
+            raise ValueError(f"{sums[-1]} required tuples; the oracle counts fewer than 2**52")
+
+
+def _demanded_combinations(demands: list[tuple[list[int], int]]) -> list[tuple[int, ...]]:
+    """Every parameter combination the demands hold, each once, sorted."""
     return sorted({
         combo for pool, strength in demands
         for combo in itertools.combinations(pool, strength)
@@ -66,49 +88,67 @@ def _demanded_combinations(model: SutModel, config: VscaConfig) -> list[tuple[in
 
 
 def verify_suite(suite: TestSuite) -> CoverageReport:
-    """Mark every value tuple each combination's projection of the suite hits.
+    """Flag every value tuple each combination's projection of the suite hits.
 
-    Each demanded combination gets one boolean hit array over the product
-    of its parameters' level counts, indexed by the row-major code of the
-    value tuple; its size is the combination's required count and its set
-    flags are the covered ones. Combinations are visited in sorted order
-    and code order is lexicographic tuple order, so the missing pairs come
-    out sorted by (combination, value tuple). A configuration the model
-    cannot hold raises ConfigError: strength 0 would demand the empty
-    combination, which every suite, even an empty one, would cover.
+    One boolean array holds a flag for every required (combination, value
+    tuple) pair: the demanded combinations in sorted order, each one's
+    block as long as the product of its parameters' level counts and
+    indexed by the row-major code of the value tuple. Code order is
+    lexicographic tuple order, so the array's clear flags, decoded once at
+    the end, are the missing pairs sorted by (combination, value tuple).
+    A configuration the model cannot hold raises ConfigError: strength 0
+    would demand the empty combination, which every suite, even an empty
+    one, would cover. A demand of 2**52 tuples or more raises ValueError
+    before any combination is listed.
 
     codes[d] holds every row's code over the first d + 1 parameters of the
-    current combination. Sorted combinations share prefixes, so each one
-    keeps the codes of the prefix it shares with the previous one and
-    extends them one parameter at a time. hit is allocated first: a
-    combination too large for it fails there, before any code could pass
-    the int64 range.
+    current combination's (t - 1)-prefix. Sorted combinations share
+    prefixes, so each prefix keeps the codes of the part it shares with
+    the one before and extends them one parameter at a time. Its codes
+    times a last parameter's level count are computed once per distinct
+    count, and each combination's codes are those plus its last column.
+    The flag array is allocated before any code is computed, and it is at
+    least as long as any one combination's block, so an input too large
+    for it fails there.
     """
-    check_config(suite.model, suite.config)
-    levels = suite.model.param_levels
+    model = suite.model
+    levels = model.param_levels
+    check_config(model, suite.config)
+    demands = _demands(model, suite.config)
+    _refuse_uncountable(model, demands)
+    combos = _demanded_combinations(demands)
+    sizes = [math.prod(levels[i] for i in combo) for combo in combos]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    required = starts[-1]
+    hit = np.zeros(required, dtype=bool)
     columns = np.ascontiguousarray(suite.cases.T)
-    required = covered = 0
-    missing: list[MissingPair] = []
     codes: list[np.ndarray] = []
-    previous: tuple[int, ...] = ()
-    for combo in _demanded_combinations(suite.model, suite.config):
-        dims = tuple(levels[i] for i in combo)
-        hit = np.zeros(math.prod(dims), dtype=bool)
-        shared = 0
-        while shared < len(previous) and shared < len(combo) and previous[shared] == combo[shared]:
-            shared += 1
-        del codes[shared:]
-        for i in combo[shared:]:
-            codes.append(codes[-1] * levels[i] + columns[i] if codes else columns[i])
-        previous = combo
-        hit[codes[-1]] = True
-        required += hit.size
-        n_hit = int(np.count_nonzero(hit))
-        covered += n_hit
-        if n_hit < hit.size:
-            values = np.unravel_index(np.flatnonzero(~hit), dims)
-            missing += [(combo, tup) for tup in zip(*(col.tolist() for col in values))]
-    return CoverageReport(required=required, covered=covered, missing=tuple(missing))
+    prefix: tuple[int, ...] = ()
+    scaled: dict[int, np.ndarray] = {}  # codes[-1] times a last parameter's level count
+    for combo, start, size in zip(combos, starts, sizes):
+        if combo[:-1] != prefix:
+            shared = 0
+            while shared < min(len(prefix), len(combo) - 1) and prefix[shared] == combo[shared]:
+                shared += 1
+            del codes[shared:]
+            for i in combo[shared:-1]:
+                codes.append(codes[-1] * levels[i] + columns[i] if codes else columns[i])
+            prefix, scaled = combo[:-1], {}
+        v, code = levels[combo[-1]], columns[combo[-1]]
+        if codes:
+            if v not in scaled:
+                scaled[v] = codes[-1] * v
+            code = scaled[v] + code
+        hit[start:start + size][code] = True
+    ids = np.flatnonzero(~hit)
+    bounds = np.searchsorted(ids, starts)
+    missing: list[MissingPair] = []
+    for j in np.flatnonzero(np.diff(bounds)).tolist():
+        combo = combos[j]
+        values = np.unravel_index(ids[bounds[j]:bounds[j + 1]] - starts[j],
+                                  tuple(levels[i] for i in combo))
+        missing += [(combo, tup) for tup in zip(*(col.tolist() for col in values))]
+    return CoverageReport(required=required, covered=required - len(ids), missing=tuple(missing))
 
 
 def write_suite(suite: TestSuite, path) -> None:

@@ -281,6 +281,18 @@ class TestVerifyCommand:
         assert captured.err.startswith("error:") and "outside" in captured.err
 
 
+    def test_a_demand_past_the_bound_exits_2_before_enumerating(self, tmp_path, capsys):
+        # C(100, 50) combinations: the oracle's closed-form count refuses them
+        # without listing one.
+        path = tmp_path / "huge.txt"
+        path.write_text("# model: 2^100\n# config: t=50\n" + ",".join(["0"] * 100) + "\n")
+        assert run_cli("verify", str(path)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {math.comb(100, 50) * 2**50} required tuples; "
+                                "the oracle counts fewer than 2**52\n")
+
+
 class TestBenchmark:
     def read_rows(self, path):
         with open(path) as fh:

@@ -67,6 +67,7 @@ class ScriptedStore:
         self.model = model
         self.rows = [np.array(r, dtype=np.int64) for r in fitness_rows]
         self.remaining_count = 1
+        self.uncovered = np.array([True])
         self.open_combinations = open_combinations
         self.scored = []
 
@@ -74,7 +75,7 @@ class ScriptedStore:
         self.scored.append(np.array(cases))
         return self.rows.pop(0) if self.rows else np.ones(len(cases), dtype=np.int64)
 
-    def uncovered_rows(self):
+    def uncovered_rows(self, ids=None):
         return np.array([[1] + [-1] * (self.model.k - 1)])
 
 
@@ -574,6 +575,20 @@ class TestRepairCase:
             uncovered -= {(key, tuple(case[i] for i in key)) for key in keys}
         assert not uncovered and store.remaining_count == 0
         assert targets == [(0, 1)] * 4 + [(0, 1, 2)] * 4
+
+    def test_decodes_one_row_not_the_whole_store(self):
+        # A fresh 4^14 t=4 store holds 256,256 uncovered tuples; decoding them all
+        # would take over 100 MB of int64 rows.
+        store = build_tuple_store(parse_model("4^14"), VscaConfig(4))
+        _repair_case(store, np.random.default_rng(0))  # first-call imports are not traced
+        tracemalloc.start()
+        try:
+            case = _repair_case(store, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert case[:4] == (0, 0, 0, 0)
+        assert peak < 2**20
 
 
 class TestGenerateSuite:

@@ -8,6 +8,7 @@ the same way, against a line-by-line reader kept here.
 
 import ast
 import itertools
+import math
 import random
 import warnings
 from pathlib import Path
@@ -73,6 +74,19 @@ def brute_force_report(suite):
     hit = {(combo, tuple(case[i] for i in combo)) for case in suite.cases for combo in combos}
     missing = tuple(sorted(universe - hit))
     return CoverageReport(len(universe), len(universe) - len(missing), missing)
+
+
+def random_cases(n):
+    """n cases drawn uniformly, each value by its own randrange, as a cases factory."""
+    return lambda model, rnd: [tuple(rnd.randrange(v) for v in model.param_levels)
+                               for _ in range(n)]
+
+
+def first_and_last_missing(model, rnd):
+    """Every 3^4 case but those holding (2, 2) at parameters 0, 1 or at 2, 3:
+    at t=2 only the first and the last combination miss a pair."""
+    return [case for case in itertools.product(range(3), repeat=4)
+            if case[:2] != (2, 2) and case[2:] != (2, 2)]
 
 
 @st.composite
@@ -266,27 +280,64 @@ class TestVerifySuite:
         for got, want in zip(report.missing, expected.missing):
             assert got == want
 
-    @pytest.mark.parametrize("spec,config_text,n_cases", [
+    @pytest.mark.parametrize("spec,config_text,cases", [
         # (0, 1) is a prefix of (0, 1, 2), the next combination in sort order.
-        ("3^4", "t=2; sub=0,1,2:3", 5),
-        ("2^6", "t=2; sub=0,2,5:3", 6),
-        ("1 3 1^2 2", "t=3; sub=0,1,2,3:4", 4),
-        ("3^3 2^2", "t=2; sub=1,2,3:3", 0),
-        ("3^7", "t=3; sub=2,3,4,5:4", 250),
+        ("3^4", "t=2; sub=0,1,2:3", random_cases(5)),
+        ("2^6", "t=2; sub=0,2,5:3", random_cases(6)),
+        ("1 3 1^2 2", "t=3; sub=0,1,2,3:4", random_cases(4)),
+        ("3^3 2^2", "t=2; sub=1,2,3:3", random_cases(0)),
+        ("3^7", "t=3; sub=2,3,4,5:4", random_cases(250)),
+        # The last parameters after each prefix all have different level counts.
+        ("2 3 4 5 6", "t=3", random_cases(40)),
+        ("3^4", "t=2", first_and_last_missing),
     ], ids=["prefix-of-the-next", "non-contiguous-pool", "one-level-parameters",
-            "empty-suite", "hundreds-of-rows"])
-    def test_shared_prefixes_match_brute_force(self, spec, config_text, n_cases):
+            "empty-suite", "hundreds-of-rows", "mixed-last-levels", "first-and-last-missing"])
+    def test_shared_prefixes_match_brute_force(self, spec, config_text, cases):
         model = parse_model(spec)
-        rnd = random.Random(7)
-        cases = [tuple(rnd.randrange(v) for v in model.param_levels) for _ in range(n_cases)]
-        suite = vscit.TestSuite(model, parse_config(config_text), tuple(cases))
+        suite = vscit.TestSuite(model, parse_config(config_text),
+                                tuple(cases(model, random.Random(7))))
         assert verify_suite(suite) == brute_force_report(suite)
 
+    def test_first_and_last_combinations_alone_miss_pairs(self):
+        cases = first_and_last_missing(parse_model("3^4"), None)
+        report = verify_suite(make_suite("3^4", VscaConfig(2), cases))
+        assert report.missing == (((0, 1), (2, 2)), ((2, 3), (2, 2)))
+
+    @pytest.mark.parametrize("n_cases", [0, 1, 200])
+    def test_counts_are_python_ints(self, n_cases):
+        rnd = random.Random(n_cases)
+        cases = [tuple(rnd.randrange(3) for _ in range(4)) for _ in range(n_cases)]
+        report = verify_suite(make_suite("3^4", VscaConfig(2, (SubConfig((0, 1, 2), 3),)), cases))
+        assert type(report.required) is int and type(report.covered) is int
+
     def test_combination_too_large_to_count_is_refused(self):
-        # Its codes would pass the int64 range; the hit array fails first.
+        # Its codes would pass the int64 range; the closed-form count refuses it first.
         suite = vscit.TestSuite(SutModel((2**32,) * 3), VscaConfig(3), ((1, 2, 3),))
-        with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+        with pytest.raises(ValueError, match=rf"^{2**96} required tuples; the oracle counts"):
             verify_suite(suite)
+
+    def test_a_demand_past_the_bound_is_refused_before_enumeration(self):
+        # C(100, 50) combinations: listing them would never end.
+        suite = vscit.TestSuite(SutModel((2,) * 100), VscaConfig(50), ((0,) * 100,))
+        with pytest.raises(ValueError, match=rf"^{math.comb(100, 50) * 2**50} required tuples"):
+            verify_suite(suite)
+
+    def test_the_refusal_starts_at_2_52_tuples(self, monkeypatch):
+        # One tuple fewer passes on to the flag array's allocation, stubbed here.
+        class Allocated(Exception):
+            pass
+
+        def zeros(size, dtype):
+            raise Allocated(size)
+
+        below = vscit.TestSuite(SutModel((2**26 - 1, 2**26 + 1)), VscaConfig(2), ((0, 0),))
+        at = vscit.TestSuite(SutModel((2**26, 2**26)), VscaConfig(2), ((0, 0),))
+        monkeypatch.setattr(vscit.verify.np, "zeros", zeros)
+        with pytest.raises(Allocated) as allocated:
+            verify_suite(below)
+        assert allocated.value.args == (2**52 - 1,)
+        with pytest.raises(ValueError, match=rf"^{2**52} required tuples"):
+            verify_suite(at)
 
     def test_missing_is_sorted_across_combination_lengths(self):
         config = VscaConfig(2, (SubConfig((2, 1, 0), 3),))
