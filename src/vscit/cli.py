@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 from string import whitespace
@@ -88,27 +88,34 @@ def load_preset(name_or_path: str) -> list[Target]:
     return targets
 
 
-def cmd_generate(target: Target, params: SwarmParams, controller: FisController | None,
-                 out: str) -> int:
-    """Single run: write the suite and its per-test log, print a summary line.
-
-    Both files open for appending before the search, so a path they cannot
-    take costs no run and an existing file keeps its bytes; a run that fails
-    removes the files it created.
-    """
-    _, model, config = target
+@contextmanager
+def _claimed(*paths: str):
+    """Open each output path for appending before the work in the block, so a
+    path that cannot be taken costs no work and an existing file keeps its
+    bytes; if the block fails, remove the files this claim created."""
     created = []
     try:
-        for path in (out, out + ".log"):
+        for path in paths:
             existed = os.path.exists(path)
             open(path, "a").close()
             if not existed:
                 created.append(path)
-        result = generate_suite(model, config, params, controller)
+        yield
     except BaseException:
         for path in created:
             os.remove(path)
         raise
+
+
+def cmd_generate(target: Target, params: SwarmParams, controller: FisController | None,
+                 out: str) -> int:
+    """Single run: write the suite and its per-test log, print a summary line.
+
+    Both files are claimed (_claimed) before the search and written after it.
+    """
+    _, model, config = target
+    with _claimed(out, out + ".log"):
+        result = generate_suite(model, config, params, controller)
     write_suite(result.suite, out)
     with open(out + ".log", "w", newline="\n") as fh:
         fh.writelines(f"{rec}\n" for rec in result.tests)
@@ -144,13 +151,15 @@ def cmd_benchmark(targets: list[Target], params: SwarmParams,
 def cmd_verify(suite_path: str, csv_path: str | None = None) -> int:
     """Re-check a suite file against the coverage oracle and print the report.
 
-    The CSV opens before the oracle runs, so a path it cannot take prints no report.
+    The CSV is claimed (_claimed) before the oracle runs, so a path it cannot
+    take prints no report, and written after the report.
     """
     suite = read_suite(suite_path)
-    with open(csv_path, "w", newline="\n") if csv_path else nullcontext() as fh:
+    with _claimed(*([csv_path] if csv_path else ())):
         report = verify_suite(suite)
-        print(render_report_text(report))
-        if fh:
+    print(render_report_text(report))
+    if csv_path:
+        with open(csv_path, "w", newline="\n") as fh:
             fh.write(render_report_csv(report))
     return EXIT_OK if report.complete else EXIT_SHORTFALL
 

@@ -27,7 +27,8 @@ class ConfigError(ValueError):
 
 # Any character but ASCII digits, "-", "," and ASCII whitespace.
 _NOT_INTEGER_TEXT = re.compile(r"[^0-9,\- \t\n\r\v\f]")
-# No tuple store can hold the ids of a parameter with this many levels.
+# No tuple store holds this many ids: those of a parameter with this many
+# levels, or of a demand with this many tuples.
 _LEVEL_BOUND = 2**52
 
 
@@ -272,7 +273,14 @@ def parse_config(text: str) -> VscaConfig:
 
 def check_config(model: SutModel, config: VscaConfig) -> None:
     """Raise ConfigError unless the model can hold every combination the
-    configuration demands: strengths in range, indices distinct and in range."""
+    configuration demands: strengths in range, indices distinct and in range,
+    and no demand of 2**52 tuples or more, the tuple store's bound.
+
+    A demand is the main strength over every parameter or one
+    sub-configuration. Its tuple count is the elementary symmetric sum of
+    its pool's level counts at its strength, so no combination is listed to
+    take it.
+    """
     k = model.k
     t = config.main_strength
     if not 1 <= t <= k:
@@ -287,6 +295,14 @@ def check_config(model: SutModel, config: VscaConfig) -> None:
             raise ConfigError(
                 f"sub-config strength {sub.strength} outside 1..{len(sub.indices)}"
             )
+    for pool, strength in [(range(k), t), *config.sub_configs]:
+        sums = [1] + [0] * strength
+        for i in pool:
+            for j in range(strength, 0, -1):
+                sums[j] += sums[j - 1] * model.param_levels[i]
+        if sums[-1] >= _LEVEL_BOUND:
+            raise ConfigError(
+                f"{sums[-1]} required tuples; the tuple store holds fewer than 2**52")
 
 
 def validate_config(model: SutModel, config: VscaConfig) -> VscaConfig:

@@ -46,11 +46,12 @@ class TupleStore:
         self.model = model
         self._keys = sorted(set(map(tuple, combinations)))
         sizes = [math.prod(model.param_levels[i] for i in key) for key in self._keys]
-        self.initial_total = sum(sizes)
-        _refuse_past_bias(self.initial_total)
+        total = sum(sizes)
+        if total >= _BIAS_ID:
+            raise ValueError(f"{total} required tuples; the tuple store holds fewer than 2**52")
         sizes = np.array(sizes, dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
-        self.uncovered = np.ones(self.initial_total, dtype=bool)
+        self.uncovered = np.ones(total, dtype=bool)
         # Per open combination: its stride column, biased first id and uncovered count.
         self._strides = np.zeros((model.k + 1, len(self._keys)))
         for j, key in enumerate(self._keys):
@@ -84,7 +85,7 @@ class TupleStore:
         lifted[:, :k] = cases
         lifted[:, k] = 1.0
         # Exact: every product and partial sum is an integer below
-        # 2**52 + initial_total <= 2**53.
+        # 2**52 plus the store's tuple count, so below 2**53.
         ids = (lifted @ self._strides).view(np.int64)
         ids -= _BIAS_BITS
         return ids
@@ -132,33 +133,20 @@ class TupleStore:
         return np.where(strides > 0, values % self.model.param_levels, -1)
 
 
-def _refuse_past_bias(total: int) -> None:
-    if total >= _BIAS_ID:
-        raise ValueError(f"{total} required tuples; the tuple store holds fewer than 2**52")
-
-
 def build_tuple_store(model: SutModel, config: VscaConfig) -> TupleStore:
     """Every required combination paired with its full product of value tuples.
 
-    Once check_config passes, the main strength contributes all t-combinations
-    over every parameter and each sub-configuration the s-combinations of its
-    own index pool, by itertools.combinations. A combination demanded by more
-    than one source is stored once, so nothing is counted twice.
-
-    Before any enumeration, each demand's tuple count is taken in closed
-    form, as the elementary symmetric sum of its pool's levels at its
-    strength. The store holds at least the largest one, so a demand past the
-    store's bound is refused as the store itself would refuse it.
+    Once check_config passes, which also refuses any one demand of 2**52
+    tuples or more before a combination is listed, the main strength
+    contributes all t-combinations over every parameter and each
+    sub-configuration the s-combinations of its own index pool, by
+    itertools.combinations. A combination demanded by more than one source
+    is stored once, so nothing is counted twice; a union past the bound is
+    refused by the store once the combinations are listed.
     """
     check_config(model, config)
     demands = [(range(model.k), config.main_strength)]
     demands += [(sorted(sub.indices), sub.strength) for sub in config.sub_configs]
-    for pool, strength in demands:
-        sums = [1] + [0] * strength
-        for i in pool:
-            for j in range(strength, 0, -1):
-                sums[j] += sums[j - 1] * model.param_levels[i]
-        _refuse_past_bias(sums[-1])
     return TupleStore(model, itertools.chain.from_iterable(
         itertools.combinations(pool, strength) for pool, strength in demands))
 

@@ -2,12 +2,13 @@
 
 The oracle recounts coverage from scratch and shares no enumeration or
 indexing code with the tuple store, so the two act as checks on each other.
-It counts each demand's tuples in closed form and refuses 2**52 or more
-before listing any combination. It then allocates one flag array for every
-required (combination, value tuple) pair, visits the combinations in sorted
-order, builds each one's row-major codes from those of its (t - 1)-prefix
-plus one cached product per last level count, and decodes the clear flags,
-the missing pairs, once at the end.
+Only the configuration check is shared: check_config refuses a configuration
+the model cannot hold, a demand of 2**52 tuples or more among its faults,
+before the oracle lists any combination. The oracle then allocates one flag
+array for every required (combination, value tuple) pair, visits the
+combinations in sorted order, builds each one's row-major codes from those
+of its (t - 1)-prefix plus one cached product per last level count, and
+decodes the clear flags, the missing pairs, once at the end.
 
 A suite file is read in one pass into the one int64 array TestSuite keeps
 and the oracle reads. It is never read twice: the branch that meets a
@@ -58,29 +59,12 @@ class CoverageReport:
         return not self.missing
 
 
-def _demands(model: SutModel, config: VscaConfig) -> list[tuple[list[int], int]]:
-    """Each demand's sorted index pool and strength, the main strength's first."""
-    demands = [(list(range(model.k)), config.main_strength)]
-    return demands + [(sorted(sub.indices), sub.strength) for sub in config.sub_configs]
-
-
-def _refuse_uncountable(model: SutModel, demands: list[tuple[list[int], int]]) -> None:
-    """Refuse a demand of 2**52 tuples or more, the tuple store's bound.
-
-    A demand's tuple count is the elementary symmetric sum of its pool's
-    level counts at its strength, so no combination is listed to take it.
-    """
-    for pool, strength in demands:
-        sums = [1] + [0] * strength
-        for i in pool:
-            for j in range(strength, 0, -1):
-                sums[j] += sums[j - 1] * model.param_levels[i]
-        if sums[-1] >= 2**52:
-            raise ValueError(f"{sums[-1]} required tuples; the oracle counts fewer than 2**52")
-
-
-def _demanded_combinations(demands: list[tuple[list[int], int]]) -> list[tuple[int, ...]]:
-    """Every parameter combination the demands hold, each once, sorted."""
+def _demanded_combinations(model: SutModel, config: VscaConfig) -> list[tuple[int, ...]]:
+    """Every parameter combination the configuration demands, each once, sorted:
+    the main strength's over every parameter and each sub-configuration's
+    over its own index pool."""
+    demands = [(range(model.k), config.main_strength)]
+    demands += [(sorted(sub.indices), sub.strength) for sub in config.sub_configs]
     return sorted({
         combo for pool, strength in demands
         for combo in itertools.combinations(pool, strength)
@@ -96,10 +80,10 @@ def verify_suite(suite: TestSuite) -> CoverageReport:
     indexed by the row-major code of the value tuple. Code order is
     lexicographic tuple order, so the array's clear flags, decoded once at
     the end, are the missing pairs sorted by (combination, value tuple).
-    A configuration the model cannot hold raises ConfigError: strength 0
-    would demand the empty combination, which every suite, even an empty
-    one, would cover. A demand of 2**52 tuples or more raises ValueError
-    before any combination is listed.
+    A configuration the model cannot hold raises ConfigError before any
+    combination is listed: strength 0 would demand the empty combination,
+    which every suite, even an empty one, would cover, and a demand of 2**52
+    tuples or more would take too long to list.
 
     codes[d] holds every row's code over the first d + 1 parameters of the
     current combination's (t - 1)-prefix. Sorted combinations share
@@ -114,9 +98,7 @@ def verify_suite(suite: TestSuite) -> CoverageReport:
     model = suite.model
     levels = model.param_levels
     check_config(model, suite.config)
-    demands = _demands(model, suite.config)
-    _refuse_uncountable(model, demands)
-    combos = _demanded_combinations(demands)
+    combos = _demanded_combinations(model, suite.config)
     sizes = [math.prod(levels[i] for i in combo) for combo in combos]
     starts = list(itertools.accumulate(sizes, initial=0))
     required = starts[-1]

@@ -114,7 +114,7 @@ def test_criterion_4_oracle_equivalence(announce):
         for v in range(1, 5):
             model = SutModel((v,) * k)
             for t in range(1, k + 1):
-                store_total = build_tuple_store(model, VscaConfig(t)).initial_total
+                store_total = build_tuple_store(model, VscaConfig(t)).remaining_count
                 required = verify_suite(vscit.TestSuite(model, VscaConfig(t), ())).required
                 agree &= store_total == required == math.comb(k, t) * v**t
                 checked += 1
@@ -126,7 +126,7 @@ def test_criterion_4_oracle_equivalence(announce):
             v = int(rng.integers(1, 5))
             model = SutModel((v,) * k)
             config = random_vsca_config(rng, k)
-            store_total = build_tuple_store(model, config).initial_total
+            store_total = build_tuple_store(model, config).remaining_count
             required = verify_suite(vscit.TestSuite(model, config, ())).required
             agree &= store_total == required
             checked += 1

@@ -280,17 +280,37 @@ class TestVerifyCommand:
         assert "coverage" not in captured.out
         assert captured.err.startswith("error:") and "outside" in captured.err
 
-
     def test_a_demand_past_the_bound_exits_2_before_enumerating(self, tmp_path, capsys):
-        # C(100, 50) combinations: the oracle's closed-form count refuses them
-        # without listing one.
+        # C(100, 50) combinations: the configuration check's closed-form count
+        # refuses them as the file is read, without listing one.
         path = tmp_path / "huge.txt"
         path.write_text("# model: 2^100\n# config: t=50\n" + ",".join(["0"] * 100) + "\n")
-        assert run_cli("verify", str(path)) == EXIT_USAGE
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"old,csv\n")
+        assert run_cli("verify", str(path), "--csv", str(keep)) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {math.comb(100, 50) * 2**50} required tuples; "
-                                "the oracle counts fewer than 2**52\n")
+        assert captured.err == (f"error: {path}: {math.comb(100, 50) * 2**50} required tuples; "
+                                "the tuple store holds fewer than 2**52\n")
+        assert keep.read_bytes() == b"old,csv\n"
+
+    def raise_memory_error(self, suite):
+        raise MemoryError("Unable to allocate 256. TiB")
+
+    def test_an_oracle_failure_keeps_an_existing_csv(self, tmp_path, capsys, monkeypatch):
+        path = self.generate_suite_file(tmp_path)
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"old,csv\n")
+        monkeypatch.setattr(cli, "verify_suite", self.raise_memory_error)
+        assert run_cli("verify", str(path), "--csv", str(keep)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 256. TiB\n"
+        assert keep.read_bytes() == b"old,csv\n"
+
+    def test_an_oracle_failure_creates_no_csv(self, tmp_path, monkeypatch):
+        path = self.generate_suite_file(tmp_path)
+        monkeypatch.setattr(cli, "verify_suite", self.raise_memory_error)
+        assert run_cli("verify", str(path), "--csv", str(tmp_path / "new.csv")) == EXIT_USAGE
+        assert not (tmp_path / "new.csv").exists()
 
 
 class TestBenchmark:
@@ -361,8 +381,10 @@ class TestBenchmark:
         ("nbsp | 3^4\xa0 | t=2\xa0", "bad model term '3^4\\xa0'"),
         ("a | 3^4 | t=2\x1cb | 2^3 | t=2",
          "expected 'label | model | config', got 'a | 3^4 | t=2\\x1cb | 2^3 | t=2'"),
+        ("huge | 2^100 | t=50",
+         f"{math.comb(100, 50) * 2**50} required tuples; the tuple store holds fewer than 2**52"),
     ], ids=["unparsable-model", "strength-above-k", "unparsable-sub-config",
-            "no-break-space", "file-separator"])
+            "no-break-space", "file-separator", "uncountable-demand"])
     def test_bad_preset_row_fails_before_any_run(self, tmp_path, capsys, bad_row, message):
         preset = tmp_path / "p.txt"
         preset.write_text(f"ok | 3^4 | t=2\n{bad_row}\n")

@@ -1,5 +1,6 @@
 """Model parsing, rendering, and configuration validation."""
 
+import itertools
 import re
 import warnings
 from string import whitespace
@@ -18,6 +19,7 @@ from vscit.model import (
     SutModel,
     VscaConfig,
     check_case,
+    check_config,
     parse_config,
     parse_int_rows,
     parse_ints,
@@ -358,3 +360,26 @@ class TestValidateConfig:
         m = parse_model("3^6")
         cfg = VscaConfig(2, (SubConfig((0, 1, 2, 3), 3), SubConfig((2, 3, 4, 5), 3)))
         assert validate_config(m, cfg) is cfg
+
+
+class TestCheckConfigTupleCount:
+    # Each demand's tuple count is taken in closed form; listing a
+    # combination to take it would be a bug, so listing one raises here.
+    @pytest.fixture(autouse=True)
+    def enumerate_nothing(self, monkeypatch):
+        def combinations(*args):
+            raise AssertionError("combinations enumerated")
+
+        monkeypatch.setattr(itertools, "combinations", combinations)
+
+    # (2**26 - 1) * (2**26 + 1) = 2**52 - 1 pairs pass; 2**26 * 2**26 = 2**52 do not.
+    @pytest.mark.parametrize("below,at,config", [
+        ((2**26 - 1, 2**26 + 1), (2**26, 2**26), VscaConfig(2)),
+        # Main strength 1 demands about 2**27 tuples; the sub's pairs meet the bound.
+        ((2, 2**26 - 1, 2**26 + 1), (2, 2**26, 2**26), VscaConfig(1, (SubConfig((2, 1), 2),))),
+    ], ids=["main-strength", "sub-config"])
+    def test_a_demand_is_refused_from_2_52_tuples(self, below, at, config):
+        check_config(SutModel(below), config)
+        with pytest.raises(ConfigError) as err:
+            check_config(SutModel(at), config)
+        assert str(err.value) == f"{2**52} required tuples; the tuple store holds fewer than 2**52"

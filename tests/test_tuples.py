@@ -107,31 +107,31 @@ class TestStoreCombinations:
 class TestBuildTupleStore:
     def test_pairwise_three_level_five_param(self):
         store = build_tuple_store(parse_model("3^5"), VscaConfig(2))
-        assert store.initial_total == 90  # 10 column pairs, 9 value pairs each
+        assert store.remaining_count == 90  # 10 column pairs, 9 value pairs each
         assert store.open_combinations == 10
 
     def test_full_factorial_two_binary_params(self):
         store = build_tuple_store(parse_model("2^2"), VscaConfig(2))
         assert store.open_combinations == 1
-        assert store.initial_total == 4
+        assert store.remaining_count == 4
 
     def test_main_plus_sub_counts_union(self):
         cfg = VscaConfig(3, (SubConfig((1, 2, 3), 2),))
         store = build_tuple_store(parse_model("3^5"), cfg)
-        assert store.initial_total == 297  # 10*27 main + 3*9 sub, disjoint keys
-        assert store.initial_total == brute_force_store_size(parse_model("3^5"), cfg)
+        assert store.remaining_count == 297  # 10*27 main + 3*9 sub, disjoint keys
+        assert store.remaining_count == brute_force_store_size(parse_model("3^5"), cfg)
 
     def test_sub_at_main_strength_is_absorbed(self):
         m = parse_model("3^5")
         plain = build_tuple_store(m, VscaConfig(2))
         doubled = build_tuple_store(m, VscaConfig(2, (SubConfig((0, 1, 2), 2),)))
-        assert doubled.initial_total == plain.initial_total
+        assert doubled.remaining_count == plain.remaining_count
 
     def test_overlapping_subs_union(self):
         m = parse_model("2^4")
         cfg = VscaConfig(2, (SubConfig((0, 1, 2), 3), SubConfig((1, 2, 3), 3)))
         store = build_tuple_store(m, cfg)
-        assert store.initial_total == brute_force_store_size(m, cfg)
+        assert store.remaining_count == brute_force_store_size(m, cfg)
 
     def test_uniform_totals_match_closed_form(self):
         for k in range(1, 7):
@@ -139,7 +139,7 @@ class TestBuildTupleStore:
                 model = SutModel((v,) * k)
                 for t in range(1, k + 1):
                     store = build_tuple_store(model, VscaConfig(t))
-                    assert store.initial_total == math.comb(k, t) * v**t, (k, v, t)
+                    assert store.remaining_count == math.comb(k, t) * v**t, (k, v, t)
 
     @pytest.mark.parametrize("config", [
         VscaConfig(2, (SubConfig((0, 0), 2),)),
@@ -265,10 +265,11 @@ class TestCoverageCountAndRemoval:
     def test_conservation_over_full_coverage(self):
         model = parse_model("2^4")
         store = build_tuple_store(model, VscaConfig(2))
+        required = store.remaining_count
         total = 0
         for case in itertools.product(*(range(v) for v in model.param_levels)):
             total += remove_covered(case, store)
-        assert total == store.initial_total
+        assert total == required
         assert store.remaining_count == 0
         assert store.open_combinations == 0
         assert not store.uncovered.any()

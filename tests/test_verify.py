@@ -267,7 +267,7 @@ class TestVerifySuite:
         for spec, config in cases:
             model = parse_model(spec)
             report = verify_suite(vscit.TestSuite(model, config, ()))
-            assert report.required == build_tuple_store(model, config).initial_total
+            assert report.required == build_tuple_store(model, config).remaining_count
 
     @given(random_suites())
     @settings(max_examples=300, deadline=None)
@@ -311,9 +311,10 @@ class TestVerifySuite:
         assert type(report.required) is int and type(report.covered) is int
 
     def test_combination_too_large_to_count_is_refused(self):
-        # Its codes would pass the int64 range; the closed-form count refuses it first.
+        # Its codes would pass the int64 range; check_config's closed-form count refuses it first.
         suite = vscit.TestSuite(SutModel((2**32,) * 3), VscaConfig(3), ((1, 2, 3),))
-        with pytest.raises(ValueError, match=rf"^{2**96} required tuples; the oracle counts"):
+        with pytest.raises(ConfigError, match=rf"^{2**96} required tuples; "
+                                              r"the tuple store holds fewer than 2\*\*52$"):
             verify_suite(suite)
 
     def test_a_demand_past_the_bound_is_refused_before_enumeration(self):
@@ -447,6 +448,14 @@ class TestSuiteFiles:
         with pytest.raises(ParseError) as err:
             read_suite(path)
         assert str(err.value) == f"{path}{message}"
+
+    def test_an_uncountable_demand_names_the_file(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("# model: 2^100\n# config: t=50\n" + ",".join(["0"] * 100) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_suite(path)
+        assert str(err.value) == (f"{path}: {math.comb(100, 50) * 2**50} required tuples; "
+                                  "the tuple store holds fewer than 2**52")
 
     def test_undecodable_content_names_the_file(self, tmp_path):
         # Under a UTF-8 locale the bytes fail to decode; under a one-byte
