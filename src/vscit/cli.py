@@ -26,8 +26,8 @@ from .fis import FisController, controller_from_config
 from .model import (ParseError, SutModel, VscaConfig, check_config, parse_config, parse_int,
                     parse_model, parse_sub)
 from .pso import (
-    DEFAULT_PATIENCE,
     VARIANT_DEFAULT,
+    VARIANT_DEFAULTS,
     VARIANTS,
     InternalCoverageError,
     SwarmParams,
@@ -127,24 +127,26 @@ def cmd_benchmark(targets: list[Target], params: SwarmParams,
                   controller: FisController | None, runs: int, out: str) -> int:
     """Seeded campaign over one or more configs; per-run sizes plus best/mean rows.
 
-    Run r of each config uses params with the seed raised by r. The CSV
-    opens before the first run, so a path it cannot take costs no run.
+    Run r of each config uses params with the seed raised by r. The CSV is
+    claimed (_claimed) before the first run, so a path it cannot take costs
+    no run, and written after the last one.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["config_label", "variant", "seed", "size"])
+    rows = [["config_label", "variant", "seed", "size"]]
+    with _claimed(out):
         for label, model, config in targets:
             sizes = [len(generate_suite(model, config, replace(params, rng_seed=seed),
                                         controller).suite)
                      for seed in range(params.rng_seed, params.rng_seed + runs)]
             best, mean = min(sizes), f"{sum(sizes) / runs:.2f}"
             for r, size in enumerate(sizes):
-                writer.writerow([label, params.variant, str(params.rng_seed + r), str(size)])
-            writer.writerow([label, params.variant, "best", str(best)])
-            writer.writerow([label, params.variant, "mean", mean])
+                rows.append([label, params.variant, str(params.rng_seed + r), str(size)])
+            rows.append([label, params.variant, "best", str(best)])
+            rows.append([label, params.variant, "mean", mean])
             print(f"{label} variant={params.variant} runs={runs} best={best} mean={mean}")
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return EXIT_OK
 
 
@@ -181,14 +183,17 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sub", action="append", default=[], metavar="I,J,..:S",
                         help="sub-configuration 'indices:strength'; repeatable")
     parser.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
-    parser.add_argument("--swarm-size", type=parse_int, default=defaults.swarm_size)
+    def by_variant(name):
+        return ", ".join(f"{d[name] or 'none'} under {v}" for v, d in VARIANT_DEFAULTS.items())
+
+    parser.add_argument("--swarm-size", type=parse_int, default=VARIANT_DEFAULT,
+                        help=f"particles per search (default: {by_variant('swarm_size')})")
     parser.add_argument("--iterations", type=parse_int, default=defaults.max_iterations)
-    by_variant = ", ".join(f"{p or 'none'} under {v}" for v, p in DEFAULT_PATIENCE.items())
     parser.add_argument("--patience", type=_parse_patience, default=VARIANT_DEFAULT,
                         metavar="N|none",
                         help="stop a search after N iterations without a new global best; "
                              "'none' spends every iteration, as the paper does "
-                             f"(default: {by_variant})")
+                             f"(default: {by_variant('patience')})")
     parser.add_argument("--seed", type=parse_int, default=defaults.rng_seed,
                         help="base RNG seed (run r uses seed + r)")
     parser.add_argument("--out", default="", help="output path (suite or CSV)")

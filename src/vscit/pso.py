@@ -39,12 +39,15 @@ class InternalCoverageError(RuntimeError):
 C1 = C2 = 2.0
 _ACCELERATIONS = np.array((C1, C2))
 
-# Each variant's default patience: the smallest value of the sweep in
-# BENCH_10.json whose 30-run best stays and whose mean grows by at most 1% on
-# every row. No value passed under cpso, whose inertia slide spans the whole
-# budget: a stall stop cuts off its low-inertia end.
-DEFAULT_PATIENCE = {"fpso": 50, "cpso": None}
-# SwarmParams' patience until it is resolved to DEFAULT_PATIENCE[variant].
+# Each variant's default search budget. fpso's is the cheapest setting of the
+# sweep in BENCH_32.json whose 30-run best stays and whose mean grows by at
+# most 1% on every preset row against 80 particles with patience 50: most of
+# its searches reach their final best within a few iterations. cpso keeps the
+# paper's 80 particles and fixed budget: its inertia slide spans the whole
+# max_iterations, so a stall stop cuts off its low-inertia end (BENCH_10.json).
+VARIANT_DEFAULTS = {"fpso": {"swarm_size": 240, "patience": 20},
+                    "cpso": {"swarm_size": 80, "patience": None}}
+# A SwarmParams field left to its variant's entry in VARIANT_DEFAULTS.
 VARIANT_DEFAULT = object()
 
 
@@ -54,14 +57,15 @@ class SwarmParams:
 
     patience is the number of consecutive iterations without a new global
     best after which a search stops; None runs the whole max_iterations
-    budget, as the paper does. Left out, it is DEFAULT_PATIENCE[variant],
-    fixed at construction (so dataclasses.replace of the variant keeps it).
-    swarm_size, max_iterations, rng_seed and patience take an integer
-    (vscit.model.is_integer_type) and hold an int; a refused value raises a
-    ValueError that names its field.
+    budget, as the paper does. Left out, swarm_size and patience are the
+    variant's entries in VARIANT_DEFAULTS, fixed at construction (so
+    dataclasses.replace keeps them); swarm_size=80, patience=None is the
+    paper's budget. swarm_size, max_iterations, rng_seed and patience take
+    an integer (vscit.model.is_integer_type) and hold an int; a refused
+    value raises a ValueError that names its field.
     """
 
-    swarm_size: int = 80
+    swarm_size: int = VARIANT_DEFAULT
     max_iterations: int = 100
     variant: str = "fpso"
     rng_seed: int = 0
@@ -70,8 +74,9 @@ class SwarmParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.patience is VARIANT_DEFAULT:
-            object.__setattr__(self, "patience", DEFAULT_PATIENCE[self.variant])
+        for name, value in VARIANT_DEFAULTS[self.variant].items():
+            if getattr(self, name) is VARIANT_DEFAULT:
+                object.__setattr__(self, name, value)
         for name, least in (("swarm_size", 2), ("max_iterations", 1), ("rng_seed", 0),
                             ("patience", 1)):
             value = getattr(self, name)

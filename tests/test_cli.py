@@ -446,6 +446,22 @@ class TestBenchmark:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
+    # w_max times a velocity overflows, so the first run raises.
+    @pytest.mark.parametrize("earlier", [None, b"keep\n"], ids=["new-path", "existing-file"])
+    def test_failed_campaign_leaves_the_out_path_as_it_was(self, tmp_path, capsys, earlier):
+        mf = tmp_path / "mf.json"
+        mf.write_text(json.dumps({"w_max": 1e308}))
+        out = tmp_path / "keep.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        assert run_cli("benchmark", "--model", "3^4", "--t", "2", "--runs", "1",
+                       "--mf-config", str(mf), "--out", str(out)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: w_max=1e+308 times a velocity")
+        if earlier is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == earlier
+
     def test_cpso_variant(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = run_cli("benchmark", "--model", "3^3", "--t", "2", "--runs", "2",
@@ -507,6 +523,19 @@ class TestRunOptionRefusals:
         err = capsys.readouterr().err
         assert "error:" in err and repr(value) in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["generate", "benchmark"])
+    def test_help_states_each_variants_budget(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        for name in ("swarm_size", "patience"):
+            stated = ", ".join(f"{d[name] or 'none'} under {v}"
+                               for v, d in pso.VARIANT_DEFAULTS.items())
+            assert f"(default: {stated})" in text
 
 
 class TestShippedPresets:
@@ -775,7 +804,9 @@ class TestLogging:
         monkeypatch.setattr(logging.root, "handlers", [*logging.root.handlers,
                                                       logging.NullHandler()])
         monkeypatch.setenv("VSCIT_LOG", "trace")
-        assert run_cli("generate", "--model", "2^3", "--t", "2",
+        # fpso's default 240 particles start on a covering case of every test
+        # here, so no search would iterate; 80 leave some searching.
+        assert run_cli("generate", "--model", "2^3", "--t", "2", "--swarm-size", "80",
                        "--out", str(tmp_path / "suite.txt")) == EXIT_OK
         assert logging.getLogger("vscit").getEffectiveLevel() == logging.DEBUG
         trace = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]

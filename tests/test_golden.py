@@ -3,8 +3,10 @@ per-iteration trace for fixed seeds, of one ``vscit generate`` run's trace
 lines and per-test log file, and of the coverage report of fixed suites.
 The runs recorded before searches could stop on a stall pass
 ``patience=None`` (``--patience none``), which keeps the paper's fixed
-budget; fpso's default patience has runs of its own (cpso's default is
-None).
+budget; fpso's default budget (vscit.pso.VARIANT_DEFAULTS: a wider swarm
+and a stall stop) has runs of its own. cpso's default is the paper's 80
+particles with patience None, so its runs that leave both out keep the
+paper's budget.
 
 The determinism tests elsewhere compare two runs of the same code. These
 digests were recorded once and catch any change to a suite's bytes, so a
@@ -31,7 +33,7 @@ from vscit.pso import SwarmParams, generate_suite
 from vscit.verify import render_report_csv, render_report_text, verify_suite, write_suite
 
 GOLDEN = [
-    ("3^5", "t=2", dict(variant="fpso", rng_seed=5, patience=None),
+    ("3^5", "t=2", dict(variant="fpso", rng_seed=5, swarm_size=80, patience=None),
      "07f5294b46c83a7012ed126778c75573080cd5636b7350393ba633ba29a0e33b",
      "2f30dbb8f57238b04c88986f560af7230246d161103c1d03e8c11ac0ef35ea41"),
     ("2^5", "t=3", dict(variant="cpso", rng_seed=5, patience=None),
@@ -47,10 +49,10 @@ GOLDEN = [
           patience=None),
      "6d821b2143411ae78f834d127d480333455b3855027495051c4fe1583fbd5c1f",
      "4e7e35f5be34084c7b27021da0df8ecb44a59c4613e811649df4f4db4d532cd2"),
-    # The fpso run above at its default patience: searches stop stalled.
+    # The fpso run above at its default swarm and patience: searches stop stalled.
     ("3^5", "t=2", dict(variant="fpso", rng_seed=5),
-     "122984bddf707686c6a8237002db645c8fa18108feb47bef48079c03c296bd4c",
-     "aa9cabb1a0c638dd59f9990c6dc496322730d308656752385b2772967515b5de"),
+     "1534cf499c70fbbc75a0735aa1dd23a8032f0828d86b7ba51388c2cea288eef8",
+     "adf8d987843a2f436f25449b6eca68587ea472d021622fc601ee3a3aa30222b7"),
     # Stores of 560 and 455 combinations, wide enough that the store scores
     # each distinct case once; recorded before it did.
     ("2^16", "t=3", dict(variant="cpso", swarm_size=10, max_iterations=30, rng_seed=2),
@@ -89,7 +91,7 @@ def trace_lines(records) -> bytes:
 # The trace digests are of the lines an earlier `generate` wrote to its .log
 # file, after the header; the .log digests are of the per-test JSON lines.
 SEEDED_RUN = ["generate", "--model", "3^4", "--t", "2", "--seed", "3"]
-TRACED_RUN = [*SEEDED_RUN, "--patience", "none"]
+TRACED_RUN = [*SEEDED_RUN, "--swarm-size", "80", "--patience", "none"]
 TRACE_DIGEST = "1cc8984c63835a52ac578e5b2dd9dc49e3a238a42b141ab0be9f4da128629fc8"
 LOG_DIGEST = "fe55a8365bacbe906ed7b5c55b92ddec06604929d0df270b9396b9be6bc0138a"
 
@@ -105,16 +107,19 @@ def test_trace_file_bytes_are_pinned(tmp_path, trace):
     assert hashlib.sha256(log).hexdigest() == LOG_DIGEST
 
 
-# The same run at fpso's default patience: suite, trace and .log digests.
+# A run at fpso's default swarm and patience: suite, trace and .log digests. On
+# 3^4 every search of that budget starts on a case that covers all it can, so
+# this run is on 3^5, where searches stop stalled.
+DEFAULT_RUN = ["generate", "--model", "3^5", "--t", "2", "--seed", "3"]
 DEFAULT_PATIENCE_DIGESTS = (
-    "22aa30cc6d0431e7dc5bc4fd85fe75b90dbc22567fa565231164aae92bb0798a",
-    "52514ad9001114cb55801d677117d2d0331709d8b8132dbc4b58ffae69096a78",
-    "0d86e7414b6084a02194402716c7760e3558f2eed2f1b1104a428ba38265c204")
+    "364b9daf10dcfa267face539f25082454eb01b2d76e2fb767e8e3dc06c36bc45",
+    "bf20abbeba71233c746c28a2e2aeee32e910067002493814f15adb02909ac2bf",
+    "6785238b1b7b72a6edad6978cfe189934e21e5cca382bfeb34173f9b091cc6e5")
 
 
 def test_default_patience_run_is_pinned(tmp_path, trace):
     out = tmp_path / "suite.txt"
-    code, records = trace(main, [*SEEDED_RUN, "--out", str(out)])
+    code, records = trace(main, [*DEFAULT_RUN, "--out", str(out)])
     assert code == EXIT_OK
     log = (tmp_path / "suite.txt.log").read_bytes()
     assert b'"stop": "stalled"' in log

@@ -313,12 +313,25 @@ class TestPositionUpdate:
 class TestSwarmParams:
     def test_defaults(self):
         params = SwarmParams()
-        assert (params.swarm_size, params.max_iterations) == (80, 100)
+        assert (params.swarm_size, params.max_iterations, params.patience) == (240, 100, 20)
         assert params.variant == "fpso"
         assert params.rng_seed == 0
-        assert params.patience == pso.DEFAULT_PATIENCE["fpso"] == 50
-        assert SwarmParams(variant="cpso").patience is pso.DEFAULT_PATIENCE["cpso"] is None
+        cpso = SwarmParams(variant="cpso")
+        assert (cpso.swarm_size, cpso.max_iterations, cpso.patience) == (80, 100, None)
+        assert pso.VARIANT_DEFAULTS == {"fpso": {"swarm_size": 240, "patience": 20},
+                                        "cpso": {"swarm_size": 80, "patience": None}}
         assert pso.C1 == pso.C2 == 2.0
+
+    @pytest.mark.parametrize("variant", pso.VARIANTS)
+    def test_replace_keeps_the_variants_budget(self, variant):
+        params = dataclasses.replace(SwarmParams(variant=variant), rng_seed=1)
+        budget = pso.VARIANT_DEFAULTS[variant]
+        assert (params.swarm_size, params.patience) == (budget["swarm_size"], budget["patience"])
+        assert params.rng_seed == 1
+
+    def test_a_given_budget_overrides_the_variants(self):
+        params = SwarmParams(swarm_size=80, patience=None)
+        assert (params.swarm_size, params.patience) == (80, None)
 
     def test_holds_only_the_run_settings(self):
         assert [f.name for f in dataclasses.fields(SwarmParams)] == [
