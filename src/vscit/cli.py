@@ -176,6 +176,11 @@ def _parse_patience(text: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected an integer or 'none', got {text!r}") from None
 
 
+def _by_variant(field: str) -> str:
+    """A SwarmParams field's default under each variant, for --help."""
+    return ", ".join(f"{d[field] or 'none'} under {v}" for v, d in VARIANT_DEFAULTS.items())
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     defaults = SwarmParams()
     parser.add_argument("--model", help="model spec, e.g. '3^15' or '4^3 5^3 6^2'")
@@ -183,17 +188,14 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sub", action="append", default=[], metavar="I,J,..:S",
                         help="sub-configuration 'indices:strength'; repeatable")
     parser.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
-    def by_variant(name):
-        return ", ".join(f"{d[name] or 'none'} under {v}" for v, d in VARIANT_DEFAULTS.items())
-
     parser.add_argument("--swarm-size", type=parse_int, default=VARIANT_DEFAULT,
-                        help=f"particles per search (default: {by_variant('swarm_size')})")
+                        help=f"particles per search (default: {_by_variant('swarm_size')})")
     parser.add_argument("--iterations", type=parse_int, default=defaults.max_iterations)
     parser.add_argument("--patience", type=_parse_patience, default=VARIANT_DEFAULT,
                         metavar="N|none",
                         help="stop a search after N iterations without a new global best; "
                              "'none' spends every iteration, as the paper does "
-                             f"(default: {by_variant('patience')})")
+                             f"(default: {_by_variant('patience')})")
     parser.add_argument("--seed", type=parse_int, default=defaults.rng_seed,
                         help="base RNG seed (run r uses seed + r)")
     parser.add_argument("--out", default="", help="output path (suite or CSV)")

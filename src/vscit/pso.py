@@ -40,10 +40,10 @@ C1 = C2 = 2.0
 _ACCELERATIONS = np.array((C1, C2))
 
 # Each variant's default search budget. fpso's is the cheapest setting of the
-# sweep in BENCH_32.json whose 30-run best stays and whose mean grows by at
-# most 1% on every preset row against 80 particles with patience 50: most of
-# its searches reach their final best within a few iterations. cpso keeps the
-# paper's 80 particles and fixed budget: its inertia slide spans the whole
+# sweep in BENCH_32.json whose best suite does not grow and whose mean grows
+# by at most 1% on any preset row against 80 particles with patience 50: most
+# of its searches reach their final best within a few iterations. cpso keeps
+# the paper's 80 particles and fixed budget: its inertia slide spans the whole
 # max_iterations, so a stall stop cuts off its low-inertia end (BENCH_10.json).
 VARIANT_DEFAULTS = {"fpso": {"swarm_size": 240, "patience": 20},
                     "cpso": {"swarm_size": 80, "patience": None}}

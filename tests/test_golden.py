@@ -90,8 +90,8 @@ def trace_lines(records) -> bytes:
 # iterations that raised the global best (stalled=0) as well as stalled ones.
 # The trace digests are of the lines an earlier `generate` wrote to its .log
 # file, after the header; the .log digests are of the per-test JSON lines.
-SEEDED_RUN = ["generate", "--model", "3^4", "--t", "2", "--seed", "3"]
-TRACED_RUN = [*SEEDED_RUN, "--swarm-size", "80", "--patience", "none"]
+TRACED_RUN = ["generate", "--model", "3^4", "--t", "2", "--seed", "3", "--swarm-size", "80",
+              "--patience", "none"]
 TRACE_DIGEST = "1cc8984c63835a52ac578e5b2dd9dc49e3a238a42b141ab0be9f4da128629fc8"
 LOG_DIGEST = "fe55a8365bacbe906ed7b5c55b92ddec06604929d0df270b9396b9be6bc0138a"
 
@@ -107,11 +107,10 @@ def test_trace_file_bytes_are_pinned(tmp_path, trace):
     assert hashlib.sha256(log).hexdigest() == LOG_DIGEST
 
 
-# A run at fpso's default swarm and patience: suite, trace and .log digests. On
-# 3^4 every search of that budget starts on a case that covers all it can, so
-# this run is on 3^5, where searches stop stalled.
+# A run at fpso's default swarm and patience: suite, trace and .log digests. It
+# is on 3^5, not the traced run's 3^4, where no search of that budget stalls.
 DEFAULT_RUN = ["generate", "--model", "3^5", "--t", "2", "--seed", "3"]
-DEFAULT_PATIENCE_DIGESTS = (
+DEFAULT_BUDGET_DIGESTS = (
     "364b9daf10dcfa267face539f25082454eb01b2d76e2fb767e8e3dc06c36bc45",
     "bf20abbeba71233c746c28a2e2aeee32e910067002493814f15adb02909ac2bf",
     "6785238b1b7b72a6edad6978cfe189934e21e5cca382bfeb34173f9b091cc6e5")
@@ -125,7 +124,7 @@ def test_default_patience_run_is_pinned(tmp_path, trace):
     assert b'"stop": "stalled"' in log
     assert (hashlib.sha256(out.read_bytes()).hexdigest(),
             hashlib.sha256(trace_lines(records)).hexdigest(),
-            hashlib.sha256(log).hexdigest()) == DEFAULT_PATIENCE_DIGESTS
+            hashlib.sha256(log).hexdigest()) == DEFAULT_BUDGET_DIGESTS
 
 
 # Overlapping output sets: the aggregate's shape changes where the clipped

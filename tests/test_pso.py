@@ -329,10 +329,6 @@ class TestSwarmParams:
         assert (params.swarm_size, params.patience) == (budget["swarm_size"], budget["patience"])
         assert params.rng_seed == 1
 
-    def test_a_given_budget_overrides_the_variants(self):
-        params = SwarmParams(swarm_size=80, patience=None)
-        assert (params.swarm_size, params.patience) == (80, None)
-
     def test_holds_only_the_run_settings(self):
         assert [f.name for f in dataclasses.fields(SwarmParams)] == [
             "swarm_size", "max_iterations", "variant", "rng_seed", "patience"]
