@@ -20,6 +20,9 @@ _KEY_PRIME = 2**53 - 111
 # break-even sweep over 80 rows found the sort and the row comparison paying
 # for themselves from about here on, while up to 60% of the rows are distinct.
 _DEDUP_MIN_COMBINATIONS = 256
+# The most cases a box may hold for a store that starts wide to keep one score
+# per case: 8 MiB of table. Past it, counts keeps sorting each call's rows.
+_TABLE_MAX_CASES = 2**20
 
 
 class TupleStore:
@@ -39,7 +42,11 @@ class TupleStore:
     its combination's last tuple, so per-case work shrinks. Ids must stay below 2**52
     for this to be exact; a larger model is refused. The mask changes only through
     remove_covered, so equal cases always score the same, and while the store is
-    wide, counts scores each distinct case once.
+    wide, counts scores each distinct case once: once per call, or, when the
+    store starts wide over a box of at most _TABLE_MAX_CASES cases, once
+    between two remove_covered calls, through a score table indexed by the
+    case's number in the box. remove_covered resets the entries written since
+    its last call, and drops the table once the store is narrow.
     """
 
     def __init__(self, model: SutModel, combinations: Iterable[tuple[int, ...]]):
@@ -66,6 +73,14 @@ class TupleStore:
             radix.append(place)
             place = place * v % _KEY_PRIME
         self._radix = np.array(radix[::-1], dtype=float)
+        # One score per case number, -1 until scored, and the numbers written
+        # since the mask last changed. In a box this small no place value is
+        # reduced, so a case's number is exact.
+        box = math.prod(model.param_levels)
+        self._table = None
+        self._written = []
+        if len(self._keys) >= _DEDUP_MIN_COMBINATIONS and box <= _TABLE_MAX_CASES:
+            self._table = np.full(box, -1, dtype=np.intp)
 
     @property
     def remaining_count(self) -> int:
@@ -96,21 +111,34 @@ class TupleStore:
     def counts(self, cases: np.ndarray) -> np.ndarray:
         """Uncovered tuples hit by each row of an (n, k) integer-valued case matrix.
 
-        With at least _DEDUP_MIN_COMBINATIONS open combinations, each
-        distinct row is scored once. The rows are sorted by a key, the
-        case's mixed-radix number with its place values reduced modulo a
-        prime, and adjacent sorted rows are compared value by value (so
-        -0.0 equals 0.0); the first row of each run of equal rows is scored
-        for the whole run. The key only brings equal rows together. It may
-        round or collide on a wide model, but the row comparison decides
-        what is equal, so every score is exact. With fewer open
-        combinations, the sort and the comparison cost more than the
-        product and gather they save, and every row is scored.
+        Every row must lie in the model's case box. With fewer than
+        _DEDUP_MIN_COMBINATIONS open combinations every row is scored: finding
+        the repeats would cost more than the product and gather they save.
+        Above the gate each distinct row is scored once, in one of two ways.
+        A store with a score table indexes it by each row's number in the box,
+        exact there, and scores only the distinct rows whose entry is still
+        -1, so a row scored by an earlier call since the last remove_covered
+        costs one gather. Otherwise, once per call, the rows are sorted by a
+        key, the case's mixed-radix number with its place values reduced
+        modulo a prime, and adjacent sorted rows are compared value by value
+        (so -0.0 equals 0.0); the first row of each run of equal rows is
+        scored for the whole run. The key only brings equal rows together. It
+        may round or collide on a wide model, but the row comparison decides
+        what is equal, so every score is exact.
         """
         cases = np.asarray(cases)
         if len(self._left) < _DEDUP_MIN_COMBINATIONS:
             return self._scores(cases)
-        order = (cases @ self._radix).argsort()
+        numbers = cases @ self._radix
+        if self._table is not None:
+            numbers = numbers.astype(np.intp)
+            new = self._table.take(numbers) < 0
+            if new.any():
+                fresh, first = np.unique(numbers[new], return_index=True)
+                self._written.append(fresh)
+                self._table[fresh] = self._scores(cases[new][first])
+            return self._table.take(numbers)
+        order = numbers.argsort()
         ordered = cases.take(order, axis=0)
         first = np.empty(len(cases), dtype=bool)
         first[:1] = True
@@ -154,15 +182,21 @@ def build_tuple_store(model: SutModel, config: VscaConfig) -> TupleStore:
 def remove_covered(case: TestCase, store: TupleStore) -> int:
     """Mark every tuple the case covers as covered and return how many were new.
 
-    Combinations left with no uncovered tuple drop out of the stride matrix.
+    Combinations left with no uncovered tuple drop out of the stride matrix,
+    and the score table's written entries go back to -1.
     """
     check_case(store.model, case)
     ids = store._ids([case])[0]
     hit = store.uncovered[ids]
     store.uncovered[ids[hit]] = False
+    if store._written:
+        store._table[np.concatenate(store._written)] = -1
+        store._written.clear()
     store._left -= hit
     if not store._left.all():
         keep = store._left > 0
         store._strides = store._strides[:, keep]
         store._left = store._left[keep]
+        if len(store._left) < _DEDUP_MIN_COMBINATIONS:
+            store._table = None
     return int(np.count_nonzero(hit))

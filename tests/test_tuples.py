@@ -399,9 +399,44 @@ class TestDedupCounts:
             cases[(cases == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
         np.testing.assert_array_equal(store.counts(cases), expected)
 
-    @pytest.mark.parametrize("model_spec,t,rows", [("2^16", 3, 5), ("3^5", 2, 80)],
-                             ids=["wide", "narrow"])
-    def test_only_distinct_rows_are_scored_above_the_gate(self, model_spec, t, rows,
+    @given(st.sampled_from([("2^16", 3), ("2^12", 4)]), st.integers(1, 40), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_table_scores_follow_the_mask_across_calls(self, spec, n, rounds, seed):
+        # A wide store over a small box keeps each case's score between calls;
+        # covering a case must send every score it changed back to the recount.
+        model_spec, t = spec
+        model = parse_model(model_spec)
+        store = build_tuple_store(model, VscaConfig(t))
+        assert store._table is not None
+        uncovered = brute_force_pairs(model, VscaConfig(t))
+        keys = list(itertools.combinations(range(model.k), t))
+        rng = np.random.default_rng(seed)
+
+        def recount(cases):
+            return [sum((key, tuple(int(case[i]) for i in key)) in uncovered for key in keys)
+                    for case in cases]
+
+        cases = rng.integers(0, 2, (n, model.k))
+        for _ in range(rounds):
+            expected = recount(cases)
+            as_float = cases.astype(float)
+            as_float[(as_float == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
+            for batch in (as_float, cases)[::rng.choice([1, -1])]:
+                np.testing.assert_array_equal(store.counts(batch), expected)
+            covered = tuple(int(v) for v in cases[rng.integers(len(cases))])
+            removed = {(key, tuple(covered[i] for i in key)) for key in keys}
+            assert remove_covered(covered, store) == len(uncovered & removed)
+            uncovered -= removed
+            # Half the next rows were scored before this cover, half are new.
+            cases = np.concatenate([cases[rng.integers(0, len(cases), n)],
+                                    rng.integers(0, 2, (n, model.k))])
+        np.testing.assert_array_equal(store.counts(cases), recount(cases))
+
+    @pytest.mark.parametrize("model_spec,t,rows,again", [
+        ("2^16", 3, 5, []), ("3^15", 3, 5, [5]), ("3^5", 2, 80, [80])],
+        ids=["wide", "wide-big-box", "narrow"])
+    def test_only_distinct_rows_are_scored_above_the_gate(self, model_spec, t, rows, again,
                                                            monkeypatch):
         store = build_tuple_store(parse_model(model_spec), VscaConfig(t))
         assert (store.open_combinations >= _DEDUP_MIN_COMBINATIONS) == (rows == 5)
@@ -412,5 +447,47 @@ class TestDedupCounts:
         cases = rng.integers(0, 2, (5, store.model.k)).astype(float)[np.arange(80) % 5]
         # The search rounds with np.ceil, which gives -0.0 as well as 0.0.
         cases[(cases == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
-        store.counts(cases)
+        first = store.counts(cases)
         assert sizes == [rows]
+        # Only the score table remembers a row past its call.
+        np.testing.assert_array_equal(store.counts(cases), first)
+        assert sizes == [rows] + again
+
+    def test_a_failed_scoring_leaves_the_table_as_it_was(self, monkeypatch):
+        store = build_tuple_store(parse_model("2^16"), VscaConfig(3))
+        cases = np.random.default_rng(0).integers(0, 2, (80, 16))
+        want = build_tuple_store(parse_model("2^16"), VscaConfig(3)).counts(cases)
+        store.counts(cases[:40])
+        before = store._table.copy()
+
+        def fail(self, c):
+            raise MemoryError
+
+        monkeypatch.setattr(TupleStore, "_ids", fail)
+        with pytest.raises(MemoryError):
+            store.counts(cases)
+        np.testing.assert_array_equal(store._table, before)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(store.counts(cases), want)
+
+    @pytest.mark.parametrize("model_spec,config,table", [
+        ("3^15", VscaConfig(3), False),
+        ("3^3 4^3 5^1", VscaConfig(2, (SubConfig((0, 1, 2), 3), SubConfig((3, 4, 5, 6), 4))), False),
+        ("2^16", VscaConfig(3), True)], ids=["wide-big-box", "narrow", "wide"])
+    def test_only_a_wide_small_box_store_allocates_a_table(self, model_spec, config, table):
+        model = parse_model(model_spec)
+        table_bytes = math.prod(model.param_levels) * np.dtype(np.intp).itemsize
+        tracemalloc.start()
+        try:
+            store = build_tuple_store(model, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (store._table is not None) == table
+        if table:
+            # 512 KiB of table; the stride matrix and the mask take less than another.
+            assert store._table.nbytes == table_bytes
+            assert peak < 2 * table_bytes
+        else:
+            # A table would be 115 MB for 3^15 and 69 KB for the narrow store.
+            assert peak < table_bytes
