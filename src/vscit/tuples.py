@@ -16,12 +16,13 @@ _BIAS_BITS = np.float64(_BIAS_ID).view(np.int64)
 # Place values of the sort key are reduced modulo the largest prime below
 # 2**53: every one is then an exact float64, and no key can reach inf or NaN.
 _KEY_PRIME = 2**53 - 111
-# Open combinations from which counts scores each distinct row only once: a
-# break-even sweep over 80 rows found the sort and the row comparison paying
-# for themselves from about here on, while up to 60% of the rows are distinct.
+# Open combinations from which counts sorts each call's rows to score each
+# distinct row once, for a store with no score table: a break-even sweep over
+# 80 rows found the sort and the row comparison paying for themselves from
+# about here on, while up to 60% of the rows are distinct.
 _DEDUP_MIN_COMBINATIONS = 256
 # The most cases a box may hold for a store that starts wide to keep one score
-# per case: 8 MiB of table. Past it, counts keeps sorting each call's rows.
+# per case for life: 8 MiB of table. Past it, counts sorts each call's rows.
 _TABLE_MAX_CASES = 2**20
 
 
@@ -41,12 +42,12 @@ class TupleStore:
     also finds an id's column, whose strides decode its values. A column leaves with
     its combination's last tuple, so per-case work shrinks. Ids must stay below 2**52
     for this to be exact; a larger model is refused. The mask changes only through
-    remove_covered, so equal cases always score the same, and while the store is
-    wide, counts scores each distinct case once: once per call, or, when the
-    store starts wide over a box of at most _TABLE_MAX_CASES cases, once
-    between two remove_covered calls, through a score table indexed by the
-    case's number in the box. remove_covered resets the entries written since
-    its last call, and drops the table once the store is narrow.
+    remove_covered, so equal cases always score the same. A store that starts
+    wide over a box of at most _TABLE_MAX_CASES cases keeps a score table for
+    life, indexed by the case's number in the box, and scores each distinct
+    case once between two remove_covered calls; remove_covered resets the
+    entries written since its last call. Any other store scores each distinct
+    case once per call while it is wide.
     """
 
     def __init__(self, model: SutModel, combinations: Iterable[tuple[int, ...]]):
@@ -111,14 +112,14 @@ class TupleStore:
     def counts(self, cases: np.ndarray) -> np.ndarray:
         """Uncovered tuples hit by each row of an (n, k) integer-valued case matrix.
 
-        Every row must lie in the model's case box. With fewer than
-        _DEDUP_MIN_COMBINATIONS open combinations every row is scored: finding
-        the repeats would cost more than the product and gather they save.
-        Above the gate each distinct row is scored once, in one of two ways.
-        A store with a score table indexes it by each row's number in the box,
-        exact there, and scores only the distinct rows whose entry is still
-        -1, so a row scored by an earlier call since the last remove_covered
-        costs one gather. Otherwise, once per call, the rows are sorted by a
+        Every row must lie in the model's case box. A store with a score table
+        indexes it by each row's number in the box, exact there, at any width,
+        and scores only the distinct rows whose entry is still -1, so a row
+        scored by an earlier call since the last remove_covered costs one
+        gather. A store without one scores every row while fewer than
+        _DEDUP_MIN_COMBINATIONS combinations are open: finding the repeats
+        would cost more than the product and gather they save. Above the gate
+        it scores each distinct row once per call: the rows are sorted by a
         key, the case's mixed-radix number with its place values reduced
         modulo a prime, and adjacent sorted rows are compared value by value
         (so -0.0 equals 0.0); the first row of each run of equal rows is
@@ -127,18 +128,17 @@ class TupleStore:
         what is equal, so every score is exact.
         """
         cases = np.asarray(cases)
-        if len(self._left) < _DEDUP_MIN_COMBINATIONS:
-            return self._scores(cases)
-        numbers = cases @ self._radix
         if self._table is not None:
-            numbers = numbers.astype(np.intp)
+            numbers = (cases @ self._radix).astype(np.intp)
             new = self._table.take(numbers) < 0
             if new.any():
                 fresh, first = np.unique(numbers[new], return_index=True)
                 self._written.append(fresh)
                 self._table[fresh] = self._scores(cases[new][first])
             return self._table.take(numbers)
-        order = numbers.argsort()
+        if len(self._left) < _DEDUP_MIN_COMBINATIONS:
+            return self._scores(cases)
+        order = (cases @ self._radix).argsort()
         ordered = cases.take(order, axis=0)
         first = np.empty(len(cases), dtype=bool)
         first[:1] = True
@@ -197,6 +197,4 @@ def remove_covered(case: TestCase, store: TupleStore) -> int:
         keep = store._left > 0
         store._strides = store._strides[:, keep]
         store._left = store._left[keep]
-        if len(store._left) < _DEDUP_MIN_COMBINATIONS:
-            store._table = None
     return int(np.count_nonzero(hit))

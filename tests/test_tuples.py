@@ -433,17 +433,52 @@ class TestDedupCounts:
                                     rng.integers(0, 2, (n, model.k))])
         np.testing.assert_array_equal(store.counts(cases), recount(cases))
 
-    @pytest.mark.parametrize("model_spec,t,rows,again", [
-        ("2^16", 3, 5, []), ("3^15", 3, 5, [5]), ("3^5", 2, 80, [80])],
-        ids=["wide", "wide-big-box", "narrow"])
-    def test_only_distinct_rows_are_scored_above_the_gate(self, model_spec, t, rows, again,
-                                                           monkeypatch):
+    @given(st.sampled_from([("2^16", 3), ("2^12", 4)]), st.integers(1, 20),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_the_table_outlives_the_gate(self, spec, n, seed):
+        # Covering the best row of each batch narrows the store below the gate;
+        # its table keeps serving it there, and every score stays the recount.
+        model_spec, t = spec
+        model = parse_model(model_spec)
+        store = build_tuple_store(model, VscaConfig(t))
+        uncovered = brute_force_pairs(model, VscaConfig(t))
+        keys = list(itertools.combinations(range(model.k), t))
+        rng = np.random.default_rng(seed)
+        cases = rng.integers(0, 2, (n, model.k))
+        narrow_rounds = 0
+        while narrow_rounds < 3:
+            expected = [sum((key, tuple(int(case[i]) for i in key)) in uncovered for key in keys)
+                        for case in cases]
+            as_float = cases.astype(float)
+            as_float[(as_float == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
+            for batch in (as_float, cases)[::rng.choice([1, -1])]:
+                np.testing.assert_array_equal(store.counts(batch), expected)
+            covered = tuple(int(v) for v in cases[np.argmax(expected)])
+            removed = {(key, tuple(covered[i] for i in key)) for key in keys}
+            assert remove_covered(covered, store) == len(uncovered & removed)
+            uncovered -= removed
+            narrow_rounds += store.open_combinations < _DEDUP_MIN_COMBINATIONS
+            assert store._table is not None
+            # Half the next rows were scored before this cover, half are new.
+            cases = np.concatenate([cases[rng.integers(0, len(cases), n)],
+                                    rng.integers(0, 2, (n, model.k))])
+
+    @pytest.mark.parametrize("model_spec,t,narrowed,rows,again", [
+        ("2^16", 3, False, 5, []), ("2^16", 3, True, 5, []), ("3^15", 3, False, 5, [5]),
+        ("3^5", 2, False, 80, [80])],
+        ids=["wide", "wide-narrowed", "wide-big-box", "narrow"])
+    def test_only_distinct_rows_are_scored_above_the_gate(self, model_spec, t, narrowed, rows,
+                                                           again, monkeypatch):
+        # A store that starts wide over a small box keeps its table below the gate.
         store = build_tuple_store(parse_model(model_spec), VscaConfig(t))
-        assert (store.open_combinations >= _DEDUP_MIN_COMBINATIONS) == (rows == 5)
+        rng = np.random.default_rng(0)
+        while narrowed and store.open_combinations >= _DEDUP_MIN_COMBINATIONS:
+            remove_covered(tuple(rng.integers(0, 2, store.model.k).tolist()), store)
+        assert (store.open_combinations >= _DEDUP_MIN_COMBINATIONS) == (rows == 5 and not narrowed)
         sizes = []
         ids = TupleStore._ids
         monkeypatch.setattr(TupleStore, "_ids", lambda self, c: sizes.append(len(c)) or ids(self, c))
-        rng = np.random.default_rng(0)
         cases = rng.integers(0, 2, (5, store.model.k)).astype(float)[np.arange(80) % 5]
         # The search rounds with np.ceil, which gives -0.0 as well as 0.0.
         cases[(cases == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
