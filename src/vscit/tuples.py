@@ -21,8 +21,8 @@ _KEY_PRIME = 2**53 - 111
 # 80 rows found the sort and the row comparison paying for themselves from
 # about here on, while up to 60% of the rows are distinct.
 _DEDUP_MIN_COMBINATIONS = 256
-# The most cases a box may hold for a store that starts wide to keep one score
-# per case for life: 8 MiB of table. Past it, counts sorts each call's rows.
+# The biggest box whose wide store keeps one score per case for life (8 MiB): a
+# call scores its rows still at -1, repeats and all. Past it, counts sorts each call.
 _TABLE_MAX_CASES = 2**20
 
 
@@ -44,10 +44,9 @@ class TupleStore:
     for this to be exact; a larger model is refused. The mask changes only through
     remove_covered, so equal cases always score the same. A store that starts
     wide over a box of at most _TABLE_MAX_CASES cases keeps a score table for
-    life, indexed by the case's number in the box, and scores each distinct
-    case once between two remove_covered calls; remove_covered resets the
-    entries written since its last call. Any other store scores each distinct
-    case once per call while it is wide.
+    life, indexed by the case's number in the box: a case is scored in one call
+    between two remove_covered calls, which resets the entries written since
+    its last call. Any other wide store scores each distinct case once per call.
     """
 
     def __init__(self, model: SutModel, combinations: Iterable[tuple[int, ...]]):
@@ -114,9 +113,9 @@ class TupleStore:
 
         Every row must lie in the model's case box. A store with a score table
         indexes it by each row's number in the box, exact there, at any width,
-        and scores only the distinct rows whose entry is still -1, so a row
-        scored by an earlier call since the last remove_covered costs one
-        gather. A store without one scores every row while fewer than
+        and scores every row still at -1, repeats included (equal rows score
+        equal); a row scored since the last remove_covered costs one gather. A
+        store without one scores every row while fewer than
         _DEDUP_MIN_COMBINATIONS combinations are open: finding the repeats
         would cost more than the product and gather they save. Above the gate
         it scores each distinct row once per call: the rows are sorted by a
@@ -130,12 +129,13 @@ class TupleStore:
         cases = np.asarray(cases)
         if self._table is not None:
             numbers = (cases @ self._radix).astype(np.intp)
-            new = self._table.take(numbers) < 0
+            scores = self._table.take(numbers)
+            new = scores < 0
             if new.any():
-                fresh, first = np.unique(numbers[new], return_index=True)
+                fresh = numbers[new]
                 self._written.append(fresh)
-                self._table[fresh] = self._scores(cases[new][first])
-            return self._table.take(numbers)
+                scores[new] = self._table[fresh] = self._scores(cases[new])
+            return scores
         if len(self._left) < _DEDUP_MIN_COMBINATIONS:
             return self._scores(cases)
         order = (cases @ self._radix).argsort()

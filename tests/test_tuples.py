@@ -42,6 +42,14 @@ def store_keys(model, config):
     return build_tuple_store(model, config)._keys
 
 
+def ids_rows(monkeypatch):
+    """A list that gets the row count of every later TupleStore._ids call."""
+    sizes = []
+    ids = TupleStore._ids
+    monkeypatch.setattr(TupleStore, "_ids", lambda self, c: sizes.append(len(c)) or ids(self, c))
+    return sizes
+
+
 class TestStoreCombinations:
     """The combinations a store is keyed by, in the order ids are laid out."""
 
@@ -464,29 +472,91 @@ class TestDedupCounts:
             cases = np.concatenate([cases[rng.integers(0, len(cases), n)],
                                     rng.integers(0, 2, (n, model.k))])
 
-    @pytest.mark.parametrize("model_spec,t,narrowed,rows,again", [
-        ("2^16", 3, False, 5, []), ("2^16", 3, True, 5, []), ("3^15", 3, False, 5, [5]),
-        ("3^5", 2, False, 80, [80])],
-        ids=["wide", "wide-narrowed", "wide-big-box", "narrow"])
-    def test_only_distinct_rows_are_scored_above_the_gate(self, model_spec, t, narrowed, rows,
-                                                           again, monkeypatch):
-        # A store that starts wide over a small box keeps its table below the gate.
+    @pytest.mark.parametrize("model_spec,t,rows,again", [
+        ("3^15", 3, 5, [5]), ("3^5", 2, 80, [80])], ids=["wide-big-box", "narrow"])
+    def test_only_distinct_rows_are_scored_above_the_gate(self, model_spec, t, rows, again,
+                                                           monkeypatch):
+        # Stores with no score table: only the wide one sorts its rows.
         store = build_tuple_store(parse_model(model_spec), VscaConfig(t))
+        assert store._table is None
+        assert (store.open_combinations >= _DEDUP_MIN_COMBINATIONS) == (rows == 5)
+        sizes = ids_rows(monkeypatch)
         rng = np.random.default_rng(0)
-        while narrowed and store.open_combinations >= _DEDUP_MIN_COMBINATIONS:
-            remove_covered(tuple(rng.integers(0, 2, store.model.k).tolist()), store)
-        assert (store.open_combinations >= _DEDUP_MIN_COMBINATIONS) == (rows == 5 and not narrowed)
-        sizes = []
-        ids = TupleStore._ids
-        monkeypatch.setattr(TupleStore, "_ids", lambda self, c: sizes.append(len(c)) or ids(self, c))
         cases = rng.integers(0, 2, (5, store.model.k)).astype(float)[np.arange(80) % 5]
         # The search rounds with np.ceil, which gives -0.0 as well as 0.0.
         cases[(cases == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
         first = store.counts(cases)
         assert sizes == [rows]
-        # Only the score table remembers a row past its call.
         np.testing.assert_array_equal(store.counts(cases), first)
         assert sizes == [rows] + again
+
+    @pytest.mark.parametrize("narrowed", [False, True], ids=["wide", "wide-narrowed"])
+    def test_the_table_scores_exactly_the_rows_still_at_minus_one(self, narrowed, monkeypatch):
+        # A store that starts wide over a small box keeps its table below the gate.
+        model = parse_model("2^16")
+        store = build_tuple_store(model, VscaConfig(3))
+        uncovered = brute_force_pairs(model, VscaConfig(3))
+        keys = list(itertools.combinations(range(model.k), 3))
+        rng = np.random.default_rng(0)
+
+        def cover(case):
+            remove_covered(case, store)
+            uncovered.difference_update((key, tuple(case[i] for i in key)) for key in keys)
+
+        while narrowed and store.open_combinations >= _DEDUP_MIN_COMBINATIONS:
+            cover(tuple(rng.integers(0, 2, model.k).tolist()))
+        assert (store.open_combinations >= _DEDUP_MIN_COMBINATIONS) != narrowed
+        sizes = ids_rows(monkeypatch)
+        distinct = rng.integers(0, 2, (5, model.k))
+        cases = distinct.astype(float)[np.arange(80) % 5]
+        cases[(cases == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
+        numbers = distinct @ (1 << np.arange(model.k)[::-1])
+
+        def recount():
+            return [sum((key, tuple(int(case[i]) for i in key)) in uncovered for key in keys)
+                    for case in cases]
+
+        # Every row at -1 is scored, repeats included, and only those rows' entries are written.
+        np.testing.assert_array_equal(store.counts(cases), recount())
+        assert sizes == [80]
+        np.testing.assert_array_equal(np.flatnonzero(store._table >= 0), np.unique(numbers))
+        # A repeated call finds every entry written and scores no row.
+        np.testing.assert_array_equal(store.counts(cases), recount())
+        assert sizes == [80]
+        # Covering a case resets exactly the written entries, so the next call scores them again.
+        cover(tuple(distinct[0].tolist()))
+        assert (store._table == -1).all() and not store._written
+        sizes.clear()
+        np.testing.assert_array_equal(store.counts(cases), recount())
+        assert sizes == [80]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_new_case_repeated_beside_scored_cases_reads_the_recount(self, seed, monkeypatch):
+        # Numpy leaves the write order of a repeated index unspecified; every
+        # write of one case holds the same score, so the order cannot matter.
+        model = parse_model("2^16")
+        store = build_tuple_store(model, VscaConfig(3))
+        uncovered = brute_force_pairs(model, VscaConfig(3))
+        keys = list(itertools.combinations(range(model.k), 3))
+        rng = np.random.default_rng(seed)
+        for case in rng.integers(0, 2, (3, model.k)).tolist():
+            remove_covered(tuple(case), store)
+            uncovered.difference_update((key, tuple(case[i] for i in key)) for key in keys)
+        scored = rng.integers(0, 2, (8, model.k))
+        store.counts(scored)
+        new = rng.integers(0, 2, model.k)
+        while (new == scored).all(axis=1).any():
+            new = rng.integers(0, 2, model.k)
+        rows = np.concatenate([np.tile(new, (40, 1)), scored[rng.integers(0, 8, 40)]])
+        rng.shuffle(rows)
+        cases = rows.astype(float)
+        cases[(cases == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
+        sizes = ids_rows(monkeypatch)
+        expected = [sum((key, tuple(int(case[i]) for i in key)) in uncovered for key in keys)
+                    for case in rows]
+        np.testing.assert_array_equal(store.counts(cases), expected)
+        assert sizes == [40]
+        np.testing.assert_array_equal(store.counts(rows), expected)
 
     def test_a_failed_scoring_leaves_the_table_as_it_was(self, monkeypatch):
         store = build_tuple_store(parse_model("2^16"), VscaConfig(3))
