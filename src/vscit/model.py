@@ -274,12 +274,13 @@ def parse_config(text: str) -> VscaConfig:
 def check_config(model: SutModel, config: VscaConfig) -> None:
     """Raise ConfigError unless the model can hold every combination the
     configuration demands: strengths in range, indices distinct and in range,
-    and no demand of 2**52 tuples or more, the tuple store's bound.
+    and fewer than 2**52 tuples, the tuple store's bound, summed over the demands.
 
     A demand is the main strength over every parameter or one
     sub-configuration. Its tuple count is the elementary symmetric sum of
     its pool's level counts at its strength, so no combination is listed to
-    take it.
+    take it. The sum counts a combination once per demand that holds it, so
+    it bounds the union the store would hold from above.
     """
     k = model.k
     t = config.main_strength
@@ -295,14 +296,15 @@ def check_config(model: SutModel, config: VscaConfig) -> None:
             raise ConfigError(
                 f"sub-config strength {sub.strength} outside 1..{len(sub.indices)}"
             )
+    total = 0
     for pool, strength in [(range(k), t), *config.sub_configs]:
         sums = [1] + [0] * strength
         for i in pool:
             for j in range(strength, 0, -1):
                 sums[j] += sums[j - 1] * model.param_levels[i]
-        if sums[-1] >= _LEVEL_BOUND:
-            raise ConfigError(
-                f"{sums[-1]} required tuples; the tuple store holds fewer than 2**52")
+        total += sums[-1]
+    if total >= _LEVEL_BOUND:
+        raise ConfigError(f"{total} required tuples; the tuple store holds fewer than 2**52")
 
 
 def validate_config(model: SutModel, config: VscaConfig) -> VscaConfig:

@@ -22,8 +22,16 @@ _KEY_PRIME = 2**53 - 111
 # about here on, while up to 60% of the rows are distinct.
 _DEDUP_MIN_COMBINATIONS = 256
 # The biggest box whose wide store keeps one score per case for life (8 MiB): a
-# call scores its rows still at -1, repeats and all. Past it, counts sorts each call.
+# call scores its rows still at -1, repeats and all. Past it, a box of fewer than
+# 2**52 cases gets a keyed table, and only a bigger one sorts each call.
 _TABLE_MAX_CASES = 2**20
+# Slots of the keyed table (256 KiB with their owners): over four seeds of
+# 3^15 t=2 and t=3, 2**12 slots cost 2-5% more CPU and 2**16 saved none. It answers
+# calls while at least _KEYED_MIN_COMBINATIONS combinations are open: replayed
+# calls found it cheaper than scoring every row from 48 on, dearer on some
+# 80-row calls below 48, and 11-66% dearer on every search below 16.
+_KEYED_SLOTS = 2**14
+_KEYED_MIN_COMBINATIONS = 64
 
 
 class TupleStore:
@@ -46,7 +54,12 @@ class TupleStore:
     wide over a box of at most _TABLE_MAX_CASES cases keeps a score table for
     life, indexed by the case's number in the box: a case is scored in one call
     between two remove_covered calls, which resets the entries written since
-    its last call. Any other wide store scores each distinct case once per call.
+    its last call. One that starts with at least _KEYED_MIN_COMBINATIONS
+    combinations over a bigger box of fewer than 2**52 cases, where a case's
+    number is still exact, keeps a keyed table of _KEYED_SLOTS slots instead:
+    a slot holds the number of the case that last claimed it and that case's
+    score, so a case is scored again only after another case took its slot.
+    Any other wide store scores each distinct case once per call.
     """
 
     def __init__(self, model: SutModel, combinations: Iterable[tuple[int, ...]]):
@@ -73,14 +86,18 @@ class TupleStore:
             radix.append(place)
             place = place * v % _KEY_PRIME
         self._radix = np.array(radix[::-1], dtype=float)
-        # One score per case number, -1 until scored, and the numbers written
-        # since the mask last changed. In a box this small no place value is
-        # reduced, so a case's number is exact.
+        # One score per case number, -1 until scored, or per slot the owning
+        # case's number, -1 while empty, and its score; and the numbers or slots
+        # written since the mask last changed. In a box below 2**52 no place value
+        # is reduced, so a case's number is exact.
         box = math.prod(model.param_levels)
-        self._table = None
+        self._table = self._slot_cases = self._slot_scores = None
         self._written = []
         if len(self._keys) >= _DEDUP_MIN_COMBINATIONS and box <= _TABLE_MAX_CASES:
             self._table = np.full(box, -1, dtype=np.intp)
+        elif len(self._keys) >= _KEYED_MIN_COMBINATIONS and box < _BIAS_ID:
+            self._slot_cases = np.full(_KEYED_SLOTS, -1, dtype=np.int64)
+            self._slot_scores = np.zeros(_KEYED_SLOTS, dtype=np.intp)
 
     @property
     def remaining_count(self) -> int:
@@ -115,7 +132,11 @@ class TupleStore:
         indexes it by each row's number in the box, exact there, at any width,
         and scores every row still at -1, repeats included (equal rows score
         equal); a row scored since the last remove_covered costs one gather. A
-        store without one scores every row while fewer than
+        store with a keyed table uses it while at least _KEYED_MIN_COMBINATIONS
+        combinations are open: a row whose slot, its number's low bits, holds
+        its own number reads the slot's score; every other row is scored,
+        repeats included, and claims its slot. Below that width it scores every
+        row. A store with neither scores every row while fewer than
         _DEDUP_MIN_COMBINATIONS combinations are open: finding the repeats
         would cost more than the product and gather they save. Above the gate
         it scores each distinct row once per call: the rows are sorted by a
@@ -135,6 +156,21 @@ class TupleStore:
                 fresh = numbers[new]
                 self._written.append(fresh)
                 scores[new] = self._table[fresh] = self._scores(cases[new])
+            return scores
+        if self._slot_cases is not None and len(self._left) >= _KEYED_MIN_COMBINATIONS:
+            numbers = (cases @ self._radix).astype(np.int64)
+            slots = numbers & (_KEYED_SLOTS - 1)
+            scores = self._slot_scores.take(slots)
+            new = np.flatnonzero(self._slot_cases.take(slots) != numbers)
+            if len(new):
+                fresh, numbers = slots.take(new), numbers.take(new)
+                scores[new] = fresh_scores = self._scores(cases.take(new, axis=0))
+                self._written.append(fresh)
+                # Two new cases may share a slot: only the one whose number it
+                # kept writes its score.
+                self._slot_cases[fresh] = numbers
+                kept = self._slot_cases.take(fresh) == numbers
+                self._slot_scores[fresh[kept]] = fresh_scores[kept]
             return scores
         if len(self._left) < _DEDUP_MIN_COMBINATIONS:
             return self._scores(cases)
@@ -164,13 +200,12 @@ class TupleStore:
 def build_tuple_store(model: SutModel, config: VscaConfig) -> TupleStore:
     """Every required combination paired with its full product of value tuples.
 
-    Once check_config passes, which also refuses any one demand of 2**52
-    tuples or more before a combination is listed, the main strength
+    Once check_config passes, which also refuses demands of 2**52 tuples or
+    more in sum before a combination is listed, the main strength
     contributes all t-combinations over every parameter and each
     sub-configuration the s-combinations of its own index pool, by
     itertools.combinations. A combination demanded by more than one source
-    is stored once, so nothing is counted twice; a union past the bound is
-    refused by the store once the combinations are listed.
+    is stored once, so nothing is counted twice.
     """
     check_config(model, config)
     demands = [(range(model.k), config.main_strength)]
@@ -183,14 +218,16 @@ def remove_covered(case: TestCase, store: TupleStore) -> int:
     """Mark every tuple the case covers as covered and return how many were new.
 
     Combinations left with no uncovered tuple drop out of the stride matrix,
-    and the score table's written entries go back to -1.
+    and the score table's written entries, or the keyed table's written slots,
+    go back to -1.
     """
     check_case(store.model, case)
     ids = store._ids([case])[0]
     hit = store.uncovered[ids]
     store.uncovered[ids[hit]] = False
     if store._written:
-        store._table[np.concatenate(store._written)] = -1
+        written = np.concatenate(store._written)
+        (store._slot_cases if store._table is None else store._table)[written] = -1
         store._written.clear()
     store._left -= hit
     if not store._left.all():

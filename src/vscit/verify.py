@@ -3,9 +3,9 @@
 The oracle recounts coverage from scratch and shares no enumeration or
 indexing code with the tuple store, so the two act as checks on each other.
 Only the configuration check is shared: check_config refuses a configuration
-the model cannot hold, a demand of 2**52 tuples or more among its faults,
-before the oracle lists any combination. The oracle then allocates one flag
-array for every required (combination, value tuple) pair, visits the
+the model cannot hold, demands of 2**52 tuples or more in sum among its
+faults, before the oracle lists any combination. The oracle then allocates
+one flag array for every required (combination, value tuple) pair, visits the
 combinations in sorted order, builds each one's row-major codes from those
 of its (t - 1)-prefix plus one cached product per last level count, and
 decodes the clear flags, the missing pairs, once at the end.
@@ -82,8 +82,8 @@ def verify_suite(suite: TestSuite) -> CoverageReport:
     the end, are the missing pairs sorted by (combination, value tuple).
     A configuration the model cannot hold raises ConfigError before any
     combination is listed: strength 0 would demand the empty combination,
-    which every suite, even an empty one, would cover, and a demand of 2**52
-    tuples or more would take too long to list.
+    which every suite, even an empty one, would cover, and demands of 2**52
+    tuples or more in sum would take too long to list.
 
     codes[d] holds every row's code over the first d + 1 parameters of the
     current combination's (t - 1)-prefix. Sorted combinations share

@@ -5,6 +5,9 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -23,6 +26,26 @@ from conftest import NOT_INTEGER_TEXT
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_child(*argv, limit_bytes=None, timeout=None):
+    """`python -m vscit` in a child process that imports the vscit this process
+    imported, installed or not, with its address space capped at limit_bytes."""
+    import vscit
+
+    src = os.path.dirname(os.path.dirname(vscit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def cap():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    return subprocess.run(
+        [sys.executable, "-m", "vscit", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap if limit_bytes else None, timeout=timeout,
+    )
 
 
 class TestGenerate:
@@ -115,6 +138,20 @@ class TestGenerate:
                        "--out", str(tmp_path / "s.txt")) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {math.comb(100, 50) * 2**50} required tuples; ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_demands_past_the_bound_in_sum_exit_2_before_listing(self, tmp_path):
+        # Each 40-parameter sub at strength 15 demands 1.3e15 tuples, under the
+        # bound; listing the four subs' 1.6e11 combinations would exhaust any
+        # memory long before their union of 5.3e15 could be refused.
+        subs = [f"{','.join(map(str, range(j, j + 40)))}:15" for j in range(0, 160, 40)]
+        total = math.comb(160, 2) * 2**2 + 4 * math.comb(40, 15) * 2**15
+        proc = run_child("generate", "--model", "2^160", "--t", "2",
+                         *(arg for sub in subs for arg in ("--sub", sub)),
+                         "--out", str(tmp_path / "s.txt"), limit_bytes=2**30, timeout=60)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == (f"error: {total} required tuples; "
+                               "the tuple store holds fewer than 2**52\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_a_swarm_the_host_cannot_allocate_exits_2(self, tmp_path, capsys):
@@ -860,20 +897,7 @@ class TestInternalFailurePath:
 
 class TestInstalledEntryPoints:
     def test_module_invocation(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        import vscit
-
-        # The child imports the vscit this process imported, installed or not.
-        src = os.path.dirname(os.path.dirname(vscit.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "suite.txt"
-        proc = subprocess.run(
-            [sys.executable, "-m", "vscit", "generate", "--model", "2^2", "--t", "2",
-             "--out", str(out)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_child("generate", "--model", "2^2", "--t", "2", "--out", str(out))
         assert proc.returncode == EXIT_OK
         assert "size=4" in proc.stdout

@@ -375,8 +375,11 @@ class TestCheckConfigTupleCount:
     # (2**26 - 1) * (2**26 + 1) = 2**52 - 1 pairs pass; 2**26 * 2**26 = 2**52 do not.
     @pytest.mark.parametrize("below,at,config", [
         ((2**26 - 1, 2**26 + 1), (2**26, 2**26), VscaConfig(2)),
-        # Main strength 1 demands about 2**27 tuples; the sub's pairs meet the bound.
-        ((2, 2**26 - 1, 2**26 + 1), (2, 2**26, 2**26), VscaConfig(1, (SubConfig((2, 1), 2),))),
+        # The sub's (2**26 - 1) * (2**26 - 2) pairs are under the bound; main
+        # strength 1's 3 * 2**26 - 3 singles, one more in the second model, bring
+        # the sum to 2**52 - 1 and 2**52.
+        ((2**26, 2**26 - 1, 2**26 - 2), (2**26 + 1, 2**26 - 1, 2**26 - 2),
+         VscaConfig(1, (SubConfig((2, 1), 2),))),
     ], ids=["main-strength", "sub-config"])
     def test_a_demand_is_refused_from_2_52_tuples(self, below, at, config):
         check_config(SutModel(below), config)

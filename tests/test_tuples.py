@@ -11,11 +11,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vscit.model import ConfigError, SubConfig, SutModel, VscaConfig, parse_model
 from vscit.tuples import (
     _DEDUP_MIN_COMBINATIONS,
+    _KEYED_MIN_COMBINATIONS,
     TupleStore,
     build_tuple_store,
     remove_covered,
@@ -360,8 +361,9 @@ class TestBatchCounts:
 
 @functools.cache
 def wide_store(spec):
-    """A partly covered store at or above the dedup gate, the cases that
-    covered it, and its uncovered pairs and their combinations by itertools."""
+    """A partly covered store at or above its gate, the keyed table's or the
+    dedup one, the cases that covered it, and its uncovered pairs and their
+    combinations by itertools."""
     model_spec, t = spec
     model = parse_model(model_spec)
     store = build_tuple_store(model, VscaConfig(t))
@@ -377,7 +379,8 @@ def wide_store(spec):
         remove_covered(case, store)
         uncovered -= {(key, tuple(case[i] for i in key)) for key, _ in uncovered}
     keys = frozenset(key for key, _ in uncovered)
-    assert store.open_combinations == len(keys) >= _DEDUP_MIN_COMBINATIONS
+    gate = _DEDUP_MIN_COMBINATIONS if store._slot_cases is None else _KEYED_MIN_COMBINATIONS
+    assert store.open_combinations == len(keys) >= gate
     return store, warm, frozenset(uncovered), keys
 
 
@@ -385,8 +388,9 @@ class TestDedupCounts:
     """counts on stores wide enough to score each distinct row once."""
 
     # The place values of 7^25 pass 2**53, so its keys are inexact; unreduced,
-    # those of 2^1100 would pass the float64 range.
-    @given(st.sampled_from([("2^16", 3), ("7^25", 2), ("2^1100", 1)]), st.integers(1, 80),
+    # those of 2^1100 would pass the float64 range. 3^15 keeps a keyed table.
+    @given(st.sampled_from([("2^16", 3), ("3^15", 2), ("7^25", 2), ("2^1100", 1)]),
+           st.integers(1, 80),
            st.sampled_from([1, 2, 3, None]), st.sampled_from([0, 1, 80]), st.booleans(),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -473,12 +477,12 @@ class TestDedupCounts:
                                     rng.integers(0, 2, (n, model.k))])
 
     @pytest.mark.parametrize("model_spec,t,rows,again", [
-        ("3^15", 3, 5, [5]), ("3^5", 2, 80, [80])], ids=["wide-big-box", "narrow"])
+        ("7^25", 2, 5, [5]), ("3^5", 2, 80, [80])], ids=["wide-big-box", "narrow"])
     def test_only_distinct_rows_are_scored_above_the_gate(self, model_spec, t, rows, again,
                                                            monkeypatch):
-        # Stores with no score table: only the wide one sorts its rows.
+        # Stores with no score table, dense or keyed: only the wide one sorts its rows.
         store = build_tuple_store(parse_model(model_spec), VscaConfig(t))
-        assert store._table is None
+        assert store._table is None and store._slot_cases is None
         assert (store.open_combinations >= _DEDUP_MIN_COMBINATIONS) == (rows == 5)
         sizes = ids_rows(monkeypatch)
         rng = np.random.default_rng(0)
@@ -558,12 +562,14 @@ class TestDedupCounts:
         assert sizes == [40]
         np.testing.assert_array_equal(store.counts(rows), expected)
 
-    def test_a_failed_scoring_leaves_the_table_as_it_was(self, monkeypatch):
-        store = build_tuple_store(parse_model("2^16"), VscaConfig(3))
-        cases = np.random.default_rng(0).integers(0, 2, (80, 16))
-        want = build_tuple_store(parse_model("2^16"), VscaConfig(3)).counts(cases)
+    @pytest.mark.parametrize("model_spec,t", [("2^16", 3), ("3^15", 2)], ids=["dense", "keyed"])
+    def test_a_failed_scoring_leaves_the_table_as_it_was(self, model_spec, t, monkeypatch):
+        store = build_tuple_store(parse_model(model_spec), VscaConfig(t))
+        cases = np.random.default_rng(0).integers(0, 2, (80, store.model.k))
+        want = build_tuple_store(parse_model(model_spec), VscaConfig(t)).counts(cases)
         store.counts(cases[:40])
-        before = store._table.copy()
+        tables = [a for a in (store._table, store._slot_cases, store._slot_scores) if a is not None]
+        before = [a.copy() for a in tables]
 
         def fail(self, c):
             raise MemoryError
@@ -571,28 +577,139 @@ class TestDedupCounts:
         monkeypatch.setattr(TupleStore, "_ids", fail)
         with pytest.raises(MemoryError):
             store.counts(cases)
-        np.testing.assert_array_equal(store._table, before)
+        for table, was in zip(tables, before):
+            np.testing.assert_array_equal(table, was)
         monkeypatch.undo()
         np.testing.assert_array_equal(store.counts(cases), want)
 
     @pytest.mark.parametrize("model_spec,config,table", [
-        ("3^15", VscaConfig(3), False),
-        ("3^3 4^3 5^1", VscaConfig(2, (SubConfig((0, 1, 2), 3), SubConfig((3, 4, 5, 6), 4))), False),
-        ("2^16", VscaConfig(3), True)], ids=["wide-big-box", "narrow", "wide"])
+        ("7^25", VscaConfig(2), None),
+        ("3^3 4^3 5^1", VscaConfig(2, (SubConfig((0, 1, 2), 3), SubConfig((3, 4, 5, 6), 4))), None),
+        ("3^15", VscaConfig(2), "keyed"),
+        ("2^16", VscaConfig(3), "dense")], ids=["wide-big-box", "narrow", "keyed", "wide"])
     def test_only_a_wide_small_box_store_allocates_a_table(self, model_spec, config, table):
         model = parse_model(model_spec)
         table_bytes = math.prod(model.param_levels) * np.dtype(np.intp).itemsize
+        keyed_bytes = 2**18
         tracemalloc.start()
         try:
             store = build_tuple_store(model, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (store._table is not None) == table
-        if table:
+        assert (store._table is not None) == (table == "dense")
+        assert (store._slot_cases is not None) == (table == "keyed")
+        if table == "dense":
             # 512 KiB of table; the stride matrix and the mask take less than another.
             assert store._table.nbytes == table_bytes
             assert peak < 2 * table_bytes
+        elif table == "keyed":
+            # 256 KiB of slots for a 3^15 box, whose dense table would be 115 MB.
+            assert store._slot_cases.nbytes + store._slot_scores.nbytes == keyed_bytes
+            assert peak < keyed_bytes + 2**17
         else:
-            # A table would be 115 MB for 3^15 and 69 KB for the narrow store.
-            assert peak < table_bytes
+            # 7^25 holds 1.3e21 cases, past the keyed table's 2**52, and the
+            # narrow store starts below both gates; its dense table would be 69 KB.
+            assert peak < min(table_bytes, keyed_bytes)
+
+
+def decode(numbers, levels):
+    """Each case number back to its (n, k) case, first parameter most significant."""
+    places = [math.prod(levels[i + 1:]) for i in range(len(levels))]
+    return np.array([[n // place % v for place, v in zip(places, levels)]
+                     for n in numbers.tolist()], dtype=np.int64).reshape(-1, len(levels))
+
+
+class FirstWins(np.ndarray):
+    """An array whose integer-indexed writes keep the first value of a repeated
+    index: numpy leaves that order unspecified, and in practice the last wins."""
+
+    def __setitem__(self, index, value):
+        index = np.asarray(index)
+        value = np.broadcast_to(value, index.shape)
+        super().__setitem__(index[::-1], value[::-1])
+
+
+class TestKeyedCounts:
+    """counts on wide stores over boxes too big for a dense table and below 2**52."""
+
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 4), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @example(pool_size=12, n=40, rounds=3, first_wins=True, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_the_recount_as_slots_collide(self, pool_size, n, rounds, first_wins,
+                                                        seed):
+        # Four slots: a call with five distinct new cases puts two of them in one
+        # slot, and the slot must keep one of them with that one's score, whichever
+        # order numpy writes the repeated slot in.
+        model = parse_model("3^15")
+        keys = list(itertools.combinations(range(model.k), 2))
+        uncovered = brute_force_pairs(model, VscaConfig(2))
+        rng = np.random.default_rng(seed)
+
+        def recount(cases):
+            return [sum((key, tuple(int(case[i]) for i in key)) in uncovered for key in keys)
+                    for case in cases]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("vscit.tuples._KEYED_SLOTS", 4)
+            store = build_tuple_store(model, VscaConfig(2))
+            if first_wins:
+                store._slot_cases = store._slot_cases.view(FirstWins)
+            pool = rng.integers(0, 3, (pool_size, model.k))
+            for _ in range(rounds):
+                assert store.open_combinations >= _KEYED_MIN_COMBINATIONS
+                cases = pool[rng.integers(0, len(pool), n)]
+                expected = recount(cases)
+                as_float = cases.astype(float)
+                as_float[(as_float == 0) & (rng.random(cases.shape) < 0.5)] = -0.0
+                for batch in (as_float, cases)[::rng.choice([1, -1])]:
+                    np.testing.assert_array_equal(store.counts(batch), expected)
+                    # A claimed slot is its owner's low bits and holds its owner's score.
+                    claimed = np.flatnonzero(store._slot_cases >= 0)
+                    owners = store._slot_cases[claimed]
+                    np.testing.assert_array_equal(owners & 3, claimed)
+                    np.testing.assert_array_equal(store._slot_scores[claimed],
+                                                  recount(decode(owners, model.param_levels)))
+                covered = tuple(int(v) for v in cases[rng.integers(len(cases))])
+                removed = {(key, tuple(covered[i] for i in key)) for key in keys}
+                assert remove_covered(covered, store) == len(uncovered & removed)
+                uncovered -= removed
+                assert (store._slot_cases == -1).all() and not store._written
+                # The next rows mix cases scored before this cover with new ones.
+                pool = np.concatenate([pool, rng.integers(0, 3, (pool_size, model.k))])
+
+    def test_below_the_gate_no_slot_is_read_or_written(self, monkeypatch):
+        model = parse_model("3^15")
+        store = build_tuple_store(model, VscaConfig(2))
+        keys = list(itertools.combinations(range(model.k), 2))
+        uncovered = brute_force_pairs(model, VscaConfig(2))
+        rng = np.random.default_rng(0)
+        while store.open_combinations >= _KEYED_MIN_COMBINATIONS:
+            candidates = rng.integers(0, 3, (200, model.k))
+            best = tuple(candidates[np.argmax(store.counts(candidates))].tolist())
+            remove_covered(best, store)
+            uncovered.difference_update((key, tuple(best[i] for i in key)) for key in keys)
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"slot array read: {name}")
+
+            def __getitem__(self, index):
+                raise AssertionError("slot array read")
+
+            def __setitem__(self, index, value):
+                raise AssertionError("slot array written")
+
+        store._slot_cases = store._slot_scores = Untouchable()
+        sizes = ids_rows(monkeypatch)
+        cases = rng.integers(0, 3, (5, model.k))[np.arange(40) % 5]
+        for _ in range(2):
+            expected = [sum((key, tuple(int(case[i]) for i in key)) in uncovered for key in keys)
+                        for case in cases]
+            np.testing.assert_array_equal(store.counts(cases), expected)
+            # Every row is scored, repeats included.
+            assert sizes[-1] == 40 and not store._written
+            covered = tuple(cases[0].tolist())
+            remove_covered(covered, store)
+            uncovered.difference_update((key, tuple(covered[i] for i in key)) for key in keys)
